@@ -14,7 +14,6 @@ upper bound. All randomized checks take explicit seeds.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ from .ot import (
     solve_exact_ot,
     wasserstein_distance,
 )
-from .pipeline import SoftmaxHead, weighted_cross_entropy
+from .pipeline import SoftmaxHead, _select_and_train, softmax, weighted_cross_entropy
 
 
 def softmax_lipschitz_constant(K: int) -> float:
@@ -67,28 +66,15 @@ def verify_softmax_lipschitz(K: int, trials: int, seed: int) -> float:
         keep = gaps >= 1e-12
         if not keep.any():
             continue
-        sv = _softmax_rows(v[keep])
-        su = _softmax_rows(u[keep])
+        sv = softmax(v[keep])
+        su = softmax(u[keep])
         ratios = np.abs(sv - su).sum(axis=1) / gaps[keep]
         best = max(best, float(ratios.max()))
     return best
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def largest_singular_value(M: np.ndarray) -> float:
-    """sigma_max via power iteration on M^T M from the normalized all-ones vector.
-
-    Iterates until the eigenvector estimate moves less than 1e-12 between
-    steps (cap 1e5, then the best estimate is returned with a warning). A
-    start vector orthogonal to the top singular direction is caught by
-    canonical-basis probes: sigma_max is at least every column and row norm,
-    so an estimate below that floor triggers one deterministic restart.
-    """
+    """sigma_max, the spectral norm, from LAPACK's singular value decomposition."""
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.size == 0:
         raise DimensionMismatch("need a non-empty 2-d matrix")
@@ -96,36 +82,7 @@ def largest_singular_value(M: np.ndarray) -> float:
         raise NonFiniteValue("matrix entries must be finite")
     if not A.any():
         return 0.0
-
-    col_norms = np.linalg.norm(A, axis=0)
-    row_norms = np.linalg.norm(A, axis=1)
-    floor = max(float(col_norms.max()), float(row_norms.max()))
-
-    def run(x0: np.ndarray) -> tuple[float, bool]:
-        x = x0 / np.linalg.norm(x0)
-        for _ in range(100_000):
-            y = A.T @ (A @ x)
-            ny = np.linalg.norm(y)
-            if ny == 0.0:
-                return 0.0, True
-            x_new = y / ny
-            if np.abs(x_new - x).max() < 1e-12:
-                return float(np.linalg.norm(A @ x_new)), True
-            x = x_new
-        return float(np.linalg.norm(A @ x)), False
-
-    est, converged = run(np.ones(A.shape[1]))
-    if est < floor * (1.0 - 1e-12):
-        probe = np.zeros(A.shape[1])
-        probe[int(np.argmax(col_norms))] = 1.0
-        est2, conv2 = run(probe)
-        est, converged = max(est, est2), converged and conv2
-    if not converged:
-        _warnings.warn(
-            "power iteration hit the iteration cap; returning best estimate",
-            RuntimeWarning,
-        )
-    return est
+    return float(np.linalg.norm(A, 2))
 
 
 def induced_error(probs: np.ndarray, labels_onehot: np.ndarray,
@@ -373,49 +330,16 @@ def end_to_end_bound_report(source, target_train, target_test, *, cfg=None,
     With ``skip_finetune`` the fine-tuned head is the pre-trained head
     itself, which collapses the weight-shift term to exactly zero.
     """
-    from .classlp import solve_class_weights, weights_to_sample_probabilities
-    from .pipeline import TrainConfig, finetune_head, sort_by_class, train_head
-
-    cfg = cfg or TrainConfig()
-    src_ids = (np.arange(source.k) if source_class_ids is None
-               else np.asarray(source_class_ids, dtype=np.int64))
-    tgt_ids = (source.k + np.arange(target_train.k) if target_class_ids is None
-               else np.asarray(target_class_ids, dtype=np.int64))
-    union_ids = np.concatenate(
-        [src_ids, np.array([c for c in tgt_ids.tolist() if c not in set(src_ids.tolist())],
-                           dtype=np.int64)]
-    )
-    union_pos = {int(c): i for i, c in enumerate(union_ids)}
-
-    source_sorted = sort_by_class(source)
-    D = pairwise_distances(source_sorted.features, target_train.features)
-    sol = solve_class_weights(D, source_sorted.class_counts)
-    probs = weights_to_sample_probabilities(sol.weights, source_sorted.labels)
-
-    src_pos = np.array([union_pos[int(src_ids[v])] for v in source_sorted.labels],
-                       dtype=np.int64)
-    from dataclasses import replace as _replace
-    pretrained = train_head(source_sorted.features, src_pos, probs,
-                            _replace(cfg, seed=cfg.seed * 4 + 1),
-                            class_list=union_ids)
-    if skip_finetune:
-        finetuned = pretrained
-    else:
-        tgt_pos = np.array([union_pos[int(tgt_ids[v])] for v in target_train.labels],
-                           dtype=np.int64)
-        finetuned = finetune_head(target_train.features, tgt_pos, pretrained,
-                                  _replace(cfg, seed=cfg.seed * 4 + 2),
-                                  class_list=union_ids)
-
+    t = _select_and_train(source, target_train, "wass", cfg,
+                          source_class_ids=source_class_ids,
+                          target_class_ids=target_class_ids,
+                          union=True, finetune=not skip_finetune)
     source_joint = DiscreteJointDistribution.from_dataset(
-        source_sorted, sample_probs=probs, label_ids=src_ids
+        t.source_sorted, sample_probs=t.sample_probs, label_ids=t.source_ids
     )
-    target_joint = DiscreteJointDistribution.from_dataset(
-        target_test, label_ids=tgt_ids
-    )
-    return compute_bound_report(pretrained, finetuned, source_joint, target_joint,
+    target_joint = DiscreteJointDistribution.from_dataset(target_test, label_ids=t.target_ids)
+    return compute_bound_report(t.pretrained, t.finetuned, source_joint, target_joint,
                                 label_cost=label_cost)
-
 
 
 # ============================================================
@@ -667,8 +591,6 @@ def _check_bound_collapse(rng: np.random.Generator, instances: int) -> tuple[boo
 
 
 def _check_ot_metric(rng: np.random.Generator, instances: int) -> tuple[bool, str]:
-    from .ot import wasserstein_distance
-
     worst = 0.0
     for _ in range(instances):
         s = int(rng.integers(2, 8))

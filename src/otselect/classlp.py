@@ -12,7 +12,6 @@ class 0, the next n_2 class 1, and so on.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,27 +150,10 @@ def _grid_compositions(k: int, steps: int):
             yield (head,) + tail
 
 
-def _evaluate_grid_chunk(payload) -> tuple[float, int, tuple[int, ...]]:
-    D, counts, steps, chunk = payload
-    nu = np.full(D.shape[1], 1.0 / D.shape[1])
-    best: tuple[float, int, tuple[int, ...]] = (np.inf, -1, ())
-    basis = None
-    for idx, comp in chunk:
-        w = np.asarray(comp, dtype=np.float64) / steps
-        mu = np.repeat(w / counts, counts)
-        plan, basis = _transport_simplex(OtProblem(D, mu, nu), basis=basis)
-        obj = plan.objective
-        if (obj, idx) < best[:2]:
-            best = (obj, idx, comp)
-    return best
-
-
 def brute_force_class_weights(
     D: np.ndarray,
     class_counts: np.ndarray,
     grid_step: float,
-    *,
-    workers: int = 1,
 ) -> tuple[ClassWeights, float]:
     """Grid search over the weight simplex with an exact OT solve per point.
 
@@ -186,8 +168,7 @@ def brute_force_class_weights(
     solve starts from the final basis of the point before it: every point
     shares the cost, so that basis stays optimal and is reused whenever it is
     feasible for the new marginals; otherwise the solve starts cold from the
-    northwest corner. With ``workers`` > 1 each worker walks its own
-    contiguous chunk this way.
+    northwest corner.
     """
     D, counts = _check_inputs(D, class_counts)
     k = counts.size
@@ -197,21 +178,17 @@ def brute_force_class_weights(
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
     steps = max(1, round(1.0 / grid_step))
 
-    indexed = list(enumerate(_grid_compositions(k, steps)))
-    if workers <= 1 or len(indexed) < 64:
-        best = _evaluate_grid_chunk((D, counts, steps, indexed))
-    else:
-        chunk_size = -(-len(indexed) // (workers * 4))
-        payloads = [
-            (D, counts, steps, indexed[i:i + chunk_size])
-            for i in range(0, len(indexed), chunk_size)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            best = min(pool.map(_evaluate_grid_chunk, payloads), key=lambda r: r[:2])
-
-    obj, _, comp = best
-    w = np.asarray(comp, dtype=np.float64) / steps
-    return ClassWeights(w / w.sum()), float(obj)
+    nu = np.full(D.shape[1], 1.0 / D.shape[1])
+    best_obj, best_comp = np.inf, ()
+    basis = None
+    for comp in _grid_compositions(k, steps):
+        w = np.asarray(comp, dtype=np.float64) / steps
+        plan, basis = _transport_simplex(OtProblem(D, np.repeat(w / counts, counts), nu),
+                                         basis=basis)
+        if plan.objective < best_obj:  # strict: the earlier point wins a tie
+            best_obj, best_comp = plan.objective, comp
+    w = np.asarray(best_comp, dtype=np.float64) / steps
+    return ClassWeights(w / w.sum()), float(best_obj)
 
 
 def weights_to_sample_probabilities(w: ClassWeights, labels: np.ndarray) -> np.ndarray:

@@ -153,7 +153,8 @@ def solve_exact_ot(problem: OtProblem, max_iters: int | None = None) -> Transpor
 
     Returns a plan whose objective is the exact W1 value; optimality is
     certified by the attached LP duality gap (primal minus a dual-feasible
-    objective built from the terminal potentials).
+    objective built from the terminal potentials). ``max_iters`` caps the
+    number of pivots; a solve that needs more raises ``SolverFailure``.
     """
     return _transport_simplex(problem, max_iters)[0]
 
@@ -169,6 +170,8 @@ def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
     """
     C, mu, nu = problem.cost, problem.mu, problem.nu
     n, m = C.shape
+    if max_iters is not None and max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
 
     if n == 1 or m == 1:
         plan = np.outer(mu, nu) / mu.sum() if mu.sum() > 0 else np.zeros((n, m))
@@ -206,7 +209,7 @@ def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
     bland = False
 
     rc = np.empty_like(C)
-    for _ in range(cap):
+    for pivots in range(cap + 1):  # the last pass only checks optimality
         np.subtract(C, u[:, None], out=rc)
         rc -= v
         if bland:
@@ -219,6 +222,8 @@ def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
         delta = rc.item(pos)
         if delta >= -rc_tol:
             break
+        if pivots == cap:
+            raise SolverFailure(f"transportation simplex hit the {cap}-pivot cap")
         ei, ej = divmod(pos, m)
 
         # The cycle closed by the entering cell: walk both of its ends up to
@@ -292,8 +297,6 @@ def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
         else:
             degenerate_run = 0
             bland = False
-    else:
-        raise SolverFailure(f"transportation simplex hit the {cap}-pivot cap")
 
     # Rebuild the plan for the unperturbed marginals from the optimal basis.
     final_vals = np.array(_tree_values(parent, pcell, depth, mu, nu))

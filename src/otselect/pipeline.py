@@ -10,12 +10,13 @@ are shared and from zeros elsewhere.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .classlp import solve_class_weights, weights_to_sample_probabilities
-from .data import ClassWeights, FeatureMatrix, LabeledDataset
+from .data import ClassWeights, FeatureMatrix, LabeledDataset, densify_labels
 from .distance import pairwise_distances
 from .errors import (
     AllZeroProbabilities,
@@ -102,23 +103,26 @@ class EvalReport:
         return 1.0 - self.zero_one_error
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
+def _softmax(logits: np.ndarray, log: bool = False) -> np.ndarray:
+    """Row softmax of a logit matrix (log-softmax with ``log``), max-shifted."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    total = e.sum(axis=1, keepdims=True)
+    return shifted - np.log(total) if log else e / total
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    return _softmax(logits)
 
 
 def weighted_cross_entropy(V: np.ndarray, features: np.ndarray, label_idx: np.ndarray,
                            sample_probs: np.ndarray, l2_penalty: float = 0.0
                            ) -> tuple[float, np.ndarray]:
     """Loss sum_j p_j * CE_j + (l2/2)||V||_F^2 and its exact gradient in V."""
-    logits = features @ V.T
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    log_p = _softmax(features @ V.T, log=True)
     rows = np.arange(label_idx.size)
-    log_prob = shifted[rows, label_idx] - log_norm
-    loss = -float(sample_probs @ log_prob) + 0.5 * l2_penalty * float(np.sum(V * V))
-    delta = np.exp(shifted - log_norm[:, None])
+    loss = -float(sample_probs @ log_p[rows, label_idx]) + 0.5 * l2_penalty * float(np.sum(V * V))
+    delta = np.exp(log_p)
     delta[rows, label_idx] -= 1.0
     grad = (delta * sample_probs[:, None]).T @ features + l2_penalty * V
     return loss, grad
@@ -138,41 +142,6 @@ def _validate_probs(sample_probs: np.ndarray, n: int) -> np.ndarray:
     return p
 
 
-def _fit(V0: np.ndarray, Z: np.ndarray, label_idx: np.ndarray, p: np.ndarray,
-         cfg: TrainConfig) -> np.ndarray:
-    """Mini-batch GD on the weighted cross-entropy; returns the best-loss V.
-
-    The per-batch l2 term is scaled by the batch fraction so one epoch's
-    updates sum to one pass of the full objective's gradient. Training stops
-    early when the full loss has not improved for `early_stop_patience`
-    consecutive epochs (patience 0 disables the check).
-    """
-    rng = np.random.default_rng(cfg.seed)
-    n = label_idx.size
-    V = V0.copy()
-    best_loss = np.inf
-    best_V = V.copy()
-    stall = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            _, grad = weighted_cross_entropy(
-                V, Z[idx], label_idx[idx], p[idx], cfg.l2_penalty * idx.size / n
-            )
-            V -= cfg.learning_rate * grad
-        loss, _ = weighted_cross_entropy(V, Z, label_idx, p, cfg.l2_penalty)
-        if loss < best_loss - 1e-12:
-            best_loss = loss
-            best_V = V.copy()
-            stall = 0
-        else:
-            stall += 1
-            if cfg.early_stop_patience > 0 and stall > cfg.early_stop_patience:
-                break
-    return best_V
-
-
 def train_head(features: FeatureMatrix, labels: np.ndarray, sample_probs: np.ndarray,
                cfg: TrainConfig, class_list: np.ndarray | None = None) -> SoftmaxHead:
     """Train a softmax head from zeros on importance-weighted cross-entropy.
@@ -180,16 +149,7 @@ def train_head(features: FeatureMatrix, labels: np.ndarray, sample_probs: np.nda
     ``labels`` are positions into ``class_list`` (identity list by default).
     Deterministic given the config seed.
     """
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (features.rows,):
-        raise DimensionMismatch("labels must align with feature rows")
-    k_out = int(y.max()) + 1 if class_list is None else len(class_list)
-    cls = np.arange(k_out) if class_list is None else np.asarray(class_list, dtype=np.int64)
-    if y.min() < 0 or y.max() >= k_out:
-        raise DimensionMismatch(f"labels must lie in [0, {k_out})")
-    p = _validate_probs(sample_probs, features.rows)
-    V = _fit(np.zeros((k_out, features.cols)), features.values, y, p, cfg)
-    return SoftmaxHead(V, cls)
+    return _train(features, labels, sample_probs, cfg, class_list, base=None)
 
 
 def finetune_head(features: FeatureMatrix, labels: np.ndarray, base: SoftmaxHead | None,
@@ -199,6 +159,21 @@ def finetune_head(features: FeatureMatrix, labels: np.ndarray, base: SoftmaxHead
     Rows are initialized from ``base`` for class ids the two heads share and
     from zeros otherwise, then trained with uniform per-sample weight.
     """
+    uniform = np.full(features.rows, 1.0 / features.rows)
+    return _train(features, labels, uniform, cfg, class_list, base)
+
+
+def _train(features: FeatureMatrix, labels: np.ndarray, sample_probs: np.ndarray,
+           cfg: TrainConfig, class_list: np.ndarray | None,
+           base: SoftmaxHead | None) -> SoftmaxHead:
+    """Mini-batch GD on the weighted cross-entropy; returns the best-loss head.
+
+    The head starts from ``base``'s rows for shared class ids and from zeros
+    elsewhere. The per-batch l2 term is scaled by the batch fraction so one
+    epoch's updates sum to one pass of the full objective's gradient.
+    Training stops early when the full loss has not improved for
+    `early_stop_patience` consecutive epochs (patience 0 disables the check).
+    """
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != (features.rows,):
         raise DimensionMismatch("labels must align with feature rows")
@@ -206,17 +181,37 @@ def finetune_head(features: FeatureMatrix, labels: np.ndarray, base: SoftmaxHead
     cls = np.arange(k_out) if class_list is None else np.asarray(class_list, dtype=np.int64)
     if y.min() < 0 or y.max() >= k_out:
         raise DimensionMismatch(f"labels must lie in [0, {k_out})")
-    V0 = np.zeros((k_out, features.cols))
+    V = np.zeros((k_out, features.cols))
     if base is not None:
         if base.weight_matrix.shape[1] != features.cols:
             raise DimensionMismatch("base head feature dimension does not match")
-        base_lookup = {int(c): i for i, c in enumerate(base.class_list)}
-        for pos, cid in enumerate(cls.tolist()):
-            if cid in base_lookup:
-                V0[pos] = base.weight_matrix[base_lookup[cid]]
-    p = np.full(features.rows, 1.0 / features.rows)
-    V = _fit(V0, features.values, y, p, cfg)
-    return SoftmaxHead(V, cls)
+        shared = np.isin(cls, base.class_list)
+        V[shared] = base.weight_matrix[base.class_position(cls[shared])]
+    p = _validate_probs(sample_probs, features.rows)
+
+    Z, n = features.values, y.size
+    rng = np.random.default_rng(cfg.seed)
+    best_loss = np.inf
+    best_V = V.copy()
+    stall = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            _, grad = weighted_cross_entropy(
+                V, Z[idx], y[idx], p[idx], cfg.l2_penalty * idx.size / n
+            )
+            V -= cfg.learning_rate * grad
+        loss, _ = weighted_cross_entropy(V, Z, y, p, cfg.l2_penalty)
+        if loss < best_loss - 1e-12:
+            best_loss = loss
+            best_V = V.copy()
+            stall = 0
+        else:
+            stall += 1
+            if cfg.early_stop_patience > 0 and stall > cfg.early_stop_patience:
+                break
+    return SoftmaxHead(best_V, cls)
 
 
 def evaluate(head: SoftmaxHead, features: FeatureMatrix, labels: np.ndarray) -> EvalReport:
@@ -232,15 +227,10 @@ def evaluate(head: SoftmaxHead, features: FeatureMatrix, labels: np.ndarray) -> 
     pred = np.argmax(logits, axis=1)
     zero_one = float(np.mean(pred != pos))
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    ce = float(np.mean(log_norm - shifted[np.arange(pos.size), pos]))
+    ce = float(np.mean(-_softmax(logits, log=True)[np.arange(pos.size), pos]))
 
-    per_class = np.zeros(head.n_classes)
-    for c in range(head.n_classes):
-        mask = pos == c
-        if mask.any():
-            per_class[c] = float(np.mean(pred[mask] == c))
+    hits = np.bincount(pos, weights=pred == pos, minlength=head.n_classes)
+    per_class = hits / np.maximum(np.bincount(pos, minlength=head.n_classes), 1)
     return EvalReport(zero_one, ce, per_class, int(pos.size))
 
 
@@ -290,17 +280,9 @@ def resample_fixed_budget(dataset: LabeledDataset, sample_probs: np.ndarray,
         raise AllZeroProbabilities("no sample has positive probability")
     rng = np.random.default_rng(seed)
     idx = rng.choice(dataset.n, size=budget, replace=True, p=p / total)
-    raw = dataset.labels[idx]
-    dense = np.empty_like(raw)
-    kept: list[int] = []
-    remap: dict[int, int] = {}
-    for i, v in enumerate(raw.tolist()):
-        if v not in remap:
-            remap[v] = len(kept)
-            kept.append(v)
-        dense[i] = remap[v]
+    dense, remap = densify_labels(dataset.labels[idx])
     ds = LabeledDataset(FeatureMatrix(dataset.features.values[idx]), dense)
-    return ds, np.array(kept, dtype=np.int64)
+    return ds, np.array(list(remap), dtype=np.int64)
 
 
 # ============================================================
@@ -353,6 +335,53 @@ def select_weights(method: str, source_sorted: LabeledDataset, target: FeatureMa
     return w, obj, warnings
 
 
+_Trained = namedtuple("_Trained", "source_sorted sample_probs weights w1 warnings "
+                     "source_ids target_ids pretrained finetuned")
+
+
+def _select_and_train(source: LabeledDataset, target_train: LabeledDataset, method: str,
+                      cfg: TrainConfig | None, *, budget: int = 0, mn_top: int = 3,
+                      sinkhorn_cfg: SinkhornConfig | None = None,
+                      source_class_ids: np.ndarray | None = None,
+                      target_class_ids: np.ndarray | None = None,
+                      union: bool = False, finetune: bool = True) -> _Trained:
+    """Select -> pre-train -> fine-tune, for ``run_pipeline`` and the bound report.
+
+    With ``union`` both heads score the source ids followed by the target ids
+    not among them, instead of each scoring its own data's ids. Without
+    ``finetune`` the pre-trained head stands in for the fine-tuned one.
+    """
+    cfg = cfg or TrainConfig()
+    src_ids = (np.arange(source.k) if source_class_ids is None
+               else np.asarray(source_class_ids, dtype=np.int64))
+    tgt_ids = (source.k + np.arange(target_train.k) if target_class_ids is None
+               else np.asarray(target_class_ids, dtype=np.int64))
+    pre_ids, fine_ids, tgt_labels = src_ids, tgt_ids, target_train.labels
+    if union:  # the source ids come first, so source labels keep their positions
+        known = set(src_ids.tolist())
+        new = np.array([c for c in tgt_ids.tolist() if c not in known], dtype=np.int64)
+        pre_ids = fine_ids = np.concatenate([src_ids, new])
+        at = {c: i for i, c in enumerate(pre_ids.tolist())}
+        tgt_labels = np.array([at[c] for c in tgt_ids.tolist()], dtype=np.int64)[tgt_labels]
+
+    source_sorted = sort_by_class(source)
+    weights, w1, warns = select_weights(
+        method, source_sorted, target_train.features, cfg.seed, mn_top, sinkhorn_cfg
+    )
+    probs = weights_to_sample_probabilities(weights, source_sorted.labels)
+    pre, pre_probs = source_sorted, probs
+    if budget > 0:
+        pre, kept = resample_fixed_budget(source_sorted, probs, budget, seed=cfg.seed * 4 + 3)
+        pre_probs, pre_ids = np.full(pre.n, 1.0 / pre.n), src_ids[kept]
+    pretrained = train_head(pre.features, pre.labels, pre_probs,
+                            replace(cfg, seed=cfg.seed * 4 + 1), class_list=pre_ids)
+    finetuned = (finetune_head(target_train.features, tgt_labels, pretrained,
+                               replace(cfg, seed=cfg.seed * 4 + 2), class_list=fine_ids)
+                 if finetune else pretrained)
+    return _Trained(source_sorted, probs, weights, float(w1), warns, src_ids, tgt_ids,
+                    pretrained, finetuned)
+
+
 def run_pipeline(source: LabeledDataset, target_train: LabeledDataset,
                  target_test: LabeledDataset, *, method: str = "wass",
                  cfg: TrainConfig | None = None, budget: int = 0, mn_top: int = 3,
@@ -369,42 +398,12 @@ def run_pipeline(source: LabeledDataset, target_train: LabeledDataset,
     """
     if method not in PIPELINE_METHODS:
         raise ValueError(f"method must be one of {PIPELINE_METHODS}, got {method!r}")
-    cfg = cfg or TrainConfig()
-    src_ids = (np.arange(source.k) if source_class_ids is None
-               else np.asarray(source_class_ids, dtype=np.int64))
-    tgt_ids = (source.k + np.arange(target_train.k) if target_class_ids is None
-               else np.asarray(target_class_ids, dtype=np.int64))
-
-    source_sorted = sort_by_class(source)
-    weights, w1, warns = select_weights(
-        method, source_sorted, target_train.features, cfg.seed, mn_top, sinkhorn_cfg
-    )
-    probs = weights_to_sample_probabilities(weights, source_sorted.labels)
-
-    pre_cfg = replace(cfg, seed=cfg.seed * 4 + 1)
-    if budget > 0:
-        resampled, kept = resample_fixed_budget(
-            source_sorted, probs, budget, seed=cfg.seed * 4 + 3
-        )
-        pretrained = train_head(
-            resampled.features, resampled.labels,
-            np.full(resampled.n, 1.0 / resampled.n), pre_cfg, class_list=src_ids[kept],
-        )
-    else:
-        pretrained = train_head(
-            source_sorted.features, source_sorted.labels, probs, pre_cfg,
-            class_list=src_ids,
-        )
-
-    fine_cfg = replace(cfg, seed=cfg.seed * 4 + 2)
-    finetuned = finetune_head(
-        target_train.features, target_train.labels, pretrained, fine_cfg,
-        class_list=tgt_ids,
-    )
-    report = evaluate(finetuned, target_test.features, tgt_ids[target_test.labels])
-    support = int(weights.support().size)
-    return PipelineResult(method, weights, support, float(w1), report,
-                          pretrained, finetuned, warns)
+    t = _select_and_train(source, target_train, method, cfg, budget=budget, mn_top=mn_top,
+                          sinkhorn_cfg=sinkhorn_cfg, source_class_ids=source_class_ids,
+                          target_class_ids=target_class_ids)
+    report = evaluate(t.finetuned, target_test.features, t.target_ids[target_test.labels])
+    return PipelineResult(method, t.weights, int(t.weights.support().size), t.w1, report,
+                          t.pretrained, t.finetuned, t.warnings)
 
 
 # ============================================================

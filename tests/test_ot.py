@@ -71,7 +71,7 @@ def check_warm_starts(cost, mu, nu, r):
     Each warm solve must give the cold solve's objective, a feasible plan and
     a certified gap. A start that is feasible for the new marginals is
     optimal (optimality depends on the cost alone), so it must need no pivot:
-    with max_iters=1 any pivot would hit the cap. Returns whether feasible and
+    with max_iters=0 any pivot would hit the cap. Returns whether feasible and
     infeasible starts were met.
     """
     n, m = cost.shape
@@ -84,7 +84,7 @@ def check_warm_starts(cost, mu, nu, r):
         seen["feasible" if feasible else "infeasible"] = True
         prob = OtProblem(cost, mu2, nu2)
         cold = solve_exact_ot(prob)
-        warm, _ = _transport_simplex(prob, max_iters=1 if feasible else None, basis=basis)
+        warm, _ = _transport_simplex(prob, max_iters=0 if feasible else None, basis=basis)
         assert abs(warm.objective - cold.objective) <= 1e-12 * (1 + abs(cold.objective))
         np.testing.assert_allclose(warm.plan.sum(axis=1), mu2, atol=1e-10)
         np.testing.assert_allclose(warm.plan.sum(axis=0), nu2, atol=1e-10)
@@ -195,7 +195,7 @@ def test_pivot_cap_raises_solver_failure():
     r = rng(2)
     prob = OtProblem(r.random((6, 6)), np.full(6, 1 / 6), np.full(6, 1 / 6))
     with pytest.raises(SolverFailure):
-        solve_exact_ot(prob, max_iters=1)
+        solve_exact_ot(prob, max_iters=0)
     # a start from another cost's optimal basis is feasible here but not
     # optimal, so it needs pivots and the cap still holds
     other = OtProblem(r.random((6, 6)), prob.mu, prob.nu)
@@ -203,9 +203,37 @@ def test_pivot_cap_raises_solver_failure():
     _, own_basis = _transport_simplex(prob)
     assert set(zip(*other_basis)) != set(zip(*own_basis))
     with pytest.raises(SolverFailure):
-        _transport_simplex(prob, max_iters=1, basis=other_basis)
+        _transport_simplex(prob, max_iters=0, basis=other_basis)
     warm, _ = _transport_simplex(prob, basis=other_basis)
     assert abs(warm.objective - solve_exact_ot(prob).objective) <= 1e-12
+
+
+def test_pivot_cap_counts_pivots():
+    # The northwest corner puts the mass on the diagonal; the one pivot that
+    # enters cell (1, 0) makes the plan anti-diagonal, which is optimal.
+    prob = OtProblem(np.array([[1.0, 0.0], [0.0, 1.0]]), np.full(2, 0.5), np.full(2, 0.5))
+    with pytest.raises(SolverFailure):
+        solve_exact_ot(prob, max_iters=0)
+    assert solve_exact_ot(prob, max_iters=1).objective == 0.0
+    with pytest.raises(ValueError):
+        solve_exact_ot(prob, max_iters=-1)
+    # on a larger problem the smallest cap that solves gives the uncapped solve
+    prob = OtProblem(rng(2).random((6, 6)), np.full(6, 1 / 6), np.full(6, 1 / 6))
+    full, full_basis = _transport_simplex(prob)
+    k = next(c for c in itertools.count() if _solves_within(prob, c))
+    assert k >= 2
+    with pytest.raises(SolverFailure):
+        _transport_simplex(prob, max_iters=k - 1)
+    capped, capped_basis = _transport_simplex(prob, max_iters=k)
+    assert capped.objective == full.objective and capped_basis == full_basis
+
+
+def _solves_within(prob, max_iters):
+    try:
+        _transport_simplex(prob, max_iters=max_iters)
+    except SolverFailure:
+        return False
+    return True
 
 
 def test_degenerate_marginals_with_many_ties_still_solve():

@@ -23,6 +23,7 @@ from otselect import (
 from otselect.errors import (
     AllZeroProbabilities,
     DegenerateInput,
+    DimensionMismatch,
     MalformedFile,
     UnknownLabel,
 )
@@ -159,6 +160,27 @@ def test_finetune_without_base_is_fresh_training():
     uniform = np.full(ds.n, 1 / ds.n)
     trained = train_head(ds.features, ds.labels, uniform, cfg)
     np.testing.assert_array_equal(fresh.weight_matrix, trained.weight_matrix)
+
+
+@pytest.mark.parametrize("fit", [train_head, finetune_head])
+def test_training_rejects_labels_and_base_heads_that_do_not_fit(fit):
+    ds = random_dataset(7, [5, 5])
+
+    def run(labels, class_list=None, base=None):
+        third = np.full(ds.n, 1 / ds.n) if fit is train_head else base
+        return fit(ds.features, labels, third, TrainConfig(epochs=1), class_list=class_list)
+
+    assert run(ds.labels).n_classes == 2
+    with pytest.raises(DimensionMismatch, match="align"):
+        run(ds.labels[:-1])
+    with pytest.raises(DimensionMismatch, match=r"\[0, 1\)"):
+        run(ds.labels, class_list=np.array([4]))
+    with pytest.raises(DimensionMismatch, match=r"\[0, 2\)"):
+        run(ds.labels - 1, class_list=np.array([4, 7]))
+    if fit is finetune_head:
+        wide = SoftmaxHead(np.zeros((2, ds.features.cols + 1)), np.arange(2))
+        with pytest.raises(DimensionMismatch, match="feature dimension"):
+            run(ds.labels, base=wide)
 
 
 # -------------------------------------------------------------- evaluation
