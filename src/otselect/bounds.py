@@ -552,25 +552,14 @@ def _check_error_difference(rng: np.random.Generator, instances: int) -> tuple[b
     return failures == 0, f"{failures}/{instances} violations"
 
 
-def _check_decomposition(rng: np.random.Generator, instances: int,
+def _check_decomposition(rng: np.random.Generator, instances: int, check,
                          equal_marginals: bool = False) -> tuple[bool, str]:
+    """Count the random joint pairs on which ``check(p, q)`` does not hold."""
     failures = 0
     worst = 0.0
     for _ in range(instances):
         p, q = random_joint_pair_shared_support(rng, equal_marginals=equal_marginals)
-        lhs, rhs, holds = decomposition_check(p, q)
-        if not holds:
-            failures += 1
-            worst = max(worst, lhs - rhs)
-    return failures == 0, f"{failures}/{instances} violations, worst excess {worst:.3e}"
-
-
-def _check_glued_decomposition(rng: np.random.Generator, instances: int) -> tuple[bool, str]:
-    failures = 0
-    worst = 0.0
-    for _ in range(instances):
-        p, q = random_joint_pair_shared_support(rng)
-        lhs, rhs, holds = glued_decomposition_check(p, q)
+        lhs, rhs, holds = check(p, q)
         if not holds:
             failures += 1
             worst = max(worst, lhs - rhs)
@@ -686,10 +675,11 @@ def run_verification_suite(seed: int, trials: int) -> dict:
          lambda: _check_singular_surrogate(rng, min(max(trials, 100), 1000))),
         ("induced_error_monte_carlo", lambda: _check_induced_error_mc(rng, max(trials, 1000))),
         ("error_difference_bound", lambda: _check_error_difference(rng, 200)),
-        ("joint_decomposition", lambda: _check_decomposition(rng, 200)),
+        ("joint_decomposition", lambda: _check_decomposition(rng, 200, decomposition_check)),
         ("joint_decomposition_equal_marginals",
-         lambda: _check_decomposition(rng, 200, equal_marginals=True)),
-        ("joint_decomposition_glued", lambda: _check_glued_decomposition(rng, 100)),
+         lambda: _check_decomposition(rng, 200, decomposition_check, equal_marginals=True)),
+        ("joint_decomposition_glued",
+         lambda: _check_decomposition(rng, 100, glued_decomposition_check)),
         ("transfer_bound_collapse", lambda: _check_bound_collapse(rng, 100)),
         ("ot_metric_properties", lambda: _check_ot_metric(rng, 40)),
         ("ot_duality_gap", lambda: _check_ot_duality(rng, 40)),

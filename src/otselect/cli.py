@@ -150,6 +150,15 @@ def _load_dataset(feat_path, label_path, format: str
     return LabeledDataset(feats, dense), _external_ids(mapping), mapping
 
 
+def _write_report(path, doc, outputs: list) -> None:
+    """Write ``doc`` as indented JSON to ``path``, when one is given, and list it."""
+    if path:
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f, indent=2)
+            f.write("\n")
+        outputs.append(path)
+
+
 def _cmd_distance(args, timings, warnings):
     t0 = time.perf_counter()
     src = load_feature_matrix(args.source, format=args.format)
@@ -214,11 +223,7 @@ def _cmd_select(args, timings, warnings):
                     for i in range(sol.weights.k)},
         "converged": sol.converged,
     }
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            json.dump({**payload, "timings_ms": timings}, f, indent=2)
-            f.write("\n")
-        outputs.append(args.report)
+    _write_report(args.report, {**payload, "timings_ms": timings}, outputs)
     timings["write"] = (time.perf_counter() - t0) * 1000
     return payload, outputs
 
@@ -264,11 +269,7 @@ def _cmd_pipeline(args, timings, warnings):
                     for i in range(result.weights.k)},
     }
     outputs = []
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2)
-            f.write("\n")
-        outputs.append(args.report)
+    _write_report(args.report, payload, outputs)
     return payload, outputs
 
 
@@ -293,11 +294,7 @@ def _cmd_bound(args, timings, warnings):
     timings["compute"] = (time.perf_counter() - t0) * 1000
     payload = report.to_json_dict()
     outputs = []
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2)
-            f.write("\n")
-        outputs.append(args.report)
+    _write_report(args.report, payload, outputs)
     return payload, outputs
 
 

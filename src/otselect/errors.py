@@ -39,7 +39,7 @@ class TooManyClasses(OtselectError):
 
 
 class NumericalUnderflow(OtselectError):
-    """An entropic kernel underflowed to an all-zero row or column."""
+    """An entropic plan underflowed to an all-zero column."""
 
 
 class SupportMismatch(OtselectError):

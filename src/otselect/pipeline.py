@@ -356,6 +356,12 @@ def _select_and_train(source: LabeledDataset, target_train: LabeledDataset, meth
                else np.asarray(source_class_ids, dtype=np.int64))
     tgt_ids = (source.k + np.arange(target_train.k) if target_class_ids is None
                else np.asarray(target_class_ids, dtype=np.int64))
+    for name, ids, k in (("source", src_ids, source.k), ("target", tgt_ids, target_train.k)):
+        if ids.shape != (k,):
+            raise DimensionMismatch(f"{name}_class_ids has shape {ids.shape}, "
+                                    f"but the dataset has {k} classes")
+        if np.unique(ids).size != k:
+            raise MalformedFile(f"{name}_class_ids has duplicate ids")
     pre_ids, fine_ids, tgt_labels = src_ids, tgt_ids, target_train.labels
     if union:  # the source ids come first, so source labels keep their positions
         known = set(src_ids.tolist())

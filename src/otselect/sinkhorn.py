@@ -5,8 +5,11 @@ projections: (a) classic column scaling onto the uniform target marginal,
 (b) a per-class geometric-mean row scaling that equalizes row sums within
 each class while leaving the class total free (the exact KL projection onto
 that constraint set), and (c) a global renormalization to total mass one.
-Dual potentials with log-sum-exp evaluation are used whenever the requested
-epsilon is small relative to the cost scale, so the kernel cannot underflow.
+The iteration runs on dual potentials with log-sum-exp at every epsilon: the
+plan rows of a class that carries no weight may legitimately fall below the
+float range, which only the log domain represents.
+Epsilon scaling (Schmitzer 2019; Feydy et al. 2019) starts wide and steps
+down as soon as the column marginal is nearly met at the current level.
 
 Per-iteration cost is O(n*m); the iteration count, not the per-step cost,
 is what the regularization strength buys down.
@@ -22,17 +25,19 @@ from .classlp import ClassWeightSolution, _check_inputs, _row_classes
 from .data import ClassWeights, TransportPlan, WEIGHT_CLAMP
 from .errors import NumericalUnderflow
 
-_LOG_DOMAIN_FACTOR = 1e-2  # use potentials when eps < this * max(D)
-_SCHEDULE_PERIOD = 100
+_SCHEDULE_PERIOD = 100  # most iterations spent at one epsilon above the target
+_LEVEL_TOL = 1e-4  # column violation that ends an epsilon level early
 
 
 @dataclass(frozen=True)
 class SinkhornConfig:
     """Regularization and stopping controls.
 
-    ``epsilon`` defaults (None) to 0.01 * mean(D) at solve time. When
-    ``epsilon_schedule`` is set, iteration starts at a larger epsilon and
-    decays it by that factor every 100 iterations until the target is hit.
+    ``epsilon`` defaults (None) to 0.01 * mean(D) at solve time. With an
+    ``epsilon_schedule`` below 1, iteration starts at a larger epsilon and
+    multiplies it by that factor, until the target is hit, once the column
+    marginal violation at the current level is at most 1e-4, and at the
+    latest after 100 iterations there. None or 1.0 start at the target.
     """
 
     epsilon: float | None = None
@@ -122,7 +127,6 @@ def sinkhorn_class_weights(
     eps_target = cfg.epsilon if cfg.epsilon is not None else 0.01 * float(D.mean())
     if eps_target <= 0:
         eps_target = 1e-3  # all-zero cost matrix: any epsilon gives the same plan
-    use_log = eps_target < _LOG_DOMAIN_FACTOR * d_max
     if cfg.epsilon_schedule is not None and cfg.epsilon_schedule < 1.0:
         eps = max(eps_target, 0.1 * d_max)
     else:
@@ -135,70 +139,33 @@ def sinkhorn_class_weights(
     best_state: tuple | None = None
     converged = False
 
-    if use_log:
-        f = np.zeros(n)
-        g = np.zeros(m)
-        for it in range(cfg.max_iters):
-            if it > 0 and it % _SCHEDULE_PERIOD == 0 and eps > eps_target:
-                eps = max(eps_target, eps * cfg.epsilon_schedule)
-            lse_cols = _logsumexp((f[:, None] - D) / eps, axis=0)
-            col = np.exp(g / eps + lse_cols)
-            viol = float(np.abs(col - target_col).sum())
-            if eps == eps_target:
-                if viol < best_viol:
-                    best_viol = viol
-                    best_state = (f.copy(), g.copy())
-                if viol <= cfg.tol:
-                    converged = True
-                    break
-            g = eps * (-np.log(m) - lse_cols)
-            logr = f / eps + _logsumexp((g[None, :] - D) / eps, axis=1)
-            logt = _class_means(logr, row_class, counts)
-            f = f + eps * (logt[row_class] - logr)
-            # rows of class c now sum to exp(logt[c]); rescale to total mass 1
-            f -= eps * _logsumexp(log_counts + logt)
-        if best_state is not None and not converged:
-            f, g = best_state
-        P = np.exp((f[:, None] + g[None, :] - D) / eps)
-    else:
-        K = np.exp(-D / eps)
-        if (K.max(axis=1) == 0.0).any() or (K.max(axis=0) == 0.0).any():
-            raise NumericalUnderflow("kernel underflowed to an all-zero row or column")
-        a = np.full(n, 1.0 / n)
-        b = np.ones(m)
-        for it in range(cfg.max_iters):
-            if it > 0 and it % _SCHEDULE_PERIOD == 0 and eps > eps_target:
-                new_eps = max(eps_target, eps * cfg.epsilon_schedule)
-                a = a ** (eps / new_eps)
-                b = b ** (eps / new_eps)
-                eps = new_eps
-                K = np.exp(-D / eps)
-                if (K.max(axis=1) == 0.0).any() or (K.max(axis=0) == 0.0).any():
-                    raise NumericalUnderflow("kernel underflowed during epsilon decay")
-            Ka = K.T @ a
-            if (Ka <= 0.0).any():
-                raise NumericalUnderflow("scaling produced an all-zero column")
-            col = b * Ka
-            viol = float(np.abs(col - target_col).sum())
-            if eps == eps_target:
-                if viol < best_viol:
-                    best_viol = viol
-                    best_state = (a.copy(), b.copy())
-                if viol <= cfg.tol:
-                    converged = True
-                    break
-            b = target_col / Ka
-            r = a * (K @ b)
-            if (r <= 0.0).any():
-                raise NumericalUnderflow("scaling produced an all-zero row")
-            logr = np.log(r)
-            logt = _class_means(logr, row_class, counts)
-            a = a * np.exp(logt[row_class] - logr)
-            total = float(counts @ np.exp(logt))
-            a /= total
-        if best_state is not None and not converged:
-            a, b = best_state
-        P = a[:, None] * K * b[None, :]
+    f = np.zeros(n)
+    g = np.zeros(m)
+    viol = np.inf
+    level_start = 0
+    for it in range(cfg.max_iters):
+        if eps > eps_target and (viol <= _LEVEL_TOL or it - level_start == _SCHEDULE_PERIOD):
+            eps = max(eps_target, eps * cfg.epsilon_schedule)
+            level_start = it
+        lse_cols = _logsumexp((f[:, None] - D) / eps, axis=0)
+        col = np.exp(g / eps + lse_cols)
+        viol = float(np.abs(col - target_col).sum())
+        if eps == eps_target:
+            if viol < best_viol:
+                best_viol = viol
+                best_state = (f.copy(), g.copy())
+            if viol <= cfg.tol:
+                converged = True
+                break
+        g = eps * (-np.log(m) - lse_cols)
+        logr = f / eps + _logsumexp((g[None, :] - D) / eps, axis=1)
+        logt = _class_means(logr, row_class, counts)
+        f = f + eps * (logt[row_class] - logr)
+        # rows of class c now sum to exp(logt[c]); rescale to total mass 1
+        f -= eps * _logsumexp(log_counts + logt)
+    if best_state is not None and not converged:
+        f, g = best_state
+    P = np.exp((f[:, None] + g[None, :] - D) / eps)
 
     P = _round_to_polytope(P, counts, row_class)
     objective = float(np.sum(D * P))

@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+import otselect.pipeline as pipeline_module
 from otselect import (
     ClassWeights,
     FeatureMatrix,
@@ -12,6 +13,7 @@ from otselect import (
     SoftmaxHead,
     TrainConfig,
     baseline_weights,
+    end_to_end_bound_report,
     evaluate,
     finetune_head,
     load_head,
@@ -347,6 +349,31 @@ def test_run_pipeline_is_deterministic():
     b = run_pipeline(sc.source, sc.target_train, sc.target_test, **kw)
     assert a.report.zero_one_error == b.report.zero_one_error
     np.testing.assert_array_equal(a.finetuned.weight_matrix, b.finetuned.weight_matrix)
+
+
+@pytest.mark.parametrize("entry", ["run_pipeline", "end_to_end_bound_report"])
+def test_class_id_arrays_are_checked_before_any_solve(entry, monkeypatch):
+    sc = build_scenario("dda", k_source=4, k_target=2, overlap=0,
+                        separation=9.0, seed=12, per_class=6,
+                        per_class_train=5, per_class_test=5)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("weights were selected before the class ids were checked")
+
+    monkeypatch.setattr(pipeline_module, "select_weights", no_solve)
+    call = run_pipeline if entry == "run_pipeline" else end_to_end_bound_report
+    src, tgt = sc.source_class_ids, sc.target_class_ids
+    bad = [
+        (DimensionMismatch, src[:2], tgt),
+        (DimensionMismatch, src, np.append(tgt, 99)),
+        (DimensionMismatch, src.reshape(2, 2), tgt),
+        (MalformedFile, np.array([src[0], src[0], src[2], src[3]]), tgt),
+        (MalformedFile, src, np.array([tgt[0], tgt[0]])),
+    ]
+    for error, source_ids, target_ids in bad:
+        with pytest.raises(error):
+            call(sc.source, sc.target_train, sc.target_test, cfg=TrainConfig(epochs=2),
+                 source_class_ids=source_ids, target_class_ids=target_ids)
 
 
 # -------------------------------------------------------------- head files

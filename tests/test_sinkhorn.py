@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from otselect import SinkhornConfig, sinkhorn_class_weights, solve_class_weights
+from otselect import (FeatureMatrix, SinkhornConfig, pairwise_distances,
+                      sinkhorn_class_weights, solve_class_weights)
 from otselect.errors import DimensionMismatch
 from otselect.sinkhorn import _logsumexp
 
@@ -21,15 +22,53 @@ def feasibility_errors(sol, counts):
     return col_dev, spread
 
 
+def gate03_instance(i):
+    """The i-th instance of acceptance gate 03 (mixed k, n and m)."""
+    r = np.random.default_rng(3000 + i)
+    k = int(r.integers(2, 5))
+    counts = np.minimum(r.integers(3, max(4, 60 // k) + 1, size=k), 60 // k)
+    m = int(r.integers(8, 61))
+    src = r.normal(size=(int(counts.sum()), 2)) * 2
+    tgt = r.normal(size=(m, 2)) + r.normal(size=2)
+    return pairwise_distances(FeatureMatrix(src), FeatureMatrix(tgt)), counts
+
+
 def test_rounded_plan_is_feasible():
+    # 1e-4 * max(D) with no schedule is the case a scaling kernel exp(-D/eps)
+    # cannot represent: it starts and stays at a tiny epsilon
     for seed in range(6):
         D, counts = make_instance(seed, k=3, per_class=5, m=12)
-        sol = sinkhorn_class_weights(D, counts, SinkhornConfig(epsilon=0.05 * D.mean()))
-        col_dev, spread = feasibility_errors(sol, counts)
-        assert np.all(sol.plan.plan >= 0)
-        assert col_dev <= 1e-9
-        assert spread <= 1e-6
-        assert abs(sol.weights.weights.sum() - 1) < 1e-9
+        for eps in (1e-4 * D.max(), 0.05 * D.max(), 0.05 * D.mean(), 0.5 * D.mean()):
+            for schedule in (0.9, None):
+                cfg = SinkhornConfig(epsilon=eps, epsilon_schedule=schedule)
+                sol = sinkhorn_class_weights(D, counts, cfg)
+                col_dev, spread = feasibility_errors(sol, counts)
+                assert np.all(sol.plan.plan >= 0)
+                assert col_dev <= 1e-9
+                assert spread <= 1e-6
+                assert abs(sol.weights.weights.sum() - 1) < 1e-9
+
+
+def test_epsilon_scaling_changes_the_path_not_the_answer():
+    for i in range(5):
+        D, counts = gate03_instance(i)
+        eps = 0.05 * float(D.max())
+        scaled = sinkhorn_class_weights(D, counts, SinkhornConfig(epsilon=eps))
+        direct = sinkhorn_class_weights(D, counts, SinkhornConfig(epsilon=eps, epsilon_schedule=None))
+        assert scaled.converged and direct.converged
+        assert abs(scaled.objective - direct.objective) <= 1e-6 * abs(direct.objective)
+        np.testing.assert_allclose(scaled.weights.weights, direct.weights.weights, rtol=0, atol=1e-6)
+
+
+def test_epsilon_levels_end_once_the_marginal_is_met():
+    # a fixed 100 iterations per level would need 7 levels (0.9**7 < 0.5)
+    # to get from 0.1 * max(D) down to this target, so 300 could not converge
+    for i in range(5):
+        D, counts = gate03_instance(i)
+        cfg = SinkhornConfig(epsilon=0.05 * float(D.max()), max_iters=300)
+        sol = sinkhorn_class_weights(D, counts, cfg)
+        assert sol.converged, f"instance {i}"
+        assert sol.warning is None
 
 
 def test_objective_approaches_lp_as_epsilon_shrinks():
@@ -83,8 +122,6 @@ def test_matches_exact_recovery_fixture():
     blocks = [rng.normal(size=(5, 2)) + c for c in (0.0, 9.0)]
     src = np.vstack(blocks)
     tgt = blocks[0].copy()
-    from otselect import FeatureMatrix, pairwise_distances
-
     D = pairwise_distances(FeatureMatrix(src), FeatureMatrix(tgt))
     sol = sinkhorn_class_weights(D, np.array([5, 5]), SinkhornConfig(epsilon=0.001 * D.mean()))
     assert sol.weights.weights[0] >= 0.99
