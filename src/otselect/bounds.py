@@ -37,6 +37,8 @@ from .ot import (
 )
 from .pipeline import SoftmaxHead, _select_and_train, softmax, weighted_cross_entropy
 
+_RHO_BLOCK = 1 << 18  # pair-difference entries per row block of estimate_rho
+
 
 def softmax_lipschitz_constant(K: int) -> float:
     """sqrt(K-1)/K, the l2-to-l1 Lipschitz constant of the K-class softmax."""
@@ -120,17 +122,23 @@ def estimate_rho(head: SoftmaxHead, features: FeatureMatrix) -> tuple[float, flo
     are skipped, and all-degenerate inputs are an error.
     """
     Z = features.values
-    if Z.shape[0] < 2:
+    n = Z.shape[0]
+    if n < 2:
         raise InsufficientSamples("need at least two feature rows")
     P = head.predict_proba(Z)
     best = -1.0
-    for i in range(Z.shape[0] - 1):
-        dz = np.linalg.norm(Z[i + 1:] - Z[i], axis=1)
-        keep = dz >= 1e-12
-        if not keep.any():
-            continue
-        dp = np.abs(P[i + 1:] - P[i]).sum(axis=1)
-        best = max(best, float((dp[keep] / dz[keep]).max()))
+    # Rows lo..hi-1 against every later row: pair (i, j) sits at [i - lo, j - lo - 1].
+    step = max(1, _RHO_BLOCK // (n * max(Z.shape[1], P.shape[1])))
+    for lo in range(0, n - 1, step):
+        hi = min(n - 1, lo + step)
+        diff = Z[lo + 1:] - Z[lo:hi, None]
+        dz = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=2))
+        later = np.arange(n - lo - 1) >= np.arange(hi - lo)[:, None]
+        keep = later & (dz >= 1e-12)
+        if keep.any():
+            diff = P[lo + 1:] - P[lo:hi, None]
+            dp = np.add.reduce(np.abs(diff, out=diff), axis=2)
+            best = max(best, float((dp[keep] / dz[keep]).max()))
     if best < 0.0:
         raise InsufficientSamples("all sample pairs are degenerate")
     upper = softmax_lipschitz_constant(head.n_classes) * largest_singular_value(

@@ -8,6 +8,16 @@ the constraints, so they are asserted on the result rather than imposed.
 
 Rows of the cost matrix must be grouped by class: the first n_1 rows are
 class 0, the next n_2 class 1, and so on.
+
+Large instances are solved exactly on a subset of the plan cells (a sparse
+multiscale scheme after Schmitzer 2016, with the kernel truncation of
+Schmitzer 2019 as the candidate rule). A short log-domain Sinkhorn run marks
+the likely cells, a northwest-corner staircase per class keeps every class
+feasible on its own, and HiGHS solves the LP on that set. Its duals then
+price every cell in row blocks; the cells of negative reduced cost join and
+the LP is solved again, until no cell enters. The duality certificate is
+built from the final duals over all cells, so it is the same certificate as
+for the LP over every cell.
 """
 
 from __future__ import annotations
@@ -20,10 +30,13 @@ from scipy.optimize import linprog
 
 from .data import ClassWeights, TransportPlan, WEIGHT_CLAMP
 from .errors import DimensionMismatch, MalformedFile, SolverFailure, TooManyClasses
-from .ot import OtProblem, _transport_simplex
+from .ot import OtProblem, _northwest_corner, _transport_simplex
 
-# Instances larger than this are routed to the entropic solver by default.
-SINKHORN_ROUTE_THRESHOLD = 4_000_000
+# Above this many cost entries the LP is solved on a candidate set of cells.
+_RESTRICTED_MIN_CELLS = 50_000
+_SEED_ITERS = 300  # Sinkhorn iterations behind the candidate set
+_SLACK_WINDOW = 5.0  # candidate slack window, in units of the seed's epsilon
+_BLOCK_CELLS = 1 << 20  # cells per row block when scanning the cost matrix
 
 
 @dataclass(frozen=True)
@@ -62,50 +75,125 @@ def solve_class_weights(
     D: np.ndarray,
     class_counts: np.ndarray,
     *,
-    sinkhorn_threshold: int | None = SINKHORN_ROUTE_THRESHOLD,
+    sinkhorn_threshold: int | None = None,
 ) -> ClassWeightSolution:
     """LP-optimal class weights and plan for the given source-target costs.
 
     The weight variables are eliminated: a per-class auxiliary t_i equals the
     shared row sum of class i and w_i := n_i * t_i is recovered afterwards.
-    Optimality is certified by a duality gap built from the solver's duals.
-    Instances with more than ``sinkhorn_threshold`` cost entries are routed
-    to the entropic solver (pass None to force the exact LP).
+    Up to 50,000 cost entries the LP holds every plan cell. Larger instances
+    solve it on a candidate set: the cells a short log-domain Sinkhorn run
+    marks as likely, plus a northwest-corner staircase per class. Every cell
+    is then priced with the LP duals, the cells with a negative reduced cost
+    join the set, and the LP is solved again until none is left, so the
+    result is exact at every size. Optimality is certified by a duality gap
+    built from the duals over all cells and class variables. Instances with
+    more than ``sinkhorn_threshold`` cost entries are routed to the entropic
+    solver instead (the default, None, never routes).
     """
     D, counts = _check_inputs(D, class_counts)
     n, m = D.shape
-    k = counts.size
 
     if sinkhorn_threshold is not None and n * m > sinkhorn_threshold:
         from .sinkhorn import sinkhorn_class_weights
 
         return sinkhorn_class_weights(D, counts)
 
+    if n * m > _RESTRICTED_MIN_CELLS:
+        cells = _candidate_cells(D, counts)
+    else:
+        cells = np.ones((n, m), dtype=bool)
+    return _solve_on_cells(D, counts, cells)[0]
+
+
+def _row_blocks(n: int, m: int):
+    step = max(1, _BLOCK_CELLS // m)
+    for lo in range(0, n, step):
+        yield lo, min(n, lo + step)
+
+
+def _staircases(counts: np.ndarray, m: int) -> np.ndarray:
+    """Mask of one northwest-corner staircase per class between its rows and
+    the columns, each under uniform marginals: every class alone is feasible."""
+    cells = np.zeros((int(counts.sum()), m), dtype=bool)
+    nu = np.full(m, 1.0 / m)
+    start = 0
+    for c in counts:
+        bi, bj = _northwest_corner(np.full(c, 1.0 / c), nu)
+        cells[start + np.asarray(bi), bj] = True
+        start += c
+    return cells
+
+
+def _candidate_cells(D: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mask of the cells whose slack D_rj - f_r - g_j under a short Sinkhorn
+    run's potentials is within 5 epsilon of their row's smallest, plus the
+    staircases (kernel truncation, Schmitzer 2019)."""
+    from .sinkhorn import SinkhornConfig, _sinkhorn_potentials
+
+    _, g, eps, _, _ = _sinkhorn_potentials(D, counts, _row_classes(counts),
+                                           SinkhornConfig(max_iters=_SEED_ITERS))
+    cells = _staircases(counts, D.shape[1])
+    for lo, hi in _row_blocks(*D.shape):
+        slack = D[lo:hi] - g  # f_r is constant along a row
+        cells[lo:hi] |= slack <= slack.min(axis=1, keepdims=True) + _SLACK_WINDOW * eps
+    return cells
+
+
+def _solve_on_cells(D: np.ndarray, counts: np.ndarray, cells: np.ndarray
+                    ) -> tuple[ClassWeightSolution, int]:
+    """Solve the LP restricted to the masked cells, price every cell with its
+    duals, add the cells of negative reduced cost and repeat until none is
+    added; return the solution and the number of LP solves.
+
+    Each round adds at least one cell, so the loop ends, at the latest with
+    every cell in the LP.
+    """
+    n, m = D.shape
+    k = counts.size
     row_class = _row_classes(counts)
-    nm = n * m
-
-    # Equality block 1: column sums equal 1/m.
-    col_rows = np.repeat(np.arange(m), n)
-    col_cols = (np.tile(np.arange(n), m)) * m + np.repeat(np.arange(m), n)
-    # Equality block 2: each row sum minus its class variable equals 0.
-    row_rows = m + np.repeat(np.arange(n), m)
-    row_cols = np.arange(nm)
-    t_rows = m + np.arange(n)
-    t_cols = nm + row_class
-
-    rows = np.concatenate([col_rows, row_rows, t_rows])
-    cols = np.concatenate([col_cols, row_cols, t_cols])
-    vals = np.concatenate([np.ones(nm), np.ones(nm), -np.ones(n)])
-    A_eq = sp.csr_matrix((vals, (rows, cols)), shape=(m + n, nm + k))
     b_eq = np.concatenate([np.full(m, 1.0 / m), np.zeros(n)])
-    c = np.concatenate([D.ravel(), np.zeros(k)])
-    bounds = [(0.0, None)] * nm + [(None, None)] * k
+    # Presolve stays on up to _RESTRICTED_MIN_CELLS, so those instances keep
+    # their optimal vertex; above it, it costs a third of the LP's memory and
+    # time.
+    presolve = n * m <= _RESTRICTED_MIN_CELLS
+    cells = cells.copy()
+    rounds = 0
+    while True:
+        rounds += 1
+        rows, cols = np.nonzero(cells)
+        e = rows.size
+        # Equality rows: column sums equal 1/m (duals y), and each row sum
+        # minus its class variable equals 0 (duals z).
+        A_eq = sp.csr_matrix(
+            (np.concatenate([np.ones(2 * e), -np.ones(n)]),
+             (np.concatenate([cols, m + rows, m + np.arange(n)]),
+              np.concatenate([np.arange(e), np.arange(e), e + row_class]))),
+            shape=(m + n, e + k))
+        c = np.concatenate([D[rows, cols], np.zeros(k)])
+        bounds = [(0.0, None)] * e + [(None, None)] * k
+        res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs",
+                      options={"presolve": presolve})
+        if res.status != 0:
+            raise SolverFailure(f"LP solver failed (status {res.status}): {res.message}")
+        duals = np.asarray(res.eqlin.marginals, dtype=np.float64)
+        y, z = duals[:m], duals[m:]
 
-    res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise SolverFailure(f"LP solver failed (status {res.status}): {res.message}")
+        # Price every cell: reduced cost D_rj - y_j - z_r.
+        rc_min = np.inf
+        added = False
+        for lo, hi in _row_blocks(n, m):
+            rc = D[lo:hi] - (y + z[lo:hi, None])
+            rc_min = min(rc_min, float(rc.min()))
+            enter = (rc < 0.0) & ~cells[lo:hi]
+            if enter.any():
+                cells[lo:hi] |= enter
+                added = True
+        if not added:
+            break
 
-    plan = res.x[:nm].reshape(n, m)
+    plan = np.zeros((n, m))
+    plan[rows, cols] = res.x[:e]
     plan = np.maximum(plan, 0.0)
     objective = float(np.sum(D * plan))
 
@@ -116,12 +204,11 @@ def solve_class_weights(
     except MalformedFile as e:
         raise SolverFailure(f"recovered weights violate simplex invariants: {e}") from e
 
-    # Certificate: a dual-feasible lower bound from the returned multipliers.
-    y = np.asarray(res.eqlin.marginals, dtype=np.float64)
-    reduced = c - A_eq.T @ y
-    viol_plan = max(0.0, -float(reduced[:nm].min()))
-    viol_t = float(np.abs(reduced[nm:]).max())
-    dual_lower = float(b_eq @ y) - viol_plan - viol_t
+    # Certificate: a dual-feasible lower bound from the returned multipliers,
+    # with the reduced costs of every cell and of the free class variables.
+    viol_plan = max(0.0, -rc_min)
+    viol_t = float(np.abs(np.bincount(row_class, weights=z, minlength=k)).max())
+    dual_lower = float(b_eq @ duals) - viol_plan - viol_t
     gap = max(0.0, objective - dual_lower)
 
     transport = TransportPlan(
@@ -132,7 +219,7 @@ def solve_class_weights(
         dual_gap=gap,
     )
     support_size = int((weights.weights > WEIGHT_CLAMP).sum())
-    return ClassWeightSolution(weights, transport, objective, support_size)
+    return ClassWeightSolution(weights, transport, objective, support_size), rounds
 
 
 # ============================================================

@@ -2,8 +2,9 @@
 
 The solver is a primal simplex specialized to transportation structure:
 northwest-corner initialization, spanning-tree bases, cycle pivoting.
-Degeneracy is removed up front by the standard marginal perturbation
-(1e-12 scaled by row index) and the perturbation is dropped again when the
+Degeneracy is removed up front by the standard marginal perturbation (a
+total of 1e-12 spread over the rows in proportion to the row index, and
+1e-12 on the last column), and the perturbation is dropped again when the
 final plan is rebuilt from the optimal basis. The most-negative-reduced-cost
 entering rule is used while progress is made; Bland's rule takes over after
 a run of degenerate pivots so the solve cannot cycle.
@@ -180,9 +181,12 @@ def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
 
     # Perturb to a generically non-degenerate instance; the basis found is
     # optimal for the original marginals too (optimality depends on C only).
-    mu_p = mu + _PERTURB * np.arange(1, n + 1)
+    # The rows get a fixed total of _PERTURB, growing with the row index, so
+    # perturbed and true basic values differ by at most about _PERTURB at any n,
+    # far inside the de-perturbation check below.
+    mu_p = mu + (_PERTURB / (n * (n + 1) // 2)) * np.arange(1, n + 1)
     nu_p = nu.copy()
-    nu_p[-1] += _PERTURB * (n * (n + 1) // 2)
+    nu_p[-1] += _PERTURB
     nu_p *= mu_p.sum() / nu_p.sum()
 
     tree = None

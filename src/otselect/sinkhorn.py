@@ -107,22 +107,17 @@ def _round_to_polytope(P: np.ndarray, counts: np.ndarray, row_class: np.ndarray
     return P * (target_col / col)
 
 
-def sinkhorn_class_weights(
-    D: np.ndarray,
-    class_counts: np.ndarray,
-    cfg: SinkhornConfig | None = None,
-) -> ClassWeightSolution:
-    """Approximately optimal class weights via generalized Sinkhorn iteration.
+def _sinkhorn_potentials(D: np.ndarray, counts: np.ndarray, row_class: np.ndarray,
+                         cfg: SinkhornConfig) -> tuple[np.ndarray, np.ndarray, float, bool, float]:
+    """Run the log-domain loop; return the potentials (f, g), the epsilon they
+    belong to, whether the target epsilon converged, and the best column
+    violation met there (inf if the target was never reached).
 
-    The reported objective is Tr(D^T P) of the rounded plan, which satisfies
-    the column marginal exactly and the class row ties to within roundoff.
-    If the iteration cap is hit with the marginal violation still above ten
-    times the tolerance, the best iterate is returned with a warning flag.
+    The plan is exp((f_r + g_j - D_rj) / eps). When the cap is hit
+    unconverged at the target epsilon, the best iterate there is returned.
+    The exact class LP also seeds its candidate cells from these potentials.
     """
-    D, counts = _check_inputs(D, class_counts)
-    cfg = cfg or SinkhornConfig()
     n, m = D.shape
-    row_class = _row_classes(counts)
     d_max = float(D.max())
     eps_target = cfg.epsilon if cfg.epsilon is not None else 0.01 * float(D.mean())
     if eps_target <= 0:
@@ -165,6 +160,27 @@ def sinkhorn_class_weights(
         f -= eps * _logsumexp(log_counts + logt)
     if best_state is not None and not converged:
         f, g = best_state
+    return f, g, eps, converged, best_viol
+
+
+def sinkhorn_class_weights(
+    D: np.ndarray,
+    class_counts: np.ndarray,
+    cfg: SinkhornConfig | None = None,
+) -> ClassWeightSolution:
+    """Approximately optimal class weights via generalized Sinkhorn iteration.
+
+    The reported objective is Tr(D^T P) of the rounded plan, which satisfies
+    the column marginal exactly and the class row ties to within roundoff.
+    If the iteration cap is hit with the marginal violation still above ten
+    times the tolerance, the best iterate is returned with a warning flag.
+    """
+    D, counts = _check_inputs(D, class_counts)
+    cfg = cfg or SinkhornConfig()
+    m = D.shape[1]
+    row_class = _row_classes(counts)
+    target_col = 1.0 / m
+    f, g, eps, converged, best_viol = _sinkhorn_potentials(D, counts, row_class, cfg)
     P = np.exp((f[:, None] + g[None, :] - D) / eps)
 
     P = _round_to_polytope(P, counts, row_class)

@@ -26,6 +26,7 @@ from otselect import (
     softmax_lipschitz_constant,
     verify_softmax_lipschitz,
 )
+from otselect import bounds
 from otselect.bounds import (
     glued_decomposition_check,
     random_joint_pair_shared_support,
@@ -176,6 +177,33 @@ def test_rho_pairwise_can_exceed_the_formula_upper_bound():
     feats = FeatureMatrix(r.normal(size=(200, 2)) * 0.05)
     lower, upper = estimate_rho(head, feats)
     assert lower > upper
+
+
+def loop_rho_lower(head, feats):
+    """Pairwise lower estimate, one row against every later row at a time."""
+    Z = feats.values
+    P = head.predict_proba(Z)
+    best = -1.0
+    for i in range(Z.shape[0] - 1):
+        dz = np.linalg.norm(Z[i + 1:] - Z[i], axis=1)
+        keep = dz >= 1e-12
+        if keep.any():
+            dp = np.abs(P[i + 1:] - P[i]).sum(axis=1)
+            best = max(best, float((dp[keep] / dz[keep]).max()))
+    return best
+
+
+@pytest.mark.parametrize("block", [1, 64, 1 << 18])
+def test_rho_row_blocks_match_the_row_loop_exactly(block, monkeypatch):
+    # the pair arithmetic is unchanged, so the estimate must be bit-equal
+    monkeypatch.setattr(bounds, "_RHO_BLOCK", block)
+    r = rng(7)
+    for n, d, k in [(3, 1, 2), (40, 3, 4), (131, 9, 3)]:
+        head = SoftmaxHead(r.normal(size=(k, d)), np.arange(k))
+        Z = r.normal(size=(n, d))
+        Z[1::3] = Z[0::3][: Z[1::3].shape[0]]  # duplicate rows are skipped pairs
+        feats = FeatureMatrix(Z)
+        assert estimate_rho(head, feats)[0] == loop_rho_lower(head, feats)
 
 
 def test_rho_needs_at_least_two_distinct_rows():

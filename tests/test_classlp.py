@@ -11,6 +11,7 @@ from otselect import (
     wasserstein_distance,
     weights_to_sample_probabilities,
 )
+from otselect import classlp
 from otselect.classlp import brute_force_class_weights
 from otselect.errors import DimensionMismatch, TooManyClasses
 
@@ -106,6 +107,39 @@ def test_single_class_gets_weight_one():
     np.testing.assert_allclose(sol.weights.weights, [1.0])
     bf_w, bf_obj = brute_force_class_weights(D, counts, 0.5)
     assert abs(bf_obj - sol.objective) < 1e-9
+
+
+def full_lp(D, counts):
+    """The class LP over every plan cell, whatever the instance size."""
+    return classlp._solve_on_cells(D, counts, np.ones(D.shape, dtype=bool))[0]
+
+
+def test_starved_candidate_set_is_priced_back_to_the_optimum():
+    # staircases alone are feasible but far from optimal: pricing must add cells
+    for seed in range(3):
+        D, counts = make_instance(40 + seed, k=3, per_class=20, m=40)
+        sol, rounds = classlp._solve_on_cells(D, counts, classlp._staircases(counts, 40))
+        exact = solve_class_weights(D, counts)
+        assert rounds >= 2
+        assert abs(sol.objective - exact.objective) <= 1e-9 * exact.objective
+        assert sol.plan.dual_gap <= 1e-9 * (1 + sol.objective)
+
+
+def test_restricted_lp_matches_the_full_lp_on_duplicate_rows_and_one_class():
+    # 252 x 200 = 50,400 cells: above the size where the candidate set is used
+    D, counts = make_instance(50, k=6, per_class=42, m=200)
+    D[1::2] = D[0::2]  # every odd source row repeats the row before it
+    D_one, counts_one = make_instance(51, k=1, per_class=252, m=200)
+    for D, counts in ((D, counts), (D_one, counts_one)):
+        assert D.size > classlp._RESTRICTED_MIN_CELLS
+        sol = solve_class_weights(D, counts)
+        exact = full_lp(D, counts)
+        assert abs(sol.objective - exact.objective) <= 1e-9 * exact.objective
+        assert sol.plan.dual_gap <= 1e-7 * (1 + sol.objective)
+        row_sums = sol.plan.plan.sum(axis=1)
+        np.testing.assert_allclose(row_sums, np.repeat(sol.weights.weights / counts, counts),
+                                   atol=1e-9)
+        np.testing.assert_allclose(sol.plan.plan.sum(axis=0), 1 / 200, atol=1e-9)
 
 
 def test_sinkhorn_routing_for_oversized_instances():

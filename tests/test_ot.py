@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -242,6 +243,34 @@ def test_degenerate_marginals_with_many_ties_still_solve():
     u = np.full(8, 0.125)
     sol = solve_exact_ot(OtProblem(cost, u, u))
     assert abs(sol.objective - linprog_ot(cost, u, u)) < 1e-10
+
+
+@pytest.mark.parametrize("seed", [9, 15, 50])
+def test_near_rational_marginals_survive_de_perturbation(seed):
+    # 15 classes of 20 rows, 9 with weights within ~3e-7 of small-integer
+    # ratios: with a perturbation that grows as n^2 these solves ended on a
+    # basis infeasible for the true marginals
+    r = rng(seed)
+    w = np.zeros(15)
+    w[:9] = r.integers(1, 10, 9)
+    w /= w.sum()
+    w[:9] += r.normal(scale=3e-7, size=9)
+    w /= w.sum()
+    mu = np.repeat(w / 20, 20)
+    cost = r.random((300, 200))
+    nu = np.full(200, 1 / 200)
+    sol = solve_exact_ot(OtProblem(cost, mu, nu))
+    n, m = cost.shape
+    A_eq = sp.vstack([sp.kron(sp.eye(n), np.ones((1, m))), sp.kron(np.ones((1, n)), sp.eye(m))])
+    # at HiGHS's default 1e-7 feasibility tolerances its plan for these
+    # 1/6000-sized masses has entries down to -6e-8 and an objective 7e-8 low
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(cost.ravel(), A_eq=A_eq, b_eq=np.concatenate([mu, nu]),
+                  bounds=(0, None), method="highs", options=tight)
+    assert res.status == 0
+    assert abs(sol.objective - res.fun) <= 1e-8 * res.fun
+    np.testing.assert_allclose(sol.plan.sum(axis=1), mu, atol=1e-10)
+    np.testing.assert_allclose(sol.plan.sum(axis=0), nu, atol=1e-10)
 
 
 @settings(max_examples=60, deadline=None)
