@@ -253,9 +253,10 @@ def brute_force_class_weights(
     The points are walked in lexicographic order, where most consecutive
     points differ by one step of weight between the last two classes. Each
     solve starts from the final basis of the point before it: every point
-    shares the cost, so that basis stays optimal and is reused whenever it is
-    feasible for the new marginals; otherwise the solve starts cold from the
-    northwest corner.
+    shares the cost, so that basis stays optimal (dual-feasible) and is
+    reused as it is when it is feasible for the new marginals; otherwise a
+    few dual simplex pivots repair it, and the solve starts cold from the
+    northwest corner only when the repair would take more than n + m pivots.
     """
     D, counts = _check_inputs(D, class_counts)
     k = counts.size

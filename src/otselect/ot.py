@@ -7,19 +7,26 @@ total of 1e-12 spread over the rows in proportion to the row index, and
 1e-12 on the last column), and the perturbation is dropped again when the
 final plan is rebuilt from the optimal basis. The most-negative-reduced-cost
 entering rule is used while progress is made; Bland's rule takes over after
-a run of degenerate pivots so the solve cannot cycle.
+a run of degenerate pivots so the solve cannot cycle. Reduced costs are
+compared with a tolerance relative to the largest cost, so scaling the cost
+scales the objective and changes nothing else.
 
-The basis tree is kept as parent, parent-cell and depth arrays rooted at
-row 0, next to the dual potentials (u_0 = 0). A pivot finds its cycle by
-walking both ends of the entering cell up to their common ancestor. The
-leaving cell cuts off one subtree; it is re-hung from the entering cell and
-only its potentials move, all by the entering cell's reduced cost.
+The basis tree (``_Tree``) is kept as parent, parent-cell and depth arrays
+rooted at row 0, next to the dual potentials (u_0 = 0). A pivot finds its
+cycle by walking both ends of the entering cell up to their common ancestor.
+The leaving cell cuts off one subtree; it is re-hung from the entering cell
+and only its potentials move, all by the entering cell's reduced cost.
 
-A solve may also start from a given basis (``_transport_simplex``), which
-is used when it is primal-feasible for the perturbed marginals. Optimality
-of a basis depends on the cost alone, so a sequence of solves over one cost
-with nearby marginals, as in the grid oracle of ``classlp``, passes each
-solve's final basis to the next and often needs few or no pivots.
+A solve may also start from a given basis (``_transport_simplex``).
+Optimality of a basis depends on the cost alone, so a sequence of solves
+over one cost with nearby marginals, as in the grid oracle of ``classlp``,
+passes each solve's final basis to the next. A basis that is feasible for
+the new marginals is optimal at once. One that is not is still
+dual-feasible, and is repaired by the dual network simplex (Ahuja, Magnanti
+& Orlin 1993, *Network Flows*, ch. 11): the most negative basic cell leaves,
+and the cheapest cell across the cut it opens enters, through the same
+pivot step as the primal simplex. A few such pivots replace a restart from
+the northwest corner.
 """
 
 from __future__ import annotations
@@ -101,28 +108,108 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int
     return bi, bj
 
 
-def _tree_values(parent: list[int], pcell: list[int], depth: list[int],
-                 a: np.ndarray, b: np.ndarray) -> list[float]:
-    """Basic-cell values of the basis tree for row marginal a and column
-    marginal b: the cell joining a node to its parent carries the net supply
-    of the node's subtree (rows supply a, columns demand b).
+@dataclass(slots=True)
+class _Tree:
+    """A spanning-tree basis rooted at row 0, with its dual potentials.
+
+    Nodes 0..n-1 are rows and n..n+m-1 columns; cell e joins row bi[e] and
+    column bj[e]. ``adj`` maps each node to its neighbours and the cells
+    joining them; ``parent``, ``pcell`` (the cell to the parent) and ``depth``
+    root the tree. ``pot`` holds u then v, with u[0] = 0 and u_i + v_j = C_ij
+    on every basic cell.
     """
-    n = a.size
-    net = a.tolist() + (-b).tolist()
-    vals = [0.0] * (len(net) - 1)
-    for x in sorted(range(1, len(net)), key=depth.__getitem__, reverse=True):
-        net[parent[x]] += net[x]
-        vals[pcell[x]] = net[x] if x < n else -net[x]
-    return vals
+
+    n: int
+    bi: list[int]
+    bj: list[int]
+    adj: list[dict[int, int]]
+    parent: list[int]
+    pcell: list[int]
+    depth: list[int]
+    pot: list[float]
+
+    def values(self, a: np.ndarray, b: np.ndarray) -> list[float]:
+        """Basic-cell values for row marginal a and column marginal b: the
+        cell joining a node to its parent carries the net supply of the
+        node's subtree (rows supply a, columns demand b)."""
+        n, parent, pcell = self.n, self.parent, self.pcell
+        net = a.tolist() + (-b).tolist()
+        vals = [0.0] * (len(net) - 1)
+        for x in sorted(range(1, len(net)), key=self.depth.__getitem__, reverse=True):
+            net[parent[x]] += net[x]
+            vals[pcell[x]] = net[x] if x < n else -net[x]
+        return vals
+
+    def subtree(self, x: int) -> list[int]:
+        """The nodes of the subtree below node x, x included."""
+        adj, parent = self.adj, self.parent
+        nodes = [x]
+        for y in nodes:
+            nodes.extend(z for z in adj[y] if z != parent[y])
+        return nodes
+
+    def cycle(self, a: int, b: int) -> tuple[list[int], list[int]]:
+        """The tree path between nodes a and b, as the child node of each of
+        its edges: those met walking up from a, then those from b."""
+        parent, depth = self.parent, self.depth
+        side_a: list[int] = []
+        side_b: list[int] = []
+        while depth[a] > depth[b]:
+            side_a.append(a)
+            a = parent[a]
+        while depth[b] > depth[a]:
+            side_b.append(b)
+            b = parent[b]
+        while a != b:
+            side_a.append(a)
+            a = parent[a]
+            side_b.append(b)
+            b = parent[b]
+        return side_a, side_b
+
+    def pivot(self, ei: int, ej: int, side_a: list[int], side_b: list[int],
+              leave: int, theta: float, delta: float, vals: list[float]) -> None:
+        """Swap the cell above node ``leave`` for cell (ei, ej).
+
+        ``side_a``/``side_b`` are ``cycle(ei, n + ej)``, the cycle the cell
+        closes, and ``leave`` is on it. Going round it from row ei, cells
+        entered row-first lose theta and the others gain it, so the entering
+        cell takes value theta. The subtree cut off below ``leave`` is re-hung
+        from the entering cell, and its potentials shift by the cell's
+        reduced cost delta.
+        """
+        n, adj, parent, pcell, depth, pot = (self.n, self.adj, self.parent,
+                                             self.pcell, self.depth, self.pot)
+        for x in side_a:
+            vals[pcell[x]] += -theta if x < n else theta
+        for x in side_b:
+            vals[pcell[x]] += -theta if x >= n else theta
+        el = pcell[leave]
+        p = parent[leave]
+        del adj[leave][p]
+        del adj[p][leave]
+        self.bi[el], self.bj[el] = ei, ej
+        vals[el] = theta
+        adj[ei][n + ej] = el
+        adj[n + ej][ei] = el
+        s, t = (ei, n + ej) if leave in side_a else (n + ej, ei)
+        parent[s], pcell[s], depth[s] = t, el, depth[t] + 1
+        shift = delta if s < n else -delta  # rows move by +shift, columns by -shift
+        pot[s] += delta
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            px, dy = parent[x], depth[x] + 1
+            for y, e in adj[x].items():
+                if y != px:
+                    parent[y], pcell[y], depth[y] = x, e, dy
+                    pot[y] += shift if y < n else -shift
+                    stack.append(y)
 
 
-def _basis_tree(bi: list[int], bj: list[int], cost: np.ndarray, n: int, m: int):
-    """Adjacency, parent, parent-cell and depth arrays and potentials of the
-    basis tree rooted at row 0, or None when the cells do not span every node.
-
-    Nodes 0..n-1 are rows and n..n+m-1 columns; ``pot`` holds u then v, with
-    u[0] = 0 and u_i + v_j = C_ij on every basic cell.
-    """
+def _basis_tree(bi: list[int], bj: list[int], cost: np.ndarray, n: int, m: int) -> _Tree | None:
+    """The basis tree of cells (bi, bj) with its potentials under ``cost``,
+    or None when the cells do not span every node."""
     adj: list[dict[int, int]] = [dict() for _ in range(n + m)]
     for e in range(len(bi)):
         adj[bi[e]][n + bj[e]] = e
@@ -146,7 +233,59 @@ def _basis_tree(bi: list[int], bj: list[int], cost: np.ndarray, n: int, m: int):
                 stack.append(y)
     if reached < n + m:
         return None
-    return adj, parent, pcell, depth, pot
+    return _Tree(n, bi, bj, adj, parent, pcell, depth, pot)
+
+
+def _reduced_costs(C: np.ndarray, tree: _Tree, out: np.ndarray) -> np.ndarray:
+    """C_ij - u_i - v_j under the tree's potentials, written to ``out``."""
+    uv = np.array(tree.pot)
+    np.subtract(C, uv[:tree.n, None], out=out)
+    out -= uv[tree.n:]
+    return out
+
+
+def _dual_repair(tree: _Tree, vals: list[float], C: np.ndarray, rc_tol: float,
+                 cap: int) -> tuple[_Tree | None, int]:
+    """Dual simplex pivots that make a dual-feasible basis primal-feasible.
+
+    Each pivot drops the basic cell of most negative value. That cuts off
+    the subtree below the cell's child node, whose net supply has the wrong
+    sign: a row child's subtree lacks mass, a column child's has too much.
+    The entering cell is the one of least reduced cost from a row outside
+    the subtree to a column inside it (row child), or from a row inside to a
+    column outside (column child). The subtree is re-hung from it, and the
+    reduced costs of the cells across the cut move by the entering cell's,
+    the least of them, so the basis stays dual-feasible. Returns the
+    repaired tree and the pivots made, or None in its place when the basis
+    is not dual-feasible, needs more than n + m pivots or has no entering
+    cell. Raises ``SolverFailure`` when a pivot is due at the cap.
+    """
+    n, m = C.shape
+    rc = _reduced_costs(C, tree, np.empty_like(C))
+    if rc.min() < -rc_tol:
+        return None, 0
+    for pivots in range(n + m + 1):
+        e = min(range(len(vals)), key=vals.__getitem__)
+        if vals[e] >= 0.0:
+            return tree, pivots
+        if pivots == n + m:
+            break
+        if pivots == cap:
+            raise SolverFailure(f"transportation simplex hit the {cap}-pivot cap")
+        x = tree.bi[e]
+        if tree.parent[x] != n + tree.bj[e]:
+            x = n + tree.bj[e]
+        inside = np.zeros(n + m, dtype=bool)
+        inside[tree.subtree(x)] = True
+        rows = np.flatnonzero(inside[:n] != (x < n))
+        cols = np.flatnonzero(inside[n:] == (x < n))
+        if rows.size == 0 or cols.size == 0:  # only a rounding-level value can leave none
+            break
+        pos = int(rc[rows[:, None], cols].argmin())
+        ei, ej = int(rows[pos // cols.size]), int(cols[pos % cols.size])
+        tree.pivot(ei, ej, *tree.cycle(ei, n + ej), x, -vals[e], rc.item(ei, ej), vals)
+        _reduced_costs(C, tree, rc)
+    return None, pivots
 
 
 def solve_exact_ot(problem: OtProblem, max_iters: int | None = None) -> TransportPlan:
@@ -164,10 +303,15 @@ def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
                        basis: Basis | None = None) -> tuple[TransportPlan, Basis | None]:
     """``solve_exact_ot`` that may start from ``basis`` and returns the final one.
 
-    ``basis`` is used only when it is a spanning tree of this problem's shape
-    that is primal-feasible for the perturbed marginals; otherwise the solve
-    starts from the northwest corner. Single-row or single-column problems
-    need no simplex and return None as their basis.
+    ``basis`` must be a spanning tree of this problem's shape. It is used as
+    it stands when it is primal-feasible for the perturbed marginals. When
+    it is not, but it is dual-feasible for this cost (every reduced cost
+    >= -rc_tol, as the optimal basis of the same cost under other marginals
+    is), dual simplex pivots (``_dual_repair``) first make it feasible. Any
+    other basis, or a repair that would need more than n + m pivots or finds
+    no entering cell, gives way to the northwest corner. Dual pivots count
+    toward ``max_iters``. Single-row or single-column problems need no
+    simplex and return None as their basis.
     """
     C, mu, nu = problem.cost, problem.mu, problem.nu
     n, m = C.shape
@@ -189,33 +333,29 @@ def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
     nu_p[-1] += _PERTURB
     nu_p *= mu_p.sum() / nu_p.sum()
 
+    # Relative to the largest cost, so that scaling C scales nothing else.
+    c_max = float(C.max(initial=0.0))
+    rc_tol = 1e-11 * c_max if c_max > 0.0 else 1e-11
+    cap = max_iters if max_iters is not None else 20 * n * m + 50 * (n + m) + 200
+
     tree = None
+    done = 0  # pivots made so far
     if (basis is not None and len(basis[0]) == n + m - 1
             and max(basis[0]) < n and max(basis[1]) < m):
-        bi, bj = list(basis[0]), list(basis[1])
-        tree = _basis_tree(bi, bj, C, n, m)
+        tree = _basis_tree(list(basis[0]), list(basis[1]), C, n, m)
         if tree is not None:
-            vals = _tree_values(*tree[1:4], mu_p, nu_p)
+            vals = tree.values(mu_p, nu_p)
             if min(vals) < 0.0:
-                tree = None
+                tree, done = _dual_repair(tree, vals, C, rc_tol, cap)
     if tree is None:
-        bi, bj = _northwest_corner(mu_p, nu_p)
-        tree = _basis_tree(bi, bj, C, n, m)
-        vals = _tree_values(*tree[1:4], mu_p, nu_p)
-    adj, parent, pcell, depth, pot = tree
-    uv = np.array(pot)
-    u, v = uv[:n], uv[n:]
+        tree = _basis_tree(*_northwest_corner(mu_p, nu_p), C, n, m)
+        vals = tree.values(mu_p, nu_p)
 
-    scale = 1.0 + float(C.max(initial=0.0))
-    rc_tol = 1e-11 * scale
-    cap = max_iters if max_iters is not None else 20 * n * m + 50 * (n + m) + 200
     degenerate_run = 0
     bland = False
-
     rc = np.empty_like(C)
-    for pivots in range(cap + 1):  # the last pass only checks optimality
-        np.subtract(C, u[:, None], out=rc)
-        rc -= v
+    for pivots in range(done, cap + 1):  # the last pass only checks optimality
+        _reduced_costs(C, tree, rc)
         if bland:
             flat = np.flatnonzero(rc.ravel() < -rc_tol)
             if flat.size == 0:
@@ -230,30 +370,14 @@ def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
             raise SolverFailure(f"transportation simplex hit the {cap}-pivot cap")
         ei, ej = divmod(pos, m)
 
-        # The cycle closed by the entering cell: walk both of its ends up to
-        # their common ancestor, recording the child node of each tree edge.
-        a, b = ei, n + ej
-        side_a: list[int] = []
-        side_b: list[int] = []
-        while depth[a] > depth[b]:
-            side_a.append(a)
-            a = parent[a]
-        while depth[b] > depth[a]:
-            side_b.append(b)
-            b = parent[b]
-        while a != b:
-            side_a.append(a)
-            a = parent[a]
-            side_b.append(b)
-            b = parent[b]
-
-        # Going round the cycle from row ei, cells entered row-first lose
-        # theta: on ei's side those whose child is a row, on the other side
-        # those whose child is a column. The first minimum in path order
-        # leaves.
+        # Going round the cycle closed by the entering cell from row ei,
+        # cells entered row-first lose theta: on ei's side those whose child
+        # is a row, on the other side those whose child is a column. The
+        # first minimum in path order leaves.
+        side_a, side_b = tree.cycle(ei, n + ej)
+        pcell = tree.pcell
         theta = np.inf
         leave = -1
-        leave_on_a = True
         for x in side_a:
             if x < n and vals[pcell[x]] < theta:
                 theta = vals[pcell[x]]
@@ -262,37 +386,7 @@ def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
             if x >= n and vals[pcell[x]] < theta:
                 theta = vals[pcell[x]]
                 leave = x
-                leave_on_a = False
-        for x in side_a:
-            vals[pcell[x]] += -theta if x < n else theta
-        for x in side_b:
-            vals[pcell[x]] += -theta if x >= n else theta
-
-        # Swap the cells, then hang the cut-off subtree from the entering
-        # cell and shift its potentials by the entering reduced cost.
-        el = pcell[leave]
-        p = parent[leave]
-        del adj[leave][p]
-        del adj[p][leave]
-        bi[el], bj[el] = ei, ej
-        vals[el] = theta
-        adj[ei][n + ej] = el
-        adj[n + ej][ei] = el
-        s, t = (ei, n + ej) if leave_on_a else (n + ej, ei)
-        parent[s], pcell[s], depth[s] = t, el, depth[t] + 1
-        shift = delta if s < n else -delta  # rows move by +shift, columns by -shift
-        pot[s] += delta
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            px, dy = parent[x], depth[x] + 1
-            for y, e in adj[x].items():
-                if y != px:
-                    parent[y], pcell[y], depth[y] = x, e, dy
-                    pot[y] += shift if y < n else -shift
-                    stack.append(y)
-        uv = np.array(pot)
-        u, v = uv[:n], uv[n:]
+        tree.pivot(ei, ej, side_a, side_b, leave, theta, delta, vals)
 
         if theta <= 1e-14:
             degenerate_run += 1
@@ -303,18 +397,20 @@ def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
             bland = False
 
     # Rebuild the plan for the unperturbed marginals from the optimal basis.
-    final_vals = np.array(_tree_values(parent, pcell, depth, mu, nu))
+    final_vals = np.array(tree.values(mu, nu))
     if final_vals.min() < -1e-8:
         raise SolverFailure(f"basis infeasible after de-perturbation: {final_vals.min():.3e}")
     plan = np.zeros((n, m))
-    plan[bi, bj] = np.maximum(final_vals, 0.0)
+    plan[tree.bi, tree.bj] = np.maximum(final_vals, 0.0)
     objective = float(np.sum(C * plan))
 
     # Rigorous certificate: shift u until (u, v) is dual feasible, then gap.
+    uv = np.array(tree.pot)
+    u, v = uv[:n], uv[n:]
     violation = max(0.0, float((u[:, None] + v[None, :] - C).max()))
     dual_obj = float(u @ mu + v @ nu) - violation * float(mu.sum())
     gap = max(objective - dual_obj, 0.0)
-    return TransportPlan(plan, mu, nu, objective, dual_gap=gap), (tuple(bi), tuple(bj))
+    return TransportPlan(plan, mu, nu, objective, dual_gap=gap), (tuple(tree.bi), tuple(tree.bj))
 
 
 def wasserstein_distance(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:

@@ -1,13 +1,17 @@
 """Class-weight LP vs the grid-search oracle, plus plan/weight invariants."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from otselect import (
     ClassWeights,
     FeatureMatrix,
+    OtProblem,
     pairwise_distances,
     solve_class_weights,
+    solve_exact_ot,
     wasserstein_distance,
     weights_to_sample_probabilities,
 )
@@ -43,6 +47,39 @@ def test_lp_never_beaten_by_grid_search():
         assert sol.objective <= bf_obj + 1e-7
         # and the grid result can never beat the true optimum
         assert bf_obj >= sol.objective - 1e-9
+
+
+def test_warm_grid_walk_matches_a_cold_walk_bit_for_bit():
+    # gate 01's recipe, at its first three instances with k = 3; each grid
+    # point is solved cold here, while the oracle warm-starts (and repairs)
+    # every solve from the basis of the point before it
+    instances = []
+    for i in itertools.count():
+        r = rng(1000 + i)
+        k = int(r.integers(1, 4))
+        hi = 24 if k == 3 else 30
+        counts = np.minimum(r.integers(2, max(3, hi // k) + 1, size=k), 30 // k)
+        m = int(r.integers(6, hi + 1))
+        src = r.normal(size=(int(counts.sum()), 2))
+        tgt = r.normal(size=(m, 2)) + r.normal(size=2)
+        if k == 3:
+            instances.append((pairwise_distances(FeatureMatrix(src), FeatureMatrix(tgt)), counts))
+        if len(instances) == 3:
+            break
+    steps = 20
+    for D, counts in instances:
+        nu = np.full(D.shape[1], 1.0 / D.shape[1])
+        best_obj, best_w = np.inf, None
+        for comp in itertools.product(range(steps + 1), repeat=3):  # lexicographic
+            if sum(comp) != steps:
+                continue
+            w = np.asarray(comp, dtype=np.float64) / steps
+            obj = solve_exact_ot(OtProblem(D, np.repeat(w / counts, counts), nu)).objective
+            if obj < best_obj:
+                best_obj, best_w = obj, w
+        bf_w, bf_obj = brute_force_class_weights(D, counts, 0.05)
+        assert bf_obj == best_obj
+        np.testing.assert_array_equal(bf_w.weights, best_w / best_w.sum())
 
 
 def test_lp_weights_price_back_to_the_reported_objective():

@@ -19,6 +19,7 @@ from otselect import (
     solve_exact_ot,
     wasserstein_distance,
 )
+from otselect import ot
 from otselect.errors import InfeasibleMarginals, SolverFailure
 from otselect.ot import _transport_simplex
 
@@ -229,12 +230,90 @@ def test_pivot_cap_counts_pivots():
     assert capped.objective == full.objective and capped_basis == full_basis
 
 
-def _solves_within(prob, max_iters):
+def _solves_within(prob, max_iters, basis=None):
     try:
-        _transport_simplex(prob, max_iters=max_iters)
+        _transport_simplex(prob, max_iters=max_iters, basis=basis)
     except SolverFailure:
         return False
     return True
+
+
+def infeasible_neighbours(cost, basis, mu, nu, r, count, t=0.1):
+    """Problems at marginals near (mu, nu) for which ``basis`` is infeasible."""
+    n, m = cost.shape
+    out = []
+    for _ in range(100):
+        mu2 = (1 - t) * mu + t * r.dirichlet(np.ones(n))
+        nu2 = (1 - t) * nu + t * r.dirichlet(np.ones(m))
+        if basis_values(basis, mu2, nu2).min() < -1e-9:
+            out.append(OtProblem(cost, mu2, nu2))
+    assert len(out) >= count
+    return out[:count]
+
+
+def test_infeasible_warm_start_is_repaired_without_a_cold_restart(monkeypatch):
+    # the optimal basis of one cost stays dual-feasible under other
+    # marginals, so dual pivots repair it and the northwest corner is not used
+    cases = []
+    for seed in range(6):
+        r = rng(300 + seed)
+        n, m = r.integers(4, 16, size=2)
+        cost, mu, nu = r.random((n, m)), r.dirichlet(np.ones(n)), r.dirichlet(np.ones(m))
+        _, basis = _transport_simplex(OtProblem(cost, mu, nu))
+        for prob in infeasible_neighbours(cost, basis, mu, nu, r, 3):
+            cases.append((prob, basis, solve_exact_ot(prob)))
+
+    def cold_start(*args):
+        raise AssertionError("the solve restarted from the northwest corner")
+
+    monkeypatch.setattr(ot, "_northwest_corner", cold_start)
+    for prob, basis, cold in cases:
+        warm, _ = _transport_simplex(prob, basis=basis)
+        assert abs(warm.objective - cold.objective) <= 1e-12 * abs(cold.objective)
+        np.testing.assert_allclose(warm.plan.sum(axis=1), prob.mu, atol=1e-10)
+        np.testing.assert_allclose(warm.plan.sum(axis=0), prob.nu, atol=1e-10)
+        assert warm.dual_gap <= 1e-7 * (1 + abs(warm.objective))
+
+
+def test_dual_pivots_count_toward_the_cap_and_foreign_bases_start_cold(monkeypatch):
+    r = rng(5)
+    cost, mu, nu = r.random((9, 7)), r.dirichlet(np.ones(9)), r.dirichlet(np.ones(7))
+    _, basis = _transport_simplex(OtProblem(cost, mu, nu))
+    prob = infeasible_neighbours(cost, basis, mu, nu, r, 1)[0]
+    cold = solve_exact_ot(prob)
+    with pytest.raises(SolverFailure):
+        _transport_simplex(prob, max_iters=0, basis=basis)
+    # the smallest cap that solves the warm start is its number of dual pivots
+    k = next(c for c in itertools.count() if _solves_within(prob, c, basis))
+    assert k >= 1
+
+    cold_starts = []
+    northwest = ot._northwest_corner
+    monkeypatch.setattr(ot, "_northwest_corner",
+                        lambda *args: cold_starts.append(1) or northwest(*args))
+    warm, _ = _transport_simplex(prob, max_iters=k, basis=basis)
+    assert not cold_starts and warm.objective == cold.objective
+    # another cost's optimal basis is infeasible here and not dual-feasible
+    # for this cost, so the solve starts cold and still reaches the optimum
+    foreign = (_transport_simplex(OtProblem(r.random((9, 7)), mu, nu))[1] for _ in range(50))
+    foreign = next(b for b in foreign if basis_values(b, prob.mu, prob.nu).min() < -1e-9)
+    cold_starts.clear()
+    warm, _ = _transport_simplex(prob, basis=foreign)
+    assert cold_starts == [1]
+    assert abs(warm.objective - cold.objective) <= 1e-12 * cold.objective
+
+
+@pytest.mark.parametrize("k", [-12, -9, -6, 0, 6, 12])
+def test_objective_scales_with_the_cost(k):
+    s = 10.0 ** k
+    for seed in range(8):
+        r = rng(400 + seed)
+        n, m = r.integers(2, 31, size=2)
+        cost, mu, nu = r.random((n, m)), r.dirichlet(np.ones(n)), r.dirichlet(np.ones(m))
+        want = s * solve_exact_ot(OtProblem(cost, mu, nu)).objective
+        sol = solve_exact_ot(OtProblem(s * cost, mu, nu))
+        assert abs(sol.objective - want) <= 1e-12 * want, (seed, sol.objective / want)
+        assert sol.dual_gap <= 1e-9 * sol.objective
 
 
 def test_degenerate_marginals_with_many_ties_still_solve():
