@@ -222,6 +222,7 @@ def _cmd_select(args, timings, warnings):
         "weights": {str(int(ids[i])): float(sol.weights.weights[i])
                     for i in range(sol.weights.k)},
         "converged": sol.converged,
+        "dual_gap": sol.plan.dual_gap,
     }
     _write_report(args.report, {**payload, "timings_ms": timings}, outputs)
     timings["write"] = (time.perf_counter() - t0) * 1000

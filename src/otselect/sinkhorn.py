@@ -11,8 +11,10 @@ float range, which only the log domain represents.
 Epsilon scaling (Schmitzer 2019; Feydy et al. 2019) starts wide and steps
 down as soon as the column marginal is nearly met at the current level.
 
-Per-iteration cost is O(n*m); the iteration count, not the per-step cost,
-is what the regularization strength buys down.
+The loop converges only linearly, the slower the smaller epsilon. After 50
+unconverged iterations at the target, a damped Newton method on the dual
+(Brauer et al. 2017) finishes in a few dense O((n+m)^3) steps, up to
+n + m = 2000. The c-transform of the final potentials certifies the gap.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .errors import NumericalUnderflow
 
 _SCHEDULE_PERIOD = 100  # most iterations spent at one epsilon above the target
 _LEVEL_TOL = 1e-4  # column violation that ends an epsilon level early
+_NEWTON_AFTER = 50  # loop iterations at the target epsilon before the Newton finish
+_NEWTON_MAX_SIZE = 2000  # largest n + m for the dense Newton system
+_NEWTON_STEPS = 50  # most Newton steps in one finish
 
 
 @dataclass(frozen=True)
@@ -107,15 +112,54 @@ def _round_to_polytope(P: np.ndarray, counts: np.ndarray, row_class: np.ndarray
     return P * (target_col / col)
 
 
+def _newton_finish(D: np.ndarray, f: np.ndarray, g: np.ndarray, eps: float,
+                   counts: np.ndarray, row_class: np.ndarray, tol: float,
+                   steps: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Damped Newton ascent on max sum(g)/m - eps * sum_rj exp((f_r + g_j - D_rj)/eps)
+    s.t. sum_{r in c} f_r = 0 (the loop keeps f's class means equal). Each step
+    solves [[H + delta I, A^T], [A, 0]], A the class indicators; delta keeps it
+    regular when a class carries almost no mass. The Armijo search takes the
+    dual's change by expm1 and rejects non-finite trials. Returns f, g and the
+    residual (column L1 violation plus row spread around the class means)."""
+    n, m = D.shape
+    f, g = f - f.mean(), g + f.mean()
+    K = np.zeros((n + m + counts.size,) * 2)
+    K[n + m + row_class, np.arange(n)] = K[np.arange(n), n + m + row_class] = 1.0
+    for step in range(steps + 1):
+        P = np.exp((f[:, None] + g[None, :] - D) / eps)
+        r, c = P.sum(axis=1), P.sum(axis=0)
+        res = float(np.abs(c - 1.0 / m).sum()
+                    + np.abs(r - _class_means(r, row_class, counts)[row_class]).sum())
+        if res <= tol or step == steps:
+            break
+        H = np.block([[np.diag(r), P], [P.T, np.diag(c)]]) / eps
+        H[np.diag_indices(n + m)] += 1e-12 * H.diagonal().max()
+        K[:n + m, :n + m] = H
+        grad = np.concatenate([r, c - 1.0 / m])  # of the negated dual
+        d = np.linalg.solve(K, np.concatenate([-grad, np.zeros(counts.size)]))[:n + m]
+        df, dg, slope = d[:n], d[n:], float(grad @ d)
+        t = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while not (-t * dg.sum() / m + eps * np.sum(
+                    P * np.expm1(t * (df[:, None] + dg[None, :]) / eps)) <= 1e-4 * t * slope):
+                t *= 0.5
+                if t < 1e-10:
+                    return f, g, res
+        f, g = f + t * df, g + t * dg
+    return f, g, res
+
+
 def _sinkhorn_potentials(D: np.ndarray, counts: np.ndarray, row_class: np.ndarray,
-                         cfg: SinkhornConfig) -> tuple[np.ndarray, np.ndarray, float, bool, float]:
+                         cfg: SinkhornConfig, newton: bool = False
+                         ) -> tuple[np.ndarray, np.ndarray, float, bool, float]:
     """Run the log-domain loop; return the potentials (f, g), the epsilon they
-    belong to, whether the target epsilon converged, and the best column
-    violation met there (inf if the target was never reached).
+    belong to, whether the target epsilon converged, and the best residual
+    met there (inf if the target was never reached).
 
     The plan is exp((f_r + g_j - D_rj) / eps). When the cap is hit
     unconverged at the target epsilon, the best iterate there is returned.
-    The exact class LP also seeds its candidate cells from these potentials.
+    ``newton`` enables the finish (each step counts against ``max_iters``);
+    the exact class LP seeds its candidate cells from the plain loop.
     """
     n, m = D.shape
     d_max = float(D.max())
@@ -126,13 +170,14 @@ def _sinkhorn_potentials(D: np.ndarray, counts: np.ndarray, row_class: np.ndarra
         eps = max(eps_target, 0.1 * d_max)
     else:
         eps = eps_target
+    newton = newton and n + m <= _NEWTON_MAX_SIZE
 
     log_counts = np.log(counts.astype(np.float64))
     target_col = 1.0 / m
 
     best_viol = np.inf
     best_state: tuple | None = None
-    converged = False
+    converged = handoff = False
 
     f = np.zeros(n)
     g = np.zeros(m)
@@ -152,13 +197,22 @@ def _sinkhorn_potentials(D: np.ndarray, counts: np.ndarray, row_class: np.ndarra
             if viol <= cfg.tol:
                 converged = True
                 break
+            if newton and it - level_start == _NEWTON_AFTER:
+                handoff = True
+                break
         g = eps * (-np.log(m) - lse_cols)
         logr = f / eps + _logsumexp((g[None, :] - D) / eps, axis=1)
         logt = _class_means(logr, row_class, counts)
         f = f + eps * (logt[row_class] - logr)
         # rows of class c now sum to exp(logt[c]); rescale to total mass 1
         f -= eps * _logsumexp(log_counts + logt)
-    if best_state is not None and not converged:
+    if handoff:
+        fn, gn, res = _newton_finish(D, f, g, eps, counts, row_class, cfg.tol,
+                                     min(cfg.max_iters - it, _NEWTON_STEPS))
+        if res < best_viol:
+            best_viol, best_state = res, (fn, gn)
+        converged = res <= cfg.tol
+    if best_state is not None and (handoff or not converged):
         f, g = best_state
     return f, g, eps, converged, best_viol
 
@@ -174,17 +228,20 @@ def sinkhorn_class_weights(
     the column marginal exactly and the class row ties to within roundoff.
     If the iteration cap is hit with the marginal violation still above ten
     times the tolerance, the best iterate is returned with a warning flag.
+    The class LP optimum lies in [objective - plan.dual_gap, objective]: the
+    lower end is mean(g) for the class-centred f and its c-transform g.
     """
     D, counts = _check_inputs(D, class_counts)
     cfg = cfg or SinkhornConfig()
     m = D.shape[1]
     row_class = _row_classes(counts)
-    target_col = 1.0 / m
-    f, g, eps, converged, best_viol = _sinkhorn_potentials(D, counts, row_class, cfg)
+    f, g, eps, converged, best_viol = _sinkhorn_potentials(D, counts, row_class, cfg, True)
     P = np.exp((f[:, None] + g[None, :] - D) / eps)
 
     P = _round_to_polytope(P, counts, row_class)
     objective = float(np.sum(D * P))
+    f = f - _class_means(f, row_class, counts)[row_class]
+    dual_gap = max(0.0, objective - float((D - f[:, None]).min(axis=0).mean()))
     row_sums = P.sum(axis=1)
     w = np.bincount(row_class, weights=row_sums, minlength=counts.size)
     weights = ClassWeights(w / w.sum())
@@ -201,8 +258,9 @@ def sinkhorn_class_weights(
     transport = TransportPlan(
         P,
         source_marginal=row_sums,
-        target_marginal=np.full(m, target_col),
+        target_marginal=np.full(m, 1.0 / m),
         objective=objective,
+        dual_gap=dual_gap,
     )
     support_size = int((weights.weights > WEIGHT_CLAMP).sum())
     return ClassWeightSolution(weights, transport, objective, support_size,

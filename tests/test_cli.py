@@ -127,6 +127,8 @@ def test_select_sinkhorn_solver_agrees_roughly(tmp_path, capsys):
                            "--out-weights", out_b, "--solver", "sinkhorn")
     assert code == 0
     assert ent["objective"] <= exact["objective"] * 1.2 + 0.05
+    for report in (exact, ent):
+        assert np.isfinite(report["dual_gap"]) and report["dual_gap"] >= 0
 
 
 def test_pipeline_subcommand(tmp_path, capsys):

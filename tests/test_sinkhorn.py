@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import otselect.sinkhorn
 from otselect import (FeatureMatrix, SinkhornConfig, pairwise_distances,
-                      sinkhorn_class_weights, solve_class_weights)
+                      run_verification_suite, sinkhorn_class_weights, solve_class_weights)
 from otselect.errors import DimensionMismatch
 from otselect.sinkhorn import _logsumexp
 
@@ -31,6 +32,49 @@ def gate03_instance(i):
     src = r.normal(size=(int(counts.sum()), 2)) * 2
     tgt = r.normal(size=(m, 2)) + r.normal(size=2)
     return pairwise_distances(FeatureMatrix(src), FeatureMatrix(tgt)), counts
+
+
+@pytest.fixture(scope="module")
+def small_epsilon_solves():
+    """(name, exact LP, Sinkhorn) for gate 03's 50 instances at
+    eps = 0.001 * mean(D) and for the 8 Sinkhorn solves of the default
+    ``otselect verify`` run, seed 0, which include a 9x4 instance with LP
+    weights [0.25, 0.75, 0] that the loop alone does not solve in 80k
+    iterations."""
+    solves = []
+    for i in range(50):
+        D, counts = gate03_instance(i)
+        cfg = SinkhornConfig(epsilon=0.001 * float(D.mean()))
+        solves.append((f"gate03-{i}", D, counts, sinkhorn_class_weights(D, counts, cfg)))
+    seen = []
+
+    def recording(D, counts, cfg=None):
+        seen.append((D, counts, sinkhorn_class_weights(D, counts, cfg)))
+        return seen[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(otselect.sinkhorn, "sinkhorn_class_weights", recording)
+        run_verification_suite(0, 1000)
+    assert len(seen) == 8 and (9, 4) in [D.shape for D, _, _ in seen]
+    solves += [(f"verify-{i}", *rec) for i, rec in enumerate(seen)]
+    return [(name, solve_class_weights(D, counts), ent) for name, D, counts, ent in solves]
+
+
+def test_no_small_epsilon_solve_hits_the_iteration_cap(small_epsilon_solves):
+    for name, _, ent in small_epsilon_solves:
+        assert ent.converged, name
+        assert ent.warning is None, f"{name}: {ent.warning}"
+
+
+def test_certified_gap_brackets_the_lp(small_epsilon_solves):
+    # the LP optimum lies in [lp - lp_gap, lp] and, by weak duality, in
+    # [objective - dual_gap, objective]; the two intervals must meet
+    for name, lp, ent in small_epsilon_solves:
+        gap = ent.plan.dual_gap
+        assert gap is not None and 0.0 <= gap < np.inf, name
+        roundoff = 1e-12 * (1.0 + lp.objective)
+        assert ent.objective - gap <= lp.objective + roundoff, name
+        assert lp.objective - lp.plan.dual_gap <= ent.objective + roundoff, name
 
 
 def test_rounded_plan_is_feasible():
