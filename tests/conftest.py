@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from otselect import (
     DiscreteJointDistribution,
     FeatureMatrix,
     LabeledDataset,
 )
+
+# Property tests draw the same examples on every run, so tier-1 is
+# deterministic; each test keeps its own max_examples and deadline.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def rng(seed: int) -> np.random.Generator:

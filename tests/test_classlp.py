@@ -9,6 +9,7 @@ from otselect import (
     ClassWeights,
     FeatureMatrix,
     OtProblem,
+    build_scenario,
     pairwise_distances,
     solve_class_weights,
     solve_exact_ot,
@@ -18,6 +19,7 @@ from otselect import (
 from otselect import classlp
 from otselect.classlp import brute_force_class_weights
 from otselect.errors import DimensionMismatch, TooManyClasses
+from otselect.pipeline import sort_by_class
 
 from conftest import rng
 
@@ -177,6 +179,36 @@ def test_restricted_lp_matches_the_full_lp_on_duplicate_rows_and_one_class():
         np.testing.assert_allclose(row_sums, np.repeat(sol.weights.weights / counts, counts),
                                    atol=1e-9)
         np.testing.assert_allclose(sol.plan.plan.sum(axis=0), 1 / 200, atol=1e-9)
+
+
+def test_gate08_sized_lps_take_the_restricted_path(monkeypatch):
+    # gate 08's bound-report LP: 4 source classes of 30 rows against 300
+    # target points, 36,000 cells
+    sc = build_scenario("dda", k_source=4, k_target=3, overlap=0, separation=10.0,
+                        seed=800, per_class=30, per_class_train=100, per_class_test=40)
+    source = sort_by_class(sc.source)
+    D = pairwise_distances(source.features, sc.target_train.features)
+    counts = source.class_counts
+    assert D.shape == (120, 300)
+    calls = []
+    candidates = classlp._candidate_cells
+    monkeypatch.setattr(classlp, "_candidate_cells",
+                        lambda *args: calls.append(1) or candidates(*args))
+    sol = solve_class_weights(D, counts)
+    exact = full_lp(D, counts)
+    assert calls == [1]
+    assert abs(sol.objective - exact.objective) <= 1e-9 * exact.objective
+    np.testing.assert_allclose(sol.weights.weights, exact.weights.weights, rtol=0, atol=1e-9)
+    assert sol.plan.dual_gap <= 1e-9 * (1 + sol.objective)
+
+    # a 60 x 60 instance stays on the LP over every cell
+    def refuse(*args):
+        raise AssertionError("a 3,600-cell LP was solved on a candidate set")
+
+    monkeypatch.setattr(classlp, "_candidate_cells", refuse)
+    D, counts = make_instance(60, k=3, per_class=20, m=60)
+    sol = solve_class_weights(D, counts)
+    assert sol.objective == full_lp(D, counts).objective
 
 
 def test_sinkhorn_routing_for_oversized_instances():

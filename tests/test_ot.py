@@ -20,6 +20,7 @@ from otselect import (
     wasserstein_distance,
 )
 from otselect import ot
+from otselect.classlp import _northwest_corner
 from otselect.errors import InfeasibleMarginals, SolverFailure
 from otselect.ot import _transport_simplex
 
@@ -211,12 +212,15 @@ def test_pivot_cap_raises_solver_failure():
 
 
 def test_pivot_cap_counts_pivots():
-    # The northwest corner puts the mass on the diagonal; the one pivot that
-    # enters cell (1, 0) makes the plan anti-diagonal, which is optimal.
-    prob = OtProblem(np.array([[1.0, 0.0], [0.0, 1.0]]), np.full(2, 0.5), np.full(2, 0.5))
+    # The least-cost start takes (0, 0), then (0, 1) and (1, 1), which puts
+    # the mass on the diagonal; the one pivot that enters cell (1, 0) makes
+    # the plan anti-diagonal, which is optimal.
+    prob = OtProblem(np.array([[0.0, 1.0], [1.0, 5.0]]), np.full(2, 0.5), np.full(2, 0.5))
     with pytest.raises(SolverFailure):
         solve_exact_ot(prob, max_iters=0)
-    assert solve_exact_ot(prob, max_iters=1).objective == 0.0
+    sol = solve_exact_ot(prob, max_iters=1)
+    np.testing.assert_array_equal(sol.plan, [[0.0, 0.5], [0.5, 0.0]])
+    assert sol.objective == 1.0
     with pytest.raises(ValueError):
         solve_exact_ot(prob, max_iters=-1)
     # on a larger problem the smallest cap that solves gives the uncapped solve
@@ -253,7 +257,7 @@ def infeasible_neighbours(cost, basis, mu, nu, r, count, t=0.1):
 
 def test_infeasible_warm_start_is_repaired_without_a_cold_restart(monkeypatch):
     # the optimal basis of one cost stays dual-feasible under other
-    # marginals, so dual pivots repair it and the northwest corner is not used
+    # marginals, so dual pivots repair it and the cold start is not used
     cases = []
     for seed in range(6):
         r = rng(300 + seed)
@@ -264,9 +268,9 @@ def test_infeasible_warm_start_is_repaired_without_a_cold_restart(monkeypatch):
             cases.append((prob, basis, solve_exact_ot(prob)))
 
     def cold_start(*args):
-        raise AssertionError("the solve restarted from the northwest corner")
+        raise AssertionError("the solve restarted cold")
 
-    monkeypatch.setattr(ot, "_northwest_corner", cold_start)
+    monkeypatch.setattr(ot, "_least_cost_start", cold_start)
     for prob, basis, cold in cases:
         warm, _ = _transport_simplex(prob, basis=basis)
         assert abs(warm.objective - cold.objective) <= 1e-12 * abs(cold.objective)
@@ -288,9 +292,9 @@ def test_dual_pivots_count_toward_the_cap_and_foreign_bases_start_cold(monkeypat
     assert k >= 1
 
     cold_starts = []
-    northwest = ot._northwest_corner
-    monkeypatch.setattr(ot, "_northwest_corner",
-                        lambda *args: cold_starts.append(1) or northwest(*args))
+    least_cost = ot._least_cost_start
+    monkeypatch.setattr(ot, "_least_cost_start",
+                        lambda *args: cold_starts.append(1) or least_cost(*args))
     warm, _ = _transport_simplex(prob, max_iters=k, basis=basis)
     assert not cold_starts and warm.objective == cold.objective
     # another cost's optimal basis is infeasible here and not dual-feasible
@@ -301,6 +305,52 @@ def test_dual_pivots_count_toward_the_cap_and_foreign_bases_start_cold(monkeypat
     warm, _ = _transport_simplex(prob, basis=foreign)
     assert cold_starts == [1]
     assert abs(warm.objective - cold.objective) <= 1e-12 * cold.objective
+
+
+def cold_start_problems(family, count):
+    """Random problems of one family: baseline-shaped marginals with 30-40%
+    zero-mass rows, all-equal costs, duplicate rows and columns, or 2 x k
+    and k x 2 shapes."""
+    for s in range(count):
+        r = rng(700 + 100 * ["zero-rows", "equal", "duplicates", "thin"].index(family) + s)
+        n, m = (int(x) for x in r.integers(3, 60, size=2))
+        if family == "thin":
+            n, m = (2, m) if s % 2 else (n, 2)
+        cost, mu, nu = r.random((n, m)), r.dirichlet(np.ones(n)), r.dirichlet(np.ones(m))
+        if family == "zero-rows":
+            mu[r.choice(n, size=round(r.uniform(0.3, 0.4) * n), replace=False)] = 0.0
+            mu /= mu.sum()
+        elif family == "equal":
+            cost = np.full((n, m), r.random())
+        elif family == "duplicates":
+            cost = cost[r.integers(0, n, n)][:, r.integers(0, m, m)]
+        yield OtProblem(cost, mu, nu)
+
+
+@pytest.mark.parametrize("family", ["zero-rows", "equal", "duplicates", "thin"])
+def test_least_cost_start_spans_and_solves_as_the_northwest_corner(family):
+    # the northwest-corner basis, passed as a start, is the cold start the
+    # least-cost one replaced: both span and are feasible for the perturbed
+    # marginals (so the northwest one is used as it stands), and both must
+    # reach the same optimum
+    for prob in cold_start_problems(family, 25):
+        n, m = prob.cost.shape
+        mu_p, nu_p = ot._perturbed(prob.mu, prob.nu)
+        northwest = _northwest_corner(mu_p, nu_p)
+        for start in (ot._least_cost_start(prob.cost, mu_p, nu_p), northwest):
+            tree = ot._basis_tree(*start, prob.cost, n, m)
+            assert tree is not None
+            assert min(tree.values(mu_p, nu_p)) >= 0.0
+        cold, _ = _transport_simplex(prob)
+        old, _ = _transport_simplex(prob, basis=northwest)
+        assert cold.dual_gap <= 1e-9 * (1 + cold.objective)
+        if family == "duplicates":
+            # duplicate lines make several plans optimal, so the two starts
+            # may end on different ones
+            assert abs(cold.objective - old.objective) <= 1e-12 * (1 + old.objective)
+        else:
+            assert cold.objective == old.objective
+            np.testing.assert_array_equal(cold.plan, old.plan)
 
 
 @pytest.mark.parametrize("k", [-12, -9, -6, 0, 6, 12])
