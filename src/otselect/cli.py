@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -159,30 +160,33 @@ def _write_report(path, doc, outputs: list) -> None:
         outputs.append(path)
 
 
+@contextmanager
+def _timed(timings: dict, key: str):
+    """Record the wall time of the ``with`` body, in ms, as ``timings[key]``."""
+    t0 = time.perf_counter()
+    yield
+    timings[key] = (time.perf_counter() - t0) * 1000
+
+
 def _cmd_distance(args, timings, warnings):
-    t0 = time.perf_counter()
-    src = load_feature_matrix(args.source, format=args.format)
-    tgt = load_feature_matrix(args.target, format=args.format)
-    timings["load"] = (time.perf_counter() - t0) * 1000
-    t0 = time.perf_counter()
-    D = pairwise_distances(src, tgt)
-    timings["compute"] = (time.perf_counter() - t0) * 1000
-    t0 = time.perf_counter()
-    save_feature_matrix(FeatureMatrix(D), args.out, format=args.format)
-    timings["write"] = (time.perf_counter() - t0) * 1000
+    with _timed(timings, "load"):
+        src = load_feature_matrix(args.source, format=args.format)
+        tgt = load_feature_matrix(args.target, format=args.format)
+    with _timed(timings, "compute"):
+        D = pairwise_distances(src, tgt)
+    with _timed(timings, "write"):
+        save_feature_matrix(FeatureMatrix(D), args.out, format=args.format)
     return {"rows": int(D.shape[0]), "cols": int(D.shape[1])}, [args.out]
 
 
 def _cmd_ot(args, timings, warnings):
-    t0 = time.perf_counter()
-    cost = load_feature_matrix(args.cost, format=args.format).values
-    n, m = cost.shape
-    mu = load_vector_csv(args.mu) if args.mu else np.full(n, 1.0 / n)
-    nu = load_vector_csv(args.nu) if args.nu else np.full(m, 1.0 / m)
-    timings["load"] = (time.perf_counter() - t0) * 1000
-    t0 = time.perf_counter()
-    plan = solve_exact_ot(OtProblem(cost, mu, nu))
-    timings["solve"] = (time.perf_counter() - t0) * 1000
+    with _timed(timings, "load"):
+        cost = load_feature_matrix(args.cost, format=args.format).values
+        n, m = cost.shape
+        mu = load_vector_csv(args.mu) if args.mu else np.full(n, 1.0 / n)
+        nu = load_vector_csv(args.nu) if args.nu else np.full(m, 1.0 / m)
+    with _timed(timings, "solve"):
+        plan = solve_exact_ot(OtProblem(cost, mu, nu))
     outputs = []
     if args.out_plan:
         save_feature_matrix(FeatureMatrix(plan.plan), args.out_plan, format=args.format)
@@ -191,52 +195,49 @@ def _cmd_ot(args, timings, warnings):
 
 
 def _cmd_select(args, timings, warnings):
-    t0 = time.perf_counter()
-    dataset, ids, mapping = _load_dataset(args.source, args.source_labels, args.format)
-    target = load_feature_matrix(args.target, format=args.format)
-    timings["load"] = (time.perf_counter() - t0) * 1000
+    with _timed(timings, "load"):
+        dataset, ids, mapping = _load_dataset(args.source, args.source_labels, args.format)
+        target = load_feature_matrix(args.target, format=args.format)
 
-    t0 = time.perf_counter()
-    ordered = sort_by_class(dataset)
-    D = pairwise_distances(ordered.features, target)
-    if args.solver == "exact":
-        sol = solve_class_weights(D, ordered.class_counts)
-    else:
-        cfg = SinkhornConfig(epsilon=args.epsilon, max_iters=args.sinkhorn_max_iters,
-                             tol=args.sinkhorn_tol)
-        sol = sinkhorn_class_weights(D, ordered.class_counts, cfg)
-    timings["solve"] = (time.perf_counter() - t0) * 1000
+    with _timed(timings, "solve"):
+        ordered = sort_by_class(dataset)
+        D = pairwise_distances(ordered.features, target)
+        if args.solver == "exact":
+            sol = solve_class_weights(D, ordered.class_counts)
+        else:
+            cfg = SinkhornConfig(epsilon=args.epsilon, max_iters=args.sinkhorn_max_iters,
+                                 tol=args.sinkhorn_tol)
+            sol = sinkhorn_class_weights(D, ordered.class_counts, cfg)
     if sol.warning:
         warnings.append(sol.warning)
 
-    t0 = time.perf_counter()
-    save_class_weights(sol.weights, mapping, args.out_weights)
-    outputs = [args.out_weights]
-    if args.out_plan:
-        save_feature_matrix(FeatureMatrix(sol.plan.plan), args.out_plan,
-                            format=args.format)
-        outputs.append(args.out_plan)
-    payload = {
-        "objective": sol.objective,
-        "support": [int(ids[i]) for i in sol.weights.support()],
-        "weights": {str(int(ids[i])): float(sol.weights.weights[i])
-                    for i in range(sol.weights.k)},
-        "converged": sol.converged,
-        "dual_gap": sol.plan.dual_gap,
-    }
-    _write_report(args.report, {**payload, "timings_ms": timings}, outputs)
-    timings["write"] = (time.perf_counter() - t0) * 1000
+    # the report is written inside the span, so it carries no "write" time
+    with _timed(timings, "write"):
+        save_class_weights(sol.weights, mapping, args.out_weights)
+        outputs = [args.out_weights]
+        if args.out_plan:
+            save_feature_matrix(FeatureMatrix(sol.plan.plan), args.out_plan,
+                                format=args.format)
+            outputs.append(args.out_plan)
+        payload = {
+            "objective": sol.objective,
+            "support": [int(ids[i]) for i in sol.weights.support()],
+            "weights": {str(int(ids[i])): float(sol.weights.weights[i])
+                        for i in range(sol.weights.k)},
+            "converged": sol.converged,
+            "dual_gap": sol.plan.dual_gap,
+        }
+        _write_report(args.report, {**payload, "timings_ms": timings}, outputs)
     return payload, outputs
 
 
 def _cmd_pipeline(args, timings, warnings):
-    t0 = time.perf_counter()
-    source, src_ids, _ = _load_dataset(args.source, args.source_labels, args.format)
-    ttrain, tgt_ids, _ = _load_dataset(args.target_train, args.target_train_labels,
-                                       args.format)
-    ttest, test_ids, _ = _load_dataset(args.target_test, args.target_test_labels,
-                                       args.format)
-    timings["load"] = (time.perf_counter() - t0) * 1000
+    with _timed(timings, "load"):
+        source, src_ids, _ = _load_dataset(args.source, args.source_labels, args.format)
+        ttrain, tgt_ids, _ = _load_dataset(args.target_train, args.target_train_labels,
+                                           args.format)
+        ttest, test_ids, _ = _load_dataset(args.target_test, args.target_test_labels,
+                                           args.format)
     missing = set(test_ids.tolist()) - set(tgt_ids.tolist())
     if missing:
         raise OtselectError(f"test labels {sorted(missing)} never seen in target train")
@@ -246,12 +247,11 @@ def _cmd_pipeline(args, timings, warnings):
     ttest = LabeledDataset(ttest.features, remapped) if (
         remapped != ttest.labels).any() else ttest
 
-    t0 = time.perf_counter()
-    cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
-    result = run_pipeline(source, ttrain, ttest, method=args.method, cfg=cfg,
-                          budget=args.budget, source_class_ids=src_ids,
-                          target_class_ids=tgt_ids)
-    timings["pipeline"] = (time.perf_counter() - t0) * 1000
+    with _timed(timings, "pipeline"):
+        cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
+        result = run_pipeline(source, ttrain, ttest, method=args.method, cfg=cfg,
+                              budget=args.budget, source_class_ids=src_ids,
+                              target_class_ids=tgt_ids)
     warnings.extend(result.warnings)
 
     payload = {
@@ -275,14 +275,13 @@ def _cmd_pipeline(args, timings, warnings):
 
 
 def _cmd_bound(args, timings, warnings):
-    t0 = time.perf_counter()
-    pre = load_head(args.pretrained_head)
-    fine = load_head(args.finetuned_head)
-    sfeat = load_feature_matrix(args.source, format=args.format)
-    sdense, smap = load_labels(args.source_labels)
-    tfeat = load_feature_matrix(args.target, format=args.format)
-    tdense, tmap = load_labels(args.target_labels)
-    timings["load"] = (time.perf_counter() - t0) * 1000
+    with _timed(timings, "load"):
+        pre = load_head(args.pretrained_head)
+        fine = load_head(args.finetuned_head)
+        sfeat = load_feature_matrix(args.source, format=args.format)
+        sdense, smap = load_labels(args.source_labels)
+        tfeat = load_feature_matrix(args.target, format=args.format)
+        tdense, tmap = load_labels(args.target_labels)
 
     source = DiscreteJointDistribution(
         sfeat.values, _external_ids(smap)[sdense], np.full(sdense.size, 1.0 / sdense.size)
@@ -290,9 +289,8 @@ def _cmd_bound(args, timings, warnings):
     target = DiscreteJointDistribution(
         tfeat.values, _external_ids(tmap)[tdense], np.full(tdense.size, 1.0 / tdense.size)
     )
-    t0 = time.perf_counter()
-    report = compute_bound_report(pre, fine, source, target)
-    timings["compute"] = (time.perf_counter() - t0) * 1000
+    with _timed(timings, "compute"):
+        report = compute_bound_report(pre, fine, source, target)
     payload = report.to_json_dict()
     outputs = []
     _write_report(args.report, payload, outputs)
@@ -300,9 +298,8 @@ def _cmd_bound(args, timings, warnings):
 
 
 def _cmd_verify(args, timings, warnings):
-    t0 = time.perf_counter()
-    summary = run_verification_suite(args.seed, args.trials)
-    timings["suite"] = (time.perf_counter() - t0) * 1000
+    with _timed(timings, "suite"):
+        summary = run_verification_suite(args.seed, args.trials)
     if not summary["all_passed"]:
         failed = [c["name"] for c in summary["checks"] if not c["passed"]]
         warnings.append(f"failed checks: {', '.join(failed)}")
@@ -312,28 +309,26 @@ def _cmd_verify(args, timings, warnings):
 def _cmd_synth(args, timings, warnings):
     import os
 
-    t0 = time.perf_counter()
-    sc = build_scenario(args.kind, args.k_source, args.k_target, args.overlap,
-                        args.separation, args.seed, dim=args.dim,
-                        per_class=args.per_class, near=args.near)
-    timings["generate"] = (time.perf_counter() - t0) * 1000
+    with _timed(timings, "generate"):
+        sc = build_scenario(args.kind, args.k_source, args.k_target, args.overlap,
+                            args.separation, args.seed, dim=args.dim,
+                            per_class=args.per_class, near=args.near)
 
-    t0 = time.perf_counter()
-    os.makedirs(args.out_dir, exist_ok=True)
-    ext = "wsf" if args.format == "binary" else "csv"
-    outputs = []
+    with _timed(timings, "write"):
+        os.makedirs(args.out_dir, exist_ok=True)
+        ext = "wsf" if args.format == "binary" else "csv"
+        outputs = []
 
-    def emit(name: str, ds: LabeledDataset, ids: np.ndarray) -> None:
-        fpath = os.path.join(args.out_dir, f"{name}.{ext}")
-        lpath = os.path.join(args.out_dir, f"{name}.lbl")
-        save_feature_matrix(ds.features, fpath, format=args.format)
-        save_labels(ids[ds.labels], lpath)
-        outputs.extend([fpath, lpath])
+        def emit(name: str, ds: LabeledDataset, ids: np.ndarray) -> None:
+            fpath = os.path.join(args.out_dir, f"{name}.{ext}")
+            lpath = os.path.join(args.out_dir, f"{name}.lbl")
+            save_feature_matrix(ds.features, fpath, format=args.format)
+            save_labels(ids[ds.labels], lpath)
+            outputs.extend([fpath, lpath])
 
-    emit("source", sc.source, sc.source_class_ids)
-    emit("target_train", sc.target_train, sc.target_class_ids)
-    emit("target_test", sc.target_test, sc.target_class_ids)
-    timings["write"] = (time.perf_counter() - t0) * 1000
+        emit("source", sc.source, sc.source_class_ids)
+        emit("target_train", sc.target_train, sc.target_class_ids)
+        emit("target_test", sc.target_test, sc.target_class_ids)
     payload = {
         "kind": sc.kind,
         "planted_pairs": [list(p) for p in sc.planted],
@@ -344,14 +339,11 @@ def _cmd_synth(args, timings, warnings):
 
 
 def _cmd_experiment(args, timings, warnings):
-    t0 = time.perf_counter()
-    config = (parse_experiment_config(args.config) if args.config
-              else default_dda_matrix())
-    timings["load"] = (time.perf_counter() - t0) * 1000
-    t0 = time.perf_counter()
-    threads = args.threads if args.threads else None
-    rows = run_experiment_matrix(config, threads=threads)
-    timings["run"] = (time.perf_counter() - t0) * 1000
+    with _timed(timings, "load"):
+        config = (parse_experiment_config(args.config) if args.config
+                  else default_dda_matrix())
+    with _timed(timings, "run"):
+        rows = run_experiment_matrix(config, threads=args.threads or None)
     csv_text = rows_to_csv(rows)
     outputs = []
     if args.out:

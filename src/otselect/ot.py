@@ -8,14 +8,16 @@ cell first, so it begins much closer to the optimum than the northwest
 corner: on the 60-150 x 40-300 solves of ``run_pipeline`` and the bound
 reports it takes about a third fewer pivots.
 
-Degeneracy is removed up front by the standard marginal perturbation (a
-total of 1e-12 spread over the rows in proportion to the row index, and
-1e-12 on the last column), and the perturbation is dropped again when the
-final plan is rebuilt from the optimal basis. The most-negative-reduced-cost
-entering rule is used while progress is made; Bland's rule takes over after
-a run of degenerate pivots so the solve cannot cycle. Reduced costs are
-compared with a tolerance relative to the largest cost, so scaling the cost
-scales the objective and changes nothing else.
+Degeneracy is resolved by an exact symbolic perturbation: each basic value
+carries an integer count of an infinitesimal epsilon next to its mass, as if
+row r supplied r + 1 epsilon more and the last column demanded n(n+1)/2
+more. Masses within 1e-14 of each other are ordered by their counts. With
+this order in the least-cost start, the warm-start test, the dual repair and
+the ratio test, every basis is feasible for the perturbed problem (strongly
+feasible trees: Cunningham 1976; Ahuja, Magnanti & Orlin 1993, §11.5), so
+the solve cannot cycle and the true marginals are never altered.
+Reduced costs are compared with a tolerance relative to the largest cost,
+so scaling the cost scales the objective and changes nothing else.
 
 The basis tree (``_Tree``) is kept as parent, parent-cell and depth arrays
 rooted at row 0, next to the dual potentials (u_0 = 0). A pivot finds its
@@ -49,7 +51,8 @@ from .errors import (
     SupportMismatch,
 )
 
-_PERTURB = 1e-12
+# Masses closer than this count as equal, and their epsilon counts order them.
+_TIE = 1e-14
 
 # A basis: the row and the column index of each of its n + m - 1 cells.
 Basis = tuple[tuple[int, ...], tuple[int, ...]]
@@ -73,8 +76,8 @@ class OtProblem:
             )
         if not np.isfinite(c).all() or c.min() < 0:
             raise MalformedFile("cost matrix must be finite and nonnegative")
-        if mu.min() < 0 or nu.min() < 0:
-            raise InfeasibleMarginals("marginals must be nonnegative")
+        if not (np.isfinite(mu).all() and np.isfinite(nu).all()) or mu.min() < 0 or nu.min() < 0:
+            raise InfeasibleMarginals("marginals must be finite and nonnegative")
         if abs(mu.sum() - 1.0) > 1e-8 or abs(nu.sum() - 1.0) > 1e-8:
             raise InfeasibleMarginals(
                 f"marginals must each sum to 1: {mu.sum():.12g} vs {nu.sum():.12g}"
@@ -84,18 +87,33 @@ class OtProblem:
         object.__setattr__(self, "nu", nu)
 
 
+def _eps_weights(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The perturbation in units of epsilon: row r supplies r + 1 more and
+    the last column demands n(n+1)/2 more, so the two sides still balance."""
+    b = np.zeros(m, dtype=np.int64)
+    b[-1] = n * (n + 1) // 2
+    return np.arange(1, n + 1), b
+
+
+def _lex_less(x: float, kx: int, y: float, ky: int) -> bool:
+    """Whether x + kx·epsilon < y + ky·epsilon for an infinitesimal epsilon."""
+    return x < y - _TIE or (x <= y + _TIE and kx < ky)
+
+
 def _least_cost_start(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int]]:
     """Spanning tree of n+m-1 cells by the least-cost (matrix-minimum) rule.
 
     Cells are taken by increasing cost, ties in row-major order, skipping
     those whose row or column is closed. Each taken cell closes one line:
-    its row when a_i <= b_j, else its column, but never the last open row
-    while columns remain, or the reverse. Every closed line hangs from a line
-    still open, so the cells span. Values are resolved separately.
+    its row when a_i <= b_j by ``_lex_less``, else its column, but never the
+    last open row while columns remain, or the reverse. Every closed line
+    hangs from a line still open, so the cells span, and they are feasible
+    for the perturbed marginals. Values are resolved separately.
     """
     n, m = C.shape
     a = a.tolist()
     b = b.tolist()
+    ka, kb = (w.tolist() for w in _eps_weights(n, m))
     row_open = [True] * n
     col_open = [True] * m
     rows_left, cols_left = n, m
@@ -109,14 +127,16 @@ def _least_cost_start(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[list
         bj.append(j)
         if rows_left + cols_left == 2:
             break
-        if cols_left == 1 or (a[i] <= b[j] and rows_left > 1):
+        if cols_left == 1 or (rows_left > 1 and not _lex_less(b[j], kb[j], a[i], ka[i])):
             row_open[i] = False
             rows_left -= 1
             b[j] -= a[i]
+            kb[j] -= ka[i]
         else:
             col_open[j] = False
             cols_left -= 1
             a[i] -= b[j]
+            ka[i] -= kb[j]
     return bi, bj
 
 
@@ -128,7 +148,7 @@ class _Tree:
     column bj[e]. ``adj`` maps each node to its neighbours and the cells
     joining them; ``parent``, ``pcell`` (the cell to the parent) and ``depth``
     root the tree. ``pot`` holds u then v, with u[0] = 0 and u_i + v_j = C_ij
-    on every basic cell.
+    on every basic cell. Basic cell e has value vals[e] + eps[e]·epsilon.
     """
 
     n: int
@@ -139,6 +159,8 @@ class _Tree:
     pcell: list[int]
     depth: list[int]
     pot: list[float]
+    vals: list[float]
+    eps: list[int]
 
     def values(self, a: np.ndarray, b: np.ndarray) -> list[float]:
         """Basic-cell values for row marginal a and column marginal b: the
@@ -151,6 +173,21 @@ class _Tree:
             net[parent[x]] += net[x]
             vals[pcell[x]] = net[x] if x < n else -net[x]
         return vals
+
+    def child(self, e: int) -> int:
+        """The node that basic cell e joins to its parent."""
+        x = self.bi[e]
+        return x if self.parent[x] == self.n + self.bj[e] else self.n + self.bj[e]
+
+    def least(self, cells) -> int:
+        """The first of ``cells`` whose value is least by ``_lex_less``."""
+        vals, eps = self.vals, self.eps
+        best, v, k = -1, np.inf, 0
+        for e in cells:
+            x = vals[e]
+            if x < v - _TIE or (x <= v + _TIE and eps[e] < k):  # _lex_less, inlined
+                best, v, k = e, x, eps[e]
+        return best
 
     def subtree(self, x: int) -> list[int]:
         """The nodes of the subtree below node x, x included."""
@@ -180,31 +217,35 @@ class _Tree:
         return side_a, side_b
 
     def pivot(self, ei: int, ej: int, side_a: list[int], side_b: list[int],
-              leave: int, theta: float, delta: float, vals: list[float]) -> None:
-        """Swap the cell above node ``leave`` for cell (ei, ej).
+              el: int, delta: float) -> None:
+        """Swap basic cell ``el`` for cell (ei, ej).
 
         ``side_a``/``side_b`` are ``cycle(ei, n + ej)``, the cycle the cell
-        closes, and ``leave`` is on it. Going round it from row ei, cells
-        entered row-first lose theta and the others gain it, so the entering
-        cell takes value theta. The subtree cut off below ``leave`` is re-hung
-        from the entering cell, and its potentials shift by the cell's
-        reduced cost delta.
+        closes, and ``el`` is on it. Going round it from row ei, cells entered
+        row-first lose theta (a mass and an epsilon count) and the others gain
+        it, with theta such that ``el`` ends at zero and the entering cell at
+        theta. The subtree cut off below ``el`` is re-hung from the entering
+        cell, and its potentials shift by the cell's reduced cost delta.
         """
-        n, adj, parent, pcell, depth, pot = (self.n, self.adj, self.parent,
-                                             self.pcell, self.depth, self.pot)
-        for x in side_a:
-            vals[pcell[x]] += -theta if x < n else theta
-        for x in side_b:
-            vals[pcell[x]] += -theta if x >= n else theta
-        el = pcell[leave]
+        n, adj, parent, pcell, depth, pot, vals, eps = (
+            self.n, self.adj, self.parent, self.pcell, self.depth, self.pot,
+            self.vals, self.eps)
+        leave = self.child(el)
+        on_a = leave in side_a
+        sign = 1 if (leave < n) == on_a else -1  # 1 when ``el`` loses theta
+        theta, k = sign * vals[el], sign * eps[el]
+        for side, t, kt in ((side_a, theta, k), (side_b, -theta, -k)):
+            for x in side:  # a row child's cell is entered row-first on side a
+                e = pcell[x]
+                vals[e], eps[e] = (vals[e] - t, eps[e] - kt) if x < n else (vals[e] + t, eps[e] + kt)
         p = parent[leave]
         del adj[leave][p]
         del adj[p][leave]
         self.bi[el], self.bj[el] = ei, ej
-        vals[el] = theta
+        vals[el], eps[el] = theta, k
         adj[ei][n + ej] = el
         adj[n + ej][ei] = el
-        s, t = (ei, n + ej) if leave in side_a else (n + ej, ei)
+        s, t = (ei, n + ej) if on_a else (n + ej, ei)
         parent[s], pcell[s], depth[s] = t, el, depth[t] + 1
         shift = delta if s < n else -delta  # rows move by +shift, columns by -shift
         pot[s] += delta
@@ -219,9 +260,11 @@ class _Tree:
                     stack.append(y)
 
 
-def _basis_tree(bi: list[int], bj: list[int], cost: np.ndarray, n: int, m: int) -> _Tree | None:
-    """The basis tree of cells (bi, bj) with its potentials under ``cost``,
-    or None when the cells do not span every node."""
+def _basis_tree(bi: list[int], bj: list[int], cost: np.ndarray, mu: np.ndarray,
+                nu: np.ndarray) -> _Tree | None:
+    """The basis tree of cells (bi, bj), with potentials under ``cost`` and
+    values for marginals mu and nu; None unless the cells span every node."""
+    n, m = cost.shape
     adj: list[dict[int, int]] = [dict() for _ in range(n + m)]
     for e in range(len(bi)):
         adj[bi[e]][n + bj[e]] = e
@@ -245,7 +288,10 @@ def _basis_tree(bi: list[int], bj: list[int], cost: np.ndarray, n: int, m: int) 
                 stack.append(y)
     if reached < n + m:
         return None
-    return _Tree(n, bi, bj, adj, parent, pcell, depth, pot)
+    tree = _Tree(n, bi, bj, adj, parent, pcell, depth, pot, [], [])
+    tree.vals = tree.values(mu, nu)
+    tree.eps = tree.values(*_eps_weights(n, m))  # the counts depend on the tree alone
+    return tree
 
 
 def _reduced_costs(C: np.ndarray, tree: _Tree, out: np.ndarray) -> np.ndarray:
@@ -256,37 +302,39 @@ def _reduced_costs(C: np.ndarray, tree: _Tree, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dual_repair(tree: _Tree, vals: list[float], C: np.ndarray, rc_tol: float,
+def _dual_repair(tree: _Tree, C: np.ndarray, rc_tol: float,
                  cap: int) -> tuple[_Tree | None, int]:
     """Dual simplex pivots that make a dual-feasible basis primal-feasible.
 
-    Each pivot drops the basic cell of most negative value. That cuts off
-    the subtree below the cell's child node, whose net supply has the wrong
-    sign: a row child's subtree lacks mass, a column child's has too much.
-    The entering cell is the one of least reduced cost from a row outside
-    the subtree to a column inside it (row child), or from a row inside to a
-    column outside (column child). The subtree is re-hung from it, and the
-    reduced costs of the cells across the cut move by the entering cell's,
-    the least of them, so the basis stays dual-feasible. Returns the
-    repaired tree and the pivots made, or None in its place when the basis
-    is not dual-feasible, needs more than n + m pivots or has no entering
-    cell. Raises ``SolverFailure`` when a pivot is due at the cap.
+    Each pivot drops the basic cell of most negative value (by
+    ``_lex_less``). That cuts off the subtree below the cell's child node,
+    whose net supply has the wrong sign: a row child's subtree lacks mass, a
+    column child's has too much. The entering cell is the one of least
+    reduced cost from a row outside the subtree to a column inside it (row
+    child), or from a row inside to a column outside (column child). The
+    subtree is re-hung from it, and the reduced costs of the cells across
+    the cut move by the entering cell's, the least of them, so the basis
+    stays dual-feasible. Returns the repaired tree (as it stands when
+    already feasible) and the pivots made, or None in its place when the
+    basis is infeasible and not dual-feasible, needs more than n + m pivots
+    or has no entering cell. Raises ``SolverFailure`` when a pivot is due at
+    the cap.
     """
     n, m = C.shape
-    rc = _reduced_costs(C, tree, np.empty_like(C))
-    if rc.min() < -rc_tol:
-        return None, 0
     for pivots in range(n + m + 1):
-        e = min(range(len(vals)), key=vals.__getitem__)
-        if vals[e] >= 0.0:
+        low = min(tree.vals) + _TIE  # cells of more mass lose to the least one
+        e = tree.least([f for f, v in enumerate(tree.vals) if v <= low])
+        if not _lex_less(tree.vals[e], tree.eps[e], 0.0, 0):
             return tree, pivots
+        if pivots == 0:
+            rc = _reduced_costs(C, tree, np.empty_like(C))
+            if rc.min() < -rc_tol:
+                return None, 0
         if pivots == n + m:
             break
         if pivots == cap:
             raise SolverFailure(f"transportation simplex hit the {cap}-pivot cap")
-        x = tree.bi[e]
-        if tree.parent[x] != n + tree.bj[e]:
-            x = n + tree.bj[e]
+        x = tree.child(e)
         inside = np.zeros(n + m, dtype=bool)
         inside[tree.subtree(x)] = True
         rows = np.flatnonzero(inside[:n] != (x < n))
@@ -295,26 +343,9 @@ def _dual_repair(tree: _Tree, vals: list[float], C: np.ndarray, rc_tol: float,
             break
         pos = int(rc[rows[:, None], cols].argmin())
         ei, ej = int(rows[pos // cols.size]), int(cols[pos % cols.size])
-        tree.pivot(ei, ej, *tree.cycle(ei, n + ej), x, -vals[e], rc.item(ei, ej), vals)
+        tree.pivot(ei, ej, *tree.cycle(ei, n + ej), e, rc.item(ei, ej))
         _reduced_costs(C, tree, rc)
     return None, pivots
-
-
-def _perturbed(mu: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The marginals perturbed to a generically non-degenerate instance.
-
-    A basis optimal for them is optimal for the original marginals too
-    (optimality depends on the cost only). The rows get a fixed total of
-    _PERTURB, growing with the row index, so perturbed and true basic values
-    differ by at most about _PERTURB at any n, far inside the de-perturbation
-    check of ``_transport_simplex``.
-    """
-    n = mu.size
-    mu_p = mu + (_PERTURB / (n * (n + 1) // 2)) * np.arange(1, n + 1)
-    nu_p = nu.copy()
-    nu_p[-1] += _PERTURB
-    nu_p *= mu_p.sum() / nu_p.sum()
-    return mu_p, nu_p
 
 
 def solve_exact_ot(problem: OtProblem, max_iters: int | None = None) -> TransportPlan:
@@ -333,15 +364,15 @@ def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
     """``solve_exact_ot`` that may start from ``basis`` and returns the final one.
 
     ``basis`` must be a spanning tree of this problem's shape. It is used as
-    it stands when it is primal-feasible for the perturbed marginals. When
-    it is not, but it is dual-feasible for this cost (every reduced cost
-    >= -rc_tol, as the optimal basis of the same cost under other marginals
-    is), dual simplex pivots (``_dual_repair``) first make it feasible. Any
-    other basis, or a repair that would need more than n + m pivots or finds
-    no entering cell, gives way to the cold start, the least-cost basis
-    (``_least_cost_start``) of the perturbed marginals. Dual pivots count
-    toward ``max_iters``. Single-row or single-column problems need no
-    simplex and return None as their basis.
+    it stands when it is feasible for the perturbed marginals (no basic value
+    below zero by ``_lex_less``). When it is not, but it is dual-feasible for
+    this cost (every reduced cost >= -rc_tol, as the optimal basis of the
+    same cost under other marginals is), dual simplex pivots
+    (``_dual_repair``) first make it feasible. Any other basis, or a repair
+    that would need more than n + m pivots or finds no entering cell, gives
+    way to the cold start, the least-cost basis (``_least_cost_start``).
+    Dual pivots count toward ``max_iters``. Single-row or single-column
+    problems need no simplex and return None as their basis.
     """
     C, mu, nu = problem.cost, problem.mu, problem.nu
     n, m = C.shape
@@ -353,7 +384,6 @@ def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
         obj = float(np.sum(C * plan))
         return TransportPlan(plan, mu, nu, obj, dual_gap=0.0), None
 
-    mu_p, nu_p = _perturbed(mu, nu)
     # Relative to the largest cost, so that scaling C scales nothing else.
     c_max = float(C.max(initial=0.0))
     rc_tol = 1e-11 * c_max if c_max > 0.0 else 1e-11
@@ -363,67 +393,36 @@ def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
     done = 0  # pivots made so far
     if (basis is not None and len(basis[0]) == n + m - 1
             and max(basis[0]) < n and max(basis[1]) < m):
-        tree = _basis_tree(list(basis[0]), list(basis[1]), C, n, m)
+        tree = _basis_tree(list(basis[0]), list(basis[1]), C, mu, nu)
         if tree is not None:
-            vals = tree.values(mu_p, nu_p)
-            if min(vals) < 0.0:
-                tree, done = _dual_repair(tree, vals, C, rc_tol, cap)
+            tree, done = _dual_repair(tree, C, rc_tol, cap)
     if tree is None:
-        tree = _basis_tree(*_least_cost_start(C, mu_p, nu_p), C, n, m)
+        tree = _basis_tree(*_least_cost_start(C, mu, nu), C, mu, nu)
         assert tree is not None, "the least-cost start must span"
-        vals = tree.values(mu_p, nu_p)
 
-    degenerate_run = 0
-    bland = False
     rc = np.empty_like(C)
     for pivots in range(done, cap + 1):  # the last pass only checks optimality
         _reduced_costs(C, tree, rc)
-        if bland:
-            flat = np.flatnonzero(rc.ravel() < -rc_tol)
-            if flat.size == 0:
-                break
-            pos = int(flat[0])
-        else:
-            pos = int(rc.argmin())
+        pos = int(rc.argmin())
         delta = rc.item(pos)
         if delta >= -rc_tol:
             break
         if pivots == cap:
             raise SolverFailure(f"transportation simplex hit the {cap}-pivot cap")
         ei, ej = divmod(pos, m)
-
         # Going round the cycle closed by the entering cell from row ei,
         # cells entered row-first lose theta: on ei's side those whose child
         # is a row, on the other side those whose child is a column. The
-        # first minimum in path order leaves.
+        # first least of them in path order leaves.
         side_a, side_b = tree.cycle(ei, n + ej)
         pcell = tree.pcell
-        theta = np.inf
-        leave = -1
-        for x in side_a:
-            if x < n and vals[pcell[x]] < theta:
-                theta = vals[pcell[x]]
-                leave = x
-        for x in reversed(side_b):
-            if x >= n and vals[pcell[x]] < theta:
-                theta = vals[pcell[x]]
-                leave = x
-        tree.pivot(ei, ej, side_a, side_b, leave, theta, delta, vals)
+        el = tree.least([pcell[x] for x in side_a if x < n]
+                        + [pcell[x] for x in reversed(side_b) if x >= n])
+        tree.pivot(ei, ej, side_a, side_b, el, delta)
 
-        if theta <= 1e-14:
-            degenerate_run += 1
-            if degenerate_run > 2 * (n + m):
-                bland = True
-        else:
-            degenerate_run = 0
-            bland = False
-
-    # Rebuild the plan for the unperturbed marginals from the optimal basis.
-    final_vals = np.array(tree.values(mu, nu))
-    if final_vals.min() < -1e-8:
-        raise SolverFailure(f"basis infeasible after de-perturbation: {final_vals.min():.3e}")
+    # The plan for the true marginals, rebuilt from the optimal basis.
     plan = np.zeros((n, m))
-    plan[tree.bi, tree.bj] = np.maximum(final_vals, 0.0)
+    plan[tree.bi, tree.bj] = np.maximum(tree.values(mu, nu), 0.0)
     objective = float(np.sum(C * plan))
 
     # Rigorous certificate: shift u until (u, v) is dual feasible, then gap.

@@ -26,7 +26,7 @@ from .errors import (
     UnknownLabel,
 )
 from .ot import OtProblem, solve_exact_ot
-from .sinkhorn import SinkhornConfig, sinkhorn_class_weights
+from .sinkhorn import SinkhornConfig, _logsumexp, sinkhorn_class_weights
 
 PIPELINE_METHODS = ("wass", "wass-sinkhorn", "all", "rnd", "mn")
 
@@ -104,11 +104,9 @@ class EvalReport:
 
 
 def _softmax(logits: np.ndarray, log: bool = False) -> np.ndarray:
-    """Row softmax of a logit matrix (log-softmax with ``log``), max-shifted."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    return shifted - np.log(total) if log else e / total
+    """Row softmax of a logit matrix (log-softmax with ``log``)."""
+    log_p = logits - _logsumexp(logits, axis=1)[:, None]
+    return log_p if log else np.exp(log_p)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

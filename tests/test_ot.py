@@ -20,7 +20,6 @@ from otselect import (
     wasserstein_distance,
 )
 from otselect import ot
-from otselect.classlp import _northwest_corner
 from otselect.errors import InfeasibleMarginals, SolverFailure
 from otselect.ot import _transport_simplex
 
@@ -66,6 +65,12 @@ def basis_values(basis, mu, nu):
     A[rows, np.arange(rows.size)] = 1.0
     A[n + cols, np.arange(rows.size)] = 1.0
     return np.linalg.lstsq(A, np.concatenate([mu, nu]), rcond=None)[0]
+
+
+def perturbed_feasible(tree):
+    """Whether every basic value is >= 0 once its epsilon count breaks ties:
+    a mass within 1e-14 of zero needs a count >= 0."""
+    return all(v >= 1e-14 or (v >= -1e-14 and k >= 0) for v, k in zip(tree.vals, tree.eps))
 
 
 def check_warm_starts(cost, mu, nu, r):
@@ -192,6 +197,13 @@ def test_marginal_validation():
         OtProblem(np.ones((2, 2)), np.array([0.7, 0.2]), np.array([0.5, 0.5]))
     with pytest.raises(InfeasibleMarginals):
         OtProblem(np.ones((2, 2)), np.array([0.5, 0.5]), np.array([0.9, 0.2]))
+    # a NaN passes both the sign and the sum test, since every comparison
+    # with it is false
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InfeasibleMarginals):
+            OtProblem(np.ones((2, 2)), np.array([bad, 0.5]), np.array([0.5, 0.5]))
+        with pytest.raises(InfeasibleMarginals):
+            OtProblem(np.ones((2, 2)), np.array([0.5, 0.5]), np.array([0.5, bad]))
 
 
 def test_pivot_cap_raises_solver_failure():
@@ -335,12 +347,13 @@ def test_least_cost_start_spans_and_solves_as_the_northwest_corner(family):
     # reach the same optimum
     for prob in cold_start_problems(family, 25):
         n, m = prob.cost.shape
-        mu_p, nu_p = ot._perturbed(prob.mu, prob.nu)
-        northwest = _northwest_corner(mu_p, nu_p)
-        for start in (ot._least_cost_start(prob.cost, mu_p, nu_p), northwest):
-            tree = ot._basis_tree(*start, prob.cost, n, m)
-            assert tree is not None
-            assert min(tree.values(mu_p, nu_p)) >= 0.0
+        # the least-cost rule on costs i + j takes the cells in northwest-
+        # corner order, with the same perturbed comparison as the cold start
+        northwest = ot._least_cost_start(np.add.outer(np.arange(n), np.arange(m)).astype(float),
+                                         prob.mu, prob.nu)
+        for start in (ot._least_cost_start(prob.cost, prob.mu, prob.nu), northwest):
+            tree = ot._basis_tree(*start, prob.cost, prob.mu, prob.nu)
+            assert tree is not None and perturbed_feasible(tree)
         cold, _ = _transport_simplex(prob)
         old, _ = _transport_simplex(prob, basis=northwest)
         assert cold.dual_gap <= 1e-9 * (1 + cold.objective)
@@ -372,6 +385,51 @@ def test_degenerate_marginals_with_many_ties_still_solve():
     u = np.full(8, 0.125)
     sol = solve_exact_ot(OtProblem(cost, u, u))
     assert abs(sol.objective - linprog_ot(cost, u, u)) < 1e-10
+
+
+def highs_ot(cost, mu, nu):
+    """The transport LP by HiGHS at 1e-10 feasibility tolerances; at its
+    default 1e-7 its plans for small masses go negative by up to 6e-8."""
+    n, m = cost.shape
+    A_eq = sp.vstack([sp.kron(sp.eye(n), np.ones((1, m))), sp.kron(np.ones((1, n)), sp.eye(m))])
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(cost.ravel(), A_eq=A_eq, b_eq=np.concatenate([mu, nu]),
+                  bounds=(0, None), method="highs", options=tight)
+    assert res.status == 0
+    return res.fun
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 200), st.integers(2, 200), st.integers(0, 2 ** 31 - 1))
+def test_heavily_degenerate_problems_match_highs_and_warm_starts(n, m, seed):
+    # costs in {0..3} and masses in whole multiples of 1/N, N the power of
+    # two at or above n: partial sums of the marginals coincide everywhere,
+    # so most pivots are degenerate. With a power of two every plan entry and
+    # objective is exact, so all optimal plans share the objective's bits
+    # (with 1/n they can differ in the last bit)
+    r = rng(seed)
+    N = 1 << (n - 1).bit_length()
+    cost = r.integers(0, 4, size=(n, m)).astype(float)
+    mu = r.multinomial(N, np.full(n, 1 / n)) / N
+    nu = r.multinomial(N, np.full(m, 1 / m)) / N
+    prob = OtProblem(cost, mu, nu)
+    cold, cold_basis = _transport_simplex(prob)
+    want = highs_ot(cost, mu, nu)
+    assert abs(cold.objective - want) <= 1e-10 * (1 + want)
+    assert cold.dual_gap <= 1e-10 * (1 + want)
+    # warm start from the optimal basis after one unit of row mass moved
+    near = mu.copy()
+    near[np.flatnonzero(mu)[0]] -= 1 / N
+    near[r.integers(n)] += 1 / N
+    _, basis = _transport_simplex(OtProblem(cost, near, nu))
+    warm, warm_basis = _transport_simplex(prob, basis=basis)
+    assert warm.objective == cold.objective
+    # both end on bases feasible for the perturbed marginals: no zero-mass
+    # cell with a negative epsilon count
+    for bi, bj in (cold_basis, warm_basis):
+        assert perturbed_feasible(ot._basis_tree(list(bi), list(bj), cost, mu, nu))
+    np.testing.assert_array_equal(warm.plan.sum(axis=1), mu)
+    np.testing.assert_array_equal(warm.plan.sum(axis=0), nu)
 
 
 @pytest.mark.parametrize("seed", [9, 15, 50])
