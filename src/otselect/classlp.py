@@ -163,8 +163,8 @@ def _candidate_cells(D: np.ndarray, counts: np.ndarray) -> np.ndarray:
     staircases (kernel truncation, Schmitzer 2019)."""
     from .sinkhorn import SinkhornConfig, _sinkhorn_potentials
 
-    _, g, eps, _, _ = _sinkhorn_potentials(D, counts, _row_classes(counts),
-                                           SinkhornConfig(max_iters=_SEED_ITERS))
+    _, g, eps, _, _, _ = _sinkhorn_potentials(D, counts, _row_classes(counts),
+                                              SinkhornConfig(max_iters=_SEED_ITERS))
     cells = _staircases(counts, D.shape[1])
     for lo, hi in _row_blocks(*D.shape):
         slack = D[lo:hi] - g  # f_r is constant along a row

@@ -34,18 +34,42 @@ def gate03_instance(i):
     return pairwise_distances(FeatureMatrix(src), FeatureMatrix(tgt)), counts
 
 
+def count_logsumexp(mp):
+    """Route the loop's ``_logsumexp`` through a counter; return the
+    one-entry list that holds the number of calls."""
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return _logsumexp(*args, **kwargs)
+
+    mp.setattr(otselect.sinkhorn, "_logsumexp", counting)
+    return calls
+
+
 @pytest.fixture(scope="module")
-def small_epsilon_solves():
+def gate03_small_epsilon():
+    """(name, D, counts, Sinkhorn) for gate 03's 50 instances at
+    eps = 0.001 * mean(D), and the number of ``_logsumexp`` calls the 50
+    solves made."""
+    solves = []
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_logsumexp(mp)
+        for i in range(50):
+            D, counts = gate03_instance(i)
+            cfg = SinkhornConfig(epsilon=0.001 * float(D.mean()))
+            solves.append((f"gate03-{i}", D, counts, sinkhorn_class_weights(D, counts, cfg)))
+    return solves, calls[0]
+
+
+@pytest.fixture(scope="module")
+def small_epsilon_solves(gate03_small_epsilon):
     """(name, exact LP, Sinkhorn) for gate 03's 50 instances at
     eps = 0.001 * mean(D) and for the 8 Sinkhorn solves of the default
     ``otselect verify`` run, seed 0, which include a 9x4 instance with LP
     weights [0.25, 0.75, 0] that the loop alone does not solve in 80k
     iterations."""
-    solves = []
-    for i in range(50):
-        D, counts = gate03_instance(i)
-        cfg = SinkhornConfig(epsilon=0.001 * float(D.mean()))
-        solves.append((f"gate03-{i}", D, counts, sinkhorn_class_weights(D, counts, cfg)))
+    solves = list(gate03_small_epsilon[0])
     seen = []
 
     def recording(D, counts, cfg=None):
@@ -64,6 +88,14 @@ def test_no_small_epsilon_solve_hits_the_iteration_cap(small_epsilon_solves):
     for name, _, ent in small_epsilon_solves:
         assert ent.converged, name
         assert ent.warning is None, f"{name}: {ent.warning}"
+
+
+def test_small_epsilon_loop_work_stays_bounded(gate03_small_epsilon):
+    # the loop makes three _logsumexp calls per iteration (one more at a
+    # check that ends it) and the Newton finish none; with a 1e-4 level tolerance,
+    # Newton after 50 iterations and schedule 0.9 these solves took 147,841
+    _, calls = gate03_small_epsilon
+    assert calls / 3 <= 20_000
 
 
 def test_certified_gap_brackets_the_lp(small_epsilon_solves):
@@ -105,11 +137,14 @@ def test_epsilon_scaling_changes_the_path_not_the_answer():
 
 
 def test_epsilon_levels_end_once_the_marginal_is_met():
-    # a fixed 100 iterations per level would need 7 levels (0.9**7 < 0.5)
-    # to get from 0.1 * max(D) down to this target, so 300 could not converge
+    # at schedule 0.9 a fixed 100 iterations per level would need 7 levels
+    # (0.9**7 < 0.5) to get from 0.1 * max(D) down to this target, so 300
+    # could not converge; at the default 0.5 it is one level, which proves
+    # nothing, hence the explicit schedule
     for i in range(5):
         D, counts = gate03_instance(i)
-        cfg = SinkhornConfig(epsilon=0.05 * float(D.max()), max_iters=300)
+        cfg = SinkhornConfig(epsilon=0.05 * float(D.max()), max_iters=300,
+                             epsilon_schedule=0.9)
         sol = sinkhorn_class_weights(D, counts, cfg)
         assert sol.converged, f"instance {i}"
         assert sol.warning is None
@@ -143,6 +178,17 @@ def test_nonconvergence_is_a_flag_not_an_exception():
     col_dev, spread = feasibility_errors(sol, counts)
     assert col_dev <= 1e-9
     assert spread <= 1e-6
+
+
+def test_nonconvergence_warning_counts_the_iterations_spent(monkeypatch):
+    # one Newton step cannot finish; the warning must count the loop
+    # iterations and that step, not the cap
+    monkeypatch.setattr(otselect.sinkhorn, "_NEWTON_STEPS", 1)
+    calls = count_logsumexp(monkeypatch)
+    D, counts = gate03_instance(0)
+    sol = sinkhorn_class_weights(D, counts, SinkhornConfig(epsilon=0.001 * float(D.mean())))
+    assert not sol.converged and calls[0] % 3 == 1  # the loop broke for the handoff
+    assert sol.warning.endswith(f"after {calls[0] // 3 + 1} iterations")
 
 
 def test_deterministic_given_config():
