@@ -11,13 +11,13 @@ class 0, the next n_2 class 1, and so on.
 
 Large instances are solved exactly on a subset of the plan cells (a sparse
 multiscale scheme after Schmitzer 2016, with the kernel truncation of
-Schmitzer 2019 as the candidate rule). A short log-domain Sinkhorn run marks
-the likely cells, a northwest-corner staircase per class keeps every class
-feasible on its own, and HiGHS solves the LP on that set. Its duals then
-price every cell in row blocks; the cells of negative reduced cost join and
-the LP is solved again, until no cell enters. The duality certificate is
-built from the final duals over all cells, so it is the same certificate as
-for the LP over every cell.
+Schmitzer 2019 as the candidate rule). A short, loosely stopped log-domain
+Sinkhorn run at a small epsilon marks the likely cells, a staircase spanning
+tree per class keeps every class feasible on its own, and HiGHS solves the LP
+on that set. Its duals then price every cell in row blocks; the cells of
+negative reduced cost join and the LP is solved again, until no cell enters.
+The duality certificate is built from the final duals over all cells, so it
+is the same certificate as for the LP over every cell.
 """
 
 from __future__ import annotations
@@ -30,14 +30,18 @@ from scipy.optimize import linprog
 
 from .data import ClassWeights, TransportPlan, WEIGHT_CLAMP
 from .errors import DimensionMismatch, MalformedFile, SolverFailure, TooManyClasses
-from .ot import OtProblem, _transport_simplex
+from .ot import OtProblem, _least_cost_start, _transport_simplex
 
 # Above this many cost entries the LP is solved on a candidate set of cells.
-# Below it the Sinkhorn seed costs more than the full LP saves: on gate-03-
-# shaped instances (2-4 classes, 2-D) the full LP is faster up to about
-# 7,200 cells and the restricted one from 10,000.
-_RESTRICTED_MIN_CELLS = 10_000
-_SEED_ITERS = 300  # Sinkhorn iterations behind the candidate set
+# On gate-03-shaped instances (2-4 classes, 2-D) the two paths tie at about
+# 1,000 cells and the restricted one is 1.5-2.4x faster from 2,000; on gate
+# 01's (at most 540 cells) the full LP is 1.45x faster. Up to 4,000 cells,
+# which holds every LP of gates 01 and 03, the full LP stays: the restricted
+# one would save at most 7 ms each and move their objectives in the last bits.
+_RESTRICTED_MIN_CELLS = 4_000
+_SEED_EPS = 1e-3  # the seed's target epsilon, in units of mean D
+_SEED_TOL = 1e-2  # column violation at which the seed stops
+_SEED_ITERS = 40  # most Sinkhorn iterations behind the candidate set
 _SLACK_WINDOW = 5.0  # candidate slack window, in units of the seed's epsilon
 _BLOCK_CELLS = 1 << 20  # cells per row block when scanning the cost matrix
 
@@ -84,9 +88,9 @@ def solve_class_weights(
 
     The weight variables are eliminated: a per-class auxiliary t_i equals the
     shared row sum of class i and w_i := n_i * t_i is recovered afterwards.
-    Up to 10,000 cost entries the LP holds every plan cell. Larger instances
+    Up to 4,000 cost entries the LP holds every plan cell. Larger instances
     solve it on a candidate set: the cells a short log-domain Sinkhorn run
-    marks as likely, plus a northwest-corner staircase per class. Every cell
+    marks as likely, plus a staircase spanning tree per class. Every cell
     is then priced with the LP duals, the cells with a negative reduced cost
     join the set, and the LP is solved again until none is left, so the
     result is exact at every size. Optimality is certified by a duality gap
@@ -115,56 +119,33 @@ def _row_blocks(n: int, m: int):
         yield lo, min(n, lo + step)
 
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int]]:
-    """Staircase spanning tree of n+m-1 cells; values are resolved separately."""
-    n, m = a.size, b.size
-    a = a.copy()
-    b = b.copy()
-    bi: list[int] = []
-    bj: list[int] = []
-    i = j = 0
-    for _ in range(n + m - 1):
-        bi.append(i)
-        bj.append(j)
-        q = a[i] if a[i] <= b[j] else b[j]
-        a[i] -= q
-        b[j] -= q
-        if i == n - 1 and j == m - 1:
-            break
-        if i == n - 1:
-            j += 1
-        elif j == m - 1:
-            i += 1
-        elif a[i] < b[j]:
-            i += 1
-        elif a[i] > b[j]:
-            j += 1
-        else:
-            i += 1
-    return bi, bj
-
-
 def _staircases(counts: np.ndarray, m: int) -> np.ndarray:
-    """Mask of one northwest-corner staircase per class between its rows and
-    the columns, each under uniform marginals: every class alone is feasible."""
-    cells = np.zeros((int(counts.sum()), m), dtype=bool)
+    """Mask of one staircase spanning tree per class between its rows and the
+    columns, each under uniform marginals: every class alone is feasible. The
+    least-cost rule on the cost i + j takes the cells in northwest-corner order;
+    it runs once per class size, as it scans all of a class's cells."""
     nu = np.full(m, 1.0 / m)
+    trees = {c: _least_cost_start(np.add.outer(np.arange(c), np.arange(m)).astype(float),
+                                  np.full(c, 1.0 / c), nu) for c in set(counts.tolist())}
+    cells = np.zeros((int(counts.sum()), m), dtype=bool)
     start = 0
-    for c in counts:
-        bi, bj = _northwest_corner(np.full(c, 1.0 / c), nu)
+    for c in counts.tolist():
+        bi, bj = trees[c]
         cells[start + np.asarray(bi), bj] = True
         start += c
     return cells
 
 
 def _candidate_cells(D: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Mask of the cells whose slack D_rj - f_r - g_j under a short Sinkhorn
-    run's potentials is within 5 epsilon of their row's smallest, plus the
-    staircases (kernel truncation, Schmitzer 2019)."""
+    """Mask of the cells whose slack D_rj - f_r - g_j under the potentials of
+    a short, loose Sinkhorn run (the _SEED_* constants) is within 5 epsilon of
+    their row's smallest, plus the staircases (kernel truncation, Schmitzer
+    2019). The pricing loop makes up for a loose seed, so it is cut early."""
     from .sinkhorn import SinkhornConfig, _sinkhorn_potentials
 
-    _, g, eps, _, _, _ = _sinkhorn_potentials(D, counts, _row_classes(counts),
-                                              SinkhornConfig(max_iters=_SEED_ITERS))
+    cfg = SinkhornConfig(epsilon=_SEED_EPS * float(D.mean()) or None,  # None: all-zero D
+                         max_iters=_SEED_ITERS, tol=_SEED_TOL)
+    _, g, eps, _, _, _ = _sinkhorn_potentials(D, counts, _row_classes(counts), cfg)
     cells = _staircases(counts, D.shape[1])
     for lo, hi in _row_blocks(*D.shape):
         slack = D[lo:hi] - g  # f_r is constant along a row
@@ -203,9 +184,10 @@ def _solve_on_cells(D: np.ndarray, counts: np.ndarray, cells: np.ndarray
               np.concatenate([np.arange(e), np.arange(e), e + row_class]))),
             shape=(m + n, e + k))
         c = np.concatenate([D[rows, cols], np.zeros(k)])
-        bounds = [(0.0, None)] * e + [(None, None)] * k
+        bounds = np.repeat([[0.0, np.inf], [-np.inf, np.inf]], [e, k], axis=0)
         res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs",
-                      options={"presolve": presolve})
+                      options={"presolve": presolve, "primal_feasibility_tolerance": 1e-9,
+                               "dual_feasibility_tolerance": 1e-9})
         if res.status != 0:
             raise SolverFailure(f"LP solver failed (status {res.status}): {res.message}")
         duals = np.asarray(res.eqlin.marginals, dtype=np.float64)

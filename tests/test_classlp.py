@@ -10,6 +10,7 @@ from otselect import (
     FeatureMatrix,
     OtProblem,
     build_scenario,
+    default_dda_matrix,
     pairwise_distances,
     solve_class_weights,
     solve_exact_ot,
@@ -201,6 +202,21 @@ def test_gate08_sized_lps_take_the_restricted_path(monkeypatch):
     np.testing.assert_allclose(sol.weights.weights, exact.weights.weights, rtol=0, atol=1e-9)
     assert sol.plan.dual_gap <= 1e-9 * (1 + sol.objective)
 
+    # the default matrix's small-target wass LP: 4 source classes of 30 rows
+    # against 40 target points, 4,800 cells
+    sc = default_dda_matrix().scenarios[2]
+    built = build_scenario(sc.kind, sc.k_source, sc.k_target, sc.overlap, sc.separation,
+                           seed=sc.seed * 1009, dim=sc.dim, per_class=sc.per_class,
+                           per_class_train=sc.per_class_train,
+                           per_class_test=sc.per_class_test, near=sc.near)
+    source = sort_by_class(built.source)
+    D = pairwise_distances(source.features, built.target_train.features)
+    assert D.shape == (120, 40)
+    sol = solve_class_weights(D, source.class_counts)
+    exact = full_lp(D, source.class_counts)
+    assert calls == [1, 1]
+    assert abs(sol.objective - exact.objective) <= 1e-9 * exact.objective
+
     # a 60 x 60 instance stays on the LP over every cell
     def refuse(*args):
         raise AssertionError("a 3,600-cell LP was solved on a candidate set")
@@ -209,6 +225,40 @@ def test_gate08_sized_lps_take_the_restricted_path(monkeypatch):
     D, counts = make_instance(60, k=3, per_class=20, m=60)
     sol = solve_class_weights(D, counts)
     assert sol.objective == full_lp(D, counts).objective
+
+
+def test_seed_keeps_a_small_candidate_set_that_needs_one_round():
+    # lp-scale's 300 x 200 shape: 10 source classes of 30 rows against 5
+    # target classes of 40 points
+    sc = build_scenario("dda", 10, 5, 0, 10.0, seed=0, per_class=30, per_class_train=40)
+    source = sort_by_class(sc.source)
+    D = pairwise_distances(source.features, sc.target_train.features)
+    counts = source.class_counts
+    cells = classlp._candidate_cells(D, counts)
+    assert cells.mean() <= 0.15
+    sol, rounds = classlp._solve_on_cells(D, counts, cells)
+    assert rounds == 1
+    assert sol.plan.dual_gap <= 1e-9 * (1 + sol.objective)
+
+
+def test_tight_certificate_on_a_single_class_lp():
+    # 60,000 cells: the restricted path, with every cell priced
+    D, counts = make_instance(3, k=1, per_class=300, m=200)
+    sol = solve_class_weights(D, counts)
+    assert sol.plan.dual_gap <= 1e-9 * (1 + sol.objective)
+
+
+@pytest.mark.parametrize("value", [0.0, 2.5])
+def test_constant_cost_above_the_switch(value):
+    # 10,000 cells of one cost: every coupling is optimal, at that cost
+    D = np.full((100, 100), value)
+    counts = np.array([30, 70])
+    assert D.size > classlp._RESTRICTED_MIN_CELLS
+    sol = solve_class_weights(D, counts)
+    assert abs(sol.objective - value) <= 1e-12 * (1 + value)
+    assert sol.plan.dual_gap <= 1e-9 * (1 + value)
+    assert abs(sol.weights.weights.sum() - 1) < 1e-9
+    np.testing.assert_allclose(sol.plan.plan.sum(axis=0), 1 / 100, atol=1e-12)
 
 
 def test_sinkhorn_routing_for_oversized_instances():
