@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DiscreteJointDistribution, FeatureMatrix
+from .data import DiscreteJointDistribution, FeatureMatrix, TransportPlan
 from .distance import pairwise_distances
 from .errors import (
     DimensionMismatch,
@@ -30,7 +30,9 @@ from .errors import (
 )
 from .ot import (
     OtProblem,
-    conditional_wasserstein_term,
+    _atom_tables,
+    _conditional_term,
+    _label_tv,
     joint_wasserstein,
     solve_exact_ot,
     wasserstein_distance,
@@ -141,17 +143,20 @@ def estimate_rho(head: SoftmaxHead, features: FeatureMatrix) -> tuple[float, flo
             best = max(best, float((dp[keep] / dz[keep]).max()))
     if best < 0.0:
         raise InsufficientSamples("all sample pairs are degenerate")
-    upper = softmax_lipschitz_constant(head.n_classes) * largest_singular_value(
-        head.weight_matrix
-    )
-    return best, upper
+    return best, _rho_upper(head)
 
 
-def _onehot_for_head(joint: DiscreteJointDistribution, head: SoftmaxHead) -> np.ndarray:
+def _rho_upper(head: SoftmaxHead) -> float:
+    """alpha * sigma_max(V), the analytic upper bound on the head's modulus."""
+    return softmax_lipschitz_constant(head.n_classes) * largest_singular_value(head.weight_matrix)
+
+
+def _error_on(head: SoftmaxHead, joint: DiscreteJointDistribution) -> float:
+    """The head's induced error on a joint distribution."""
     pos = head.class_position(joint.labels)
     Y = np.zeros((pos.size, head.n_classes))
     Y[np.arange(pos.size), pos] = 1.0
-    return Y
+    return induced_error(head.predict_proba(joint.features), Y, masses=joint.masses)
 
 
 def check_error_difference_bound(p: DiscreteJointDistribution,
@@ -164,16 +169,9 @@ def check_error_difference_bound(p: DiscreteJointDistribution,
     """
     if p.features.shape[1] != q.features.shape[1]:
         raise DimensionMismatch("joints must share the feature dimension")
-    err_p = induced_error(head.predict_proba(p.features), _onehot_for_head(p, head),
-                          masses=p.masses)
-    err_q = induced_error(head.predict_proba(q.features), _onehot_for_head(q, head),
-                          masses=q.masses)
-    lhs = abs(err_p - err_q)
-    rho_upper = softmax_lipschitz_constant(head.n_classes) * largest_singular_value(
-        head.weight_matrix
-    )
+    lhs = abs(_error_on(head, p) - _error_on(head, q))
     w1 = joint_wasserstein(p, q, label_cost=1.0)
-    rhs = max(rho_upper, 1.0) * w1
+    rhs = max(_rho_upper(head), 1.0) * w1
     return lhs, rhs, bool(lhs <= rhs + 1e-9)
 
 
@@ -260,23 +258,19 @@ def compute_bound_report(pretrained: SoftmaxHead, finetuned: SoftmaxHead,
     if pretrained.weight_matrix.shape != finetuned.weight_matrix.shape:
         raise DimensionMismatch("heads must share the weight-matrix shape")
 
-    src_onehot = _onehot_for_head(source, pretrained)
-    tgt_onehot = _onehot_for_head(target, pretrained)
+    eps_source, pre_target = _error_on(pretrained, source), _error_on(pretrained, target)
+    fine_source, eps_target = _error_on(finetuned, source), _error_on(finetuned, target)
     src_feats = FeatureMatrix(source.features)
     tgt_feats = FeatureMatrix(target.features)
-
-    eps_source = induced_error(pretrained.predict_proba(source.features),
-                               src_onehot, masses=source.masses)
-    eps_target = induced_error(finetuned.predict_proba(target.features),
-                               tgt_onehot, masses=target.masses)
 
     D = pairwise_distances(src_feats, tgt_feats)
     w1_marginal = solve_exact_ot(OtProblem(D, source.masses, target.masses)).objective
     w1_joint = joint_wasserstein(source, target, label_cost=label_cost)
+    _, tp, tq = _atom_tables(source, target)
 
     def _cond(weighting: str) -> float | None:
         try:
-            return conditional_wasserstein_term(source, target, weighting)
+            return _conditional_term(tp, tq, weighting)
         except SupportMismatch:
             return None
 
@@ -285,9 +279,7 @@ def compute_bound_report(pretrained: SoftmaxHead, finetuned: SoftmaxHead,
         rho_hat, rho_upper = estimate_rho(pretrained, stacked)
     except InsufficientSamples:
         rho_hat = None
-        rho_upper = softmax_lipschitz_constant(pretrained.n_classes) * (
-            largest_singular_value(pretrained.weight_matrix)
-        )
+        rho_upper = _rho_upper(pretrained)
 
     alpha = softmax_lipschitz_constant(pretrained.n_classes)
     beta = max(beta_bound(src_feats), beta_bound(tgt_feats))
@@ -297,15 +289,7 @@ def compute_bound_report(pretrained: SoftmaxHead, finetuned: SoftmaxHead,
     bound_value = assemble_transfer_bound(
         eps_source, w1_joint, rho_upper, alpha, beta, sigma_max_diff
     )
-
-    def _joint_err(head: SoftmaxHead) -> float:
-        a = induced_error(head.predict_proba(source.features), src_onehot,
-                          masses=source.masses)
-        b = induced_error(head.predict_proba(target.features), tgt_onehot,
-                          masses=target.masses)
-        return a + b
-
-    lambda_hat = min(_joint_err(pretrained), _joint_err(finetuned))
+    lambda_hat = min(eps_source + pre_target, fine_source + eps_target)
     return BoundReport(
         eps_source=float(eps_source),
         eps_target=float(eps_target),
@@ -397,24 +381,14 @@ def random_joint_pair(rng: np.random.Generator, n_labels: int, dim: int
     return draw(), draw()
 
 
-def _feature_marginals(p: DiscreteJointDistribution, q: DiscreteJointDistribution
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    support: list[np.ndarray] = []
-    index: dict[bytes, int] = {}
-    for joint in (p, q):
-        for i in range(joint.masses.size):
-            key = joint.features[i].tobytes()
-            if key not in index:
-                index[key] = len(support)
-                support.append(joint.features[i])
-
-    def mass(joint: DiscreteJointDistribution) -> np.ndarray:
-        v = np.zeros(len(support))
-        for i in range(joint.masses.size):
-            v[index[joint.features[i].tobytes()]] += joint.masses[i]
-        return v
-
-    return np.stack(support), mass(p), mass(q)
+def _decomposition_terms(p: DiscreteJointDistribution, q: DiscreteJointDistribution
+                         ) -> tuple[float, TransportPlan, np.ndarray, np.ndarray]:
+    """Joint W1, the optimal coupling of the two feature marginals over the
+    shared support, and both (atom x label) mass tables."""
+    Z, tp, tq = _atom_tables(p, q)
+    D = pairwise_distances(FeatureMatrix(Z), FeatureMatrix(Z))
+    marg_plan = solve_exact_ot(OtProblem(D, tp.sum(axis=1), tq.sum(axis=1)))
+    return joint_wasserstein(p, q, label_cost=1.0), marg_plan, tp, tq
 
 
 def decomposition_check(p: DiscreteJointDistribution, q: DiscreteJointDistribution
@@ -426,13 +400,9 @@ def decomposition_check(p: DiscreteJointDistribution, q: DiscreteJointDistributi
     (see the shift-coupling test in the suite), so callers get the measured
     sides and the verdict rather than a guarantee.
     """
-    Z, mp, mq = _feature_marginals(p, q)
-    D = pairwise_distances(FeatureMatrix(Z), FeatureMatrix(Z))
-    w1_marg = solve_exact_ot(OtProblem(D, mp, mq)).objective
-    cond = min(conditional_wasserstein_term(p, q, "source"),
-               conditional_wasserstein_term(p, q, "target"))
-    lhs = joint_wasserstein(p, q, label_cost=1.0)
-    rhs = w1_marg + cond
+    lhs, marg_plan, tp, tq = _decomposition_terms(p, q)
+    cond = min(_conditional_term(tp, tq, "source"), _conditional_term(tp, tq, "target"))
+    rhs = marg_plan.objective + cond
     return float(lhs), float(rhs), bool(lhs <= rhs + 1e-7)
 
 
@@ -447,37 +417,9 @@ def glued_decomposition_check(p: DiscreteJointDistribution,
     on top of that feature coupling yields a feasible joint coupling, so
     this inequality holds for every pair of joints.
     """
-    Z, mp, mq = _feature_marginals(p, q)
-    D = pairwise_distances(FeatureMatrix(Z), FeatureMatrix(Z))
-    marg_plan = solve_exact_ot(OtProblem(D, mp, mq))
-
-    index = {Z[i].tobytes(): i for i in range(Z.shape[0])}
-
-    def conditionals(joint: DiscreteJointDistribution) -> dict[int, dict[int, float]]:
-        out: dict[int, dict[int, float]] = {}
-        for a in range(joint.masses.size):
-            i = index[joint.features[a].tobytes()]
-            y = int(joint.labels[a])
-            out.setdefault(i, {})[y] = out.get(i, {}).get(y, 0.0) + float(joint.masses[a])
-        return out
-
-    cond_p = conditionals(p)
-    cond_q = conditionals(q)
-    labels = sorted({y for side in (cond_p, cond_q) for d in side.values() for y in d})
-    cost01 = 1.0 - np.eye(len(labels))
-
-    def vec(cond: dict[int, float]) -> np.ndarray:
-        v = np.array([cond.get(y, 0.0) for y in labels])
-        return v / v.sum()
-
-    coupled = 0.0
-    P = marg_plan.plan
-    for i in range(P.shape[0]):
-        for j in range(P.shape[1]):
-            if P[i, j] <= 0.0 or i not in cond_p or j not in cond_q:
-                continue
-            coupled += P[i, j] * wasserstein_distance(cost01, vec(cond_p[i]), vec(cond_q[j]))
-    lhs = joint_wasserstein(p, q, label_cost=1.0)
+    lhs, marg_plan, tp, tq = _decomposition_terms(p, q)
+    i, j = np.nonzero(marg_plan.plan > 0.0)
+    coupled = marg_plan.plan[i, j] @ _label_tv(tp[i], tq[j])
     rhs = marg_plan.objective + coupled
     return float(lhs), float(rhs), bool(lhs <= rhs + 1e-7)
 

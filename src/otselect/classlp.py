@@ -30,7 +30,7 @@ from scipy.optimize import linprog
 
 from .data import ClassWeights, TransportPlan, WEIGHT_CLAMP
 from .errors import DimensionMismatch, MalformedFile, SolverFailure, TooManyClasses
-from .ot import OtProblem, _least_cost_start, _transport_simplex
+from .ot import OtProblem, _transport_simplex
 
 # Above this many cost entries the LP is solved on a candidate set of cells.
 # On gate-03-shaped instances (2-4 classes, 2-D) the two paths tie at about
@@ -121,19 +121,16 @@ def _row_blocks(n: int, m: int):
 
 def _staircases(counts: np.ndarray, m: int) -> np.ndarray:
     """Mask of one staircase spanning tree per class between its rows and the
-    columns, each under uniform marginals: every class alone is feasible. The
-    least-cost rule on the cost i + j takes the cells in northwest-corner order;
-    it runs once per class size, as it scans all of a class's cells."""
-    nu = np.full(m, 1.0 / m)
-    trees = {c: _least_cost_start(np.add.outer(np.arange(c), np.arange(m)).astype(float),
-                                  np.full(c, 1.0 / c), nu) for c in set(counts.tolist())}
-    cells = np.zeros((int(counts.sum()), m), dtype=bool)
-    start = 0
-    for c in counts.tolist():
-        bi, bj = trees[c]
-        cells[start + np.asarray(bi), bj] = True
-        start += c
-    return cells
+    columns, each under uniform marginals: every class alone is feasible.
+    Row i of a c-row class covers columns end(i - 1)..end(i), with
+    end(i) = min((i + 1)·m // c, m - 1) and end(-1) = 0: the northwest-corner
+    tree, with ties broken as the perturbed least-cost rule on the cost i + j
+    breaks them."""
+    ends = [np.minimum(np.arange(c + 1) * m // c, m - 1) for c in counts.tolist()]
+    lo = np.concatenate([e[:-1] for e in ends])[:, None]
+    hi = np.concatenate([e[1:] for e in ends])[:, None]
+    cols = np.arange(m)
+    return (lo <= cols) & (cols <= hi)
 
 
 def _candidate_cells(D: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -166,6 +163,9 @@ def _solve_on_cells(D: np.ndarray, counts: np.ndarray, cells: np.ndarray
     k = counts.size
     row_class = _row_classes(counts)
     b_eq = np.concatenate([np.full(m, 1.0 / m), np.zeros(n)])
+    # HiGHS's tolerances are absolute, so it solves on D / max D and the
+    # duals are scaled back: the result is then exact at any cost scale.
+    scale = float(D.max()) or 1.0
     # Presolve stays on up to _RESTRICTED_MIN_CELLS, so those instances keep
     # their optimal vertex; above it, it costs a third of the LP's memory and
     # time.
@@ -183,14 +183,14 @@ def _solve_on_cells(D: np.ndarray, counts: np.ndarray, cells: np.ndarray
              (np.concatenate([cols, m + rows, m + np.arange(n)]),
               np.concatenate([np.arange(e), np.arange(e), e + row_class]))),
             shape=(m + n, e + k))
-        c = np.concatenate([D[rows, cols], np.zeros(k)])
+        c = np.concatenate([D[rows, cols] / scale, np.zeros(k)])
         bounds = np.repeat([[0.0, np.inf], [-np.inf, np.inf]], [e, k], axis=0)
         res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs",
                       options={"presolve": presolve, "primal_feasibility_tolerance": 1e-9,
                                "dual_feasibility_tolerance": 1e-9})
         if res.status != 0:
             raise SolverFailure(f"LP solver failed (status {res.status}): {res.message}")
-        duals = np.asarray(res.eqlin.marginals, dtype=np.float64)
+        duals = scale * np.asarray(res.eqlin.marginals, dtype=np.float64)
         y, z = duals[:m], duals[m:]
 
         # Price every cell: reduced cost D_rj - y_j - z_r.

@@ -10,6 +10,7 @@ from otselect import (
     BoundReport,
     DiscreteJointDistribution,
     FeatureMatrix,
+    OtProblem,
     SoftmaxHead,
     TrainConfig,
     assemble_transfer_bound,
@@ -22,9 +23,12 @@ from otselect import (
     induced_error,
     joint_wasserstein,
     largest_singular_value,
+    pairwise_distances,
     run_verification_suite,
     softmax_lipschitz_constant,
+    solve_exact_ot,
     verify_softmax_lipschitz,
+    wasserstein_distance,
 )
 from otselect import bounds
 from otselect.bounds import (
@@ -262,6 +266,24 @@ def test_glued_decomposition_always_holds():
         lhs, rhs, holds = glued_decomposition_check(p, q)
         assert holds
         assert lhs <= rhs + 1e-7
+
+
+def test_glued_right_side_is_the_per_pair_exact_ot_sum():
+    for seed in range(20):
+        p, q = random_joint_pair_shared_support(rng(900 + seed))
+        # the generator lays out every (atom, label) pair, atom-major, on both sides
+        L = np.unique(p.labels).size
+        tp, tq = p.masses.reshape(-1, L), q.masses.reshape(-1, L)
+        Z = FeatureMatrix(p.features[::L])
+        plan = solve_exact_ot(OtProblem(pairwise_distances(Z, Z), tp.sum(axis=1),
+                                        tq.sum(axis=1)))
+        cost01 = 1.0 - np.eye(L)
+        want = plan.objective + sum(
+            plan.plan[i, j] * wasserstein_distance(cost01, tp[i] / tp[i].sum(),
+                                                   tq[j] / tq[j].sum())
+            for i, j in zip(*np.nonzero(plan.plan > 0.0)))
+        _, rhs, _ = glued_decomposition_check(p, q)
+        assert abs(rhs - want) <= 1e-12
 
 
 def test_glued_bound_is_exact_on_the_shift_witness():

@@ -20,6 +20,7 @@ from otselect import (
 from otselect import classlp
 from otselect.classlp import brute_force_class_weights
 from otselect.errors import DimensionMismatch, TooManyClasses
+from otselect.ot import _least_cost_start
 from otselect.pipeline import sort_by_class
 
 from conftest import rng
@@ -180,6 +181,32 @@ def test_restricted_lp_matches_the_full_lp_on_duplicate_rows_and_one_class():
         np.testing.assert_allclose(row_sums, np.repeat(sol.weights.weights / counts, counts),
                                    atol=1e-9)
         np.testing.assert_allclose(sol.plan.plan.sum(axis=0), 1 / 200, atol=1e-9)
+
+
+@pytest.mark.parametrize("k", range(-12, 13, 3))
+@pytest.mark.parametrize("classes, per_class, m", [(3, 10, 20), (4, 30, 60)],
+                         ids=["full", "restricted"])
+def test_objective_scales_with_the_cost(classes, per_class, m, k):
+    # 30 x 20 takes the full LP, 120 x 60 the candidate set
+    D, counts = make_instance(60, classes, per_class, m)
+    base = solve_class_weights(D, counts).objective
+    sol = solve_class_weights(10.0**k * D, counts)
+    assert abs(sol.objective - 10.0**k * base) <= 1e-9 * 10.0**k * base
+    assert sol.plan.dual_gap <= 1e-9 * sol.objective
+
+
+def test_staircases_are_the_least_cost_trees_on_the_cost_i_plus_j():
+    # every class size 1..40 stacked in one mask, at every column count 1..40
+    counts = np.arange(1, 41)
+    for m in range(1, 41):
+        want = []
+        for c in counts:
+            bi, bj = _least_cost_start(np.add.outer(np.arange(c), np.arange(m)).astype(float),
+                                       np.full(c, 1.0 / c), np.full(m, 1.0 / m))
+            block = np.zeros((c, m), dtype=bool)
+            block[bi, bj] = True
+            want.append(block)
+        np.testing.assert_array_equal(classlp._staircases(counts, m), np.vstack(want))
 
 
 def test_gate08_sized_lps_take_the_restricted_path(monkeypatch):

@@ -20,7 +20,8 @@ from otselect import (
     wasserstein_distance,
 )
 from otselect import ot
-from otselect.errors import InfeasibleMarginals, SolverFailure
+from otselect.bounds import random_joint_pair_shared_support
+from otselect.errors import InfeasibleMarginals, SolverFailure, SupportMismatch
 from otselect.ot import _transport_simplex
 
 from conftest import random_joint, rng
@@ -519,3 +520,29 @@ def test_conditional_term_matches_per_atom_hand_sum():
     want_src = 0.5 * 0.1 + 0.5 * 0.3  # weighted by p's feature marginal
     got = conditional_wasserstein_term(p, q, weighting="source")
     assert abs(got - want_src) < 1e-12
+
+
+@pytest.mark.parametrize("weighting", ["source", "target"])
+def test_conditional_term_is_the_per_atom_exact_ot_sum(weighting):
+    for seed in range(50):
+        p, q = random_joint_pair_shared_support(rng(700 + seed))
+        # the generator lays out every (atom, label) pair, atom-major, on both sides
+        L = np.unique(p.labels).size
+        tp, tq = p.masses.reshape(-1, L), q.masses.reshape(-1, L)
+        w = (tp if weighting == "source" else tq).sum(axis=1)
+        cost01 = 1.0 - np.eye(L)
+        want = sum(w[i] * wasserstein_distance(cost01, tp[i] / tp[i].sum(), tq[i] / tq[i].sum())
+                   for i in range(w.size))
+        assert abs(conditional_wasserstein_term(p, q, weighting) - want) <= 1e-12
+        assert abs(conditional_wasserstein_term(p, q, weighting, label_cost=2.5)
+                   - 2.5 * want) <= 1e-12
+
+
+def test_zero_mass_atom_is_not_support_for_the_conditional_term():
+    z = np.array([[0.0], [1.0]])
+    p = DiscreteJointDistribution(z, np.array([0, 1]), np.array([0.5, 0.5]))
+    q = DiscreteJointDistribution(z, np.array([0, 1]), np.array([1.0, 0.0]))
+    with pytest.raises(SupportMismatch):
+        conditional_wasserstein_term(p, q, weighting="source")
+    # weighted by q, p's mass at z = 1 is ignored, and at z = 0 both laws are label 0
+    assert conditional_wasserstein_term(p, q, weighting="target") == 0.0
