@@ -38,6 +38,7 @@ from .ot import (
     wasserstein_distance,
 )
 from .pipeline import SoftmaxHead, _select_and_train, softmax, weighted_cross_entropy
+from .sinkhorn import sinkhorn_class_weights
 
 _RHO_BLOCK = 1 << 18  # pair-difference entries per row block of estimate_rho
 
@@ -270,7 +271,7 @@ def compute_bound_report(pretrained: SoftmaxHead, finetuned: SoftmaxHead,
 
     def _cond(weighting: str) -> float | None:
         try:
-            return _conditional_term(tp, tq, weighting)
+            return label_cost * _conditional_term(tp, tq, weighting)
         except SupportMismatch:
             return None
 
@@ -563,8 +564,6 @@ def _check_ot_duality(rng: np.random.Generator, instances: int) -> tuple[bool, s
 
 
 def _check_sinkhorn_feasibility(rng: np.random.Generator, instances: int) -> tuple[bool, str]:
-    from .sinkhorn import sinkhorn_class_weights
-
     worst_col = 0.0
     worst_spread = 0.0
     for _ in range(instances):

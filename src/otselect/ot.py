@@ -353,8 +353,9 @@ def solve_exact_ot(problem: OtProblem, max_iters: int | None = None) -> Transpor
 
     Returns a plan whose objective is the exact W1 value; optimality is
     certified by the attached LP duality gap (primal minus a dual-feasible
-    objective built from the terminal potentials). ``max_iters`` caps the
-    number of pivots; a solve that needs more raises ``SolverFailure``.
+    objective built from the terminal potentials), and a gap above 1e-9 of
+    the largest cost raises ``SolverFailure``. ``max_iters`` caps the number
+    of pivots; a solve that needs more raises ``SolverFailure`` too.
     """
     return _transport_simplex(problem, max_iters)[0]
 
@@ -380,7 +381,7 @@ def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
         raise ValueError("max_iters must be nonnegative")
 
     if n == 1 or m == 1:
-        plan = np.outer(mu, nu) / mu.sum() if mu.sum() > 0 else np.zeros((n, m))
+        plan = np.outer(mu, nu) / mu.sum()
         obj = float(np.sum(C * plan))
         return TransportPlan(plan, mu, nu, obj, dual_gap=0.0), None
 
@@ -431,6 +432,8 @@ def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
     violation = max(0.0, float((u[:, None] + v[None, :] - C).max()))
     dual_obj = float(u @ mu + v @ nu) - violation * float(mu.sum())
     gap = max(objective - dual_obj, 0.0)
+    if gap > 1e-9 * c_max:
+        raise SolverFailure(f"transportation simplex duality gap {gap:.3e} above 1e-9 * max C")
     return TransportPlan(plan, mu, nu, objective, dual_gap=gap), (tuple(tree.bi), tuple(tree.bj))
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classlp import ClassWeightSolution, _check_inputs, _row_classes
-from .data import ClassWeights, TransportPlan, WEIGHT_CLAMP
+from .classlp import (ClassWeightSolution, _certified_solution, _check_inputs, _class_means,
+                      _row_classes)
 from .errors import NumericalUnderflow
 
 _SCHEDULE_PERIOD = 100  # most iterations spent at one epsilon above the target
@@ -70,10 +70,6 @@ def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     """
     top = a.max(axis=axis, keepdims=True)
     return np.log(np.exp(a - top).sum(axis=axis)) + top.squeeze(axis)
-
-
-def _class_means(values: np.ndarray, row_class: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    return np.bincount(row_class, weights=values, minlength=counts.size) / counts
 
 
 def _round_to_polytope(P: np.ndarray, counts: np.ndarray, row_class: np.ndarray
@@ -233,35 +229,17 @@ def sinkhorn_class_weights(
     """
     D, counts = _check_inputs(D, class_counts)
     cfg = cfg or SinkhornConfig()
-    m = D.shape[1]
     row_class = _row_classes(counts)
     f, g, eps, converged, best_viol, spent = _sinkhorn_potentials(D, counts, row_class, cfg, True)
-    P = np.exp((f[:, None] + g[None, :] - D) / eps)
-
-    P = _round_to_polytope(P, counts, row_class)
-    objective = float(np.sum(D * P))
-    f = f - _class_means(f, row_class, counts)[row_class]
-    dual_gap = max(0.0, objective - float((D - f[:, None]).min(axis=0).mean()))
+    P = _round_to_polytope(np.exp((f[:, None] + g[None, :] - D) / eps), counts, row_class)
     row_sums = P.sum(axis=1)
-    w = np.bincount(row_class, weights=row_sums, minlength=counts.size)
-    weights = ClassWeights(w / w.sum())
-    spread = float(max(
-        row_sums[s:e].max() - row_sums[s:e].min()
-        for s, e in zip(np.concatenate([[0], np.cumsum(counts)])[:-1], np.cumsum(counts))
-    ))
+    starts = np.cumsum(counts) - counts
+    spread = float((np.maximum.reduceat(row_sums, starts)
+                    - np.minimum.reduceat(row_sums, starts)).max())
     warning = None
     if not converged and best_viol > 10.0 * cfg.tol:
         warning = (f"marginal violation {best_viol:.3e} still above 10*tol after "
                    f"{spent} iterations")
     if spread > 1e-6:
         warning = (warning + "; " if warning else "") + f"class row-sum spread {spread:.3e}"
-    transport = TransportPlan(
-        P,
-        source_marginal=row_sums,
-        target_marginal=np.full(m, 1.0 / m),
-        objective=objective,
-        dual_gap=dual_gap,
-    )
-    support_size = int((weights.weights > WEIGHT_CLAMP).sum())
-    return ClassWeightSolution(weights, transport, objective, support_size,
-                               converged=converged, warning=warning)
+    return _certified_solution(D, counts, P, f, row_sums, converged=converged, warning=warning)

@@ -8,6 +8,7 @@ from otselect import (
     DiscreteJointDistribution,
     FeatureMatrix,
     LabeledDataset,
+    pairwise_distances,
 )
 
 # Property tests draw the same examples on every run, so tier-1 is
@@ -18,6 +19,29 @@ settings.load_profile("deterministic")
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def gate01_instance(i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The i-th instance of acceptance gate 01 (k <= 3, at most 30 x 30)."""
+    r = np.random.default_rng(1000 + i)
+    k = int(r.integers(1, 4))
+    hi = 24 if k == 3 else 30
+    counts = np.minimum(r.integers(2, max(3, hi // k) + 1, size=k), 30 // k)
+    m = int(r.integers(6, hi + 1))
+    src = r.normal(size=(int(counts.sum()), 2))
+    tgt = r.normal(size=(m, 2)) + r.normal(size=2)
+    return pairwise_distances(FeatureMatrix(src), FeatureMatrix(tgt)), counts
+
+
+def gate03_instance(i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The i-th instance of acceptance gate 03 (mixed k, n and m)."""
+    r = np.random.default_rng(3000 + i)
+    k = int(r.integers(2, 5))
+    counts = np.minimum(r.integers(3, max(4, 60 // k) + 1, size=k), 60 // k)
+    m = int(r.integers(8, 61))
+    src = r.normal(size=(int(counts.sum()), 2)) * 2
+    tgt = r.normal(size=(m, 2)) + r.normal(size=2)
+    return pairwise_distances(FeatureMatrix(src), FeatureMatrix(tgt)), counts
 
 
 def random_matrix(seed: int, n: int, d: int, scale: float = 1.0) -> FeatureMatrix:

@@ -17,6 +17,7 @@ from otselect import (
     beta_bound,
     check_error_difference_bound,
     compute_bound_report,
+    conditional_wasserstein_term,
     decomposition_check,
     end_to_end_bound_report,
     estimate_rho,
@@ -363,6 +364,16 @@ def test_conditional_terms_are_none_without_shared_support():
     rep = compute_bound_report(head, head, p, q)
     assert rep.cond_term_source is None and rep.cond_term_target is None
     assert rep.sigma_max_diff == 0.0
+
+
+def test_label_cost_scales_the_reported_conditional_terms():
+    p, q = random_joint_pair_shared_support(rng(3))
+    labels = np.union1d(p.labels, q.labels)
+    head = SoftmaxHead(rng(4).normal(size=(labels.size, 2)), labels)
+    for cost in (1.0, 2.5):
+        rep = compute_bound_report(head, head, p, q, label_cost=cost)
+        assert rep.cond_term_source == conditional_wasserstein_term(p, q, "source", cost)
+        assert rep.cond_term_target == conditional_wasserstein_term(p, q, "target", cost)
 
 
 def test_label_cost_scales_the_joint_distance():

@@ -19,11 +19,11 @@ from otselect import (
 )
 from otselect import classlp
 from otselect.classlp import brute_force_class_weights
-from otselect.errors import DimensionMismatch, TooManyClasses
+from otselect.errors import DimensionMismatch, SolverFailure, TooManyClasses
 from otselect.ot import _least_cost_start
 from otselect.pipeline import sort_by_class
 
-from conftest import rng
+from conftest import gate01_instance, gate03_instance, rng
 
 
 def make_instance(seed, k, per_class, m, shift=0.5):
@@ -273,6 +273,57 @@ def test_tight_certificate_on_a_single_class_lp():
     D, counts = make_instance(3, k=1, per_class=300, m=200)
     sol = solve_class_weights(D, counts)
     assert sol.plan.dual_gap <= 1e-9 * (1 + sol.objective)
+
+
+def recording_linprog(monkeypatch, perturb=None):
+    """Route classlp's HiGHS calls through a recorder; return the list that
+    collects each call's equality duals (after ``perturb``, if given)."""
+    marginals = []
+    linprog = classlp.linprog
+
+    def record(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        if perturb is not None:
+            res.eqlin.marginals = perturb(np.asarray(res.eqlin.marginals))
+        marginals.append(np.array(res.eqlin.marginals))
+        return res
+
+    monkeypatch.setattr(classlp, "linprog", record)
+    return marginals
+
+
+def reduced_cost_gap(D, counts, marginals, objective):
+    """The gap certified by HiGHS's duals (y, z) for D / max D through the
+    reduced costs: mean(y) less the most negative reduced cost over every
+    cell and the largest class sum of z."""
+    n, m = D.shape
+    duals = (float(D.max()) or 1.0) * marginals
+    y, z = duals[:m], duals[m:]
+    b_eq = np.concatenate([np.full(m, 1.0 / m), np.zeros(n)])
+    rc_min = float((D - (y + z[:, None])).min())
+    viol_t = float(np.abs(np.bincount(np.repeat(np.arange(counts.size), counts),
+                                      weights=z, minlength=counts.size)).max())
+    return max(0.0, objective - (float(b_eq @ duals) - max(0.0, -rc_min) - viol_t))
+
+
+def test_c_transform_certificate_is_never_looser_than_the_reduced_cost_one(monkeypatch):
+    marginals = recording_linprog(monkeypatch)
+    instances = ([gate01_instance(i) for i in range(100)]
+                 + [gate03_instance(i) for i in range(50)]
+                 + [make_instance(3, k=3, per_class=40, m=60)])  # 7,200 cells: restricted
+    for D, counts in instances:
+        sol = solve_class_weights(D, counts)
+        assert sol.plan.dual_gap <= reduced_cost_gap(D, counts, marginals[-1], sol.objective)
+
+
+def test_corrupted_lp_duals_raise(monkeypatch):
+    # any row duals give a lower bound, but these give a loose one: the
+    # solver must refuse the result rather than report the gap
+    noise = rng(5)
+    recording_linprog(monkeypatch, lambda y: y + 1e-3 * noise.standard_normal(y.size))
+    D, counts = make_instance(30, k=3, per_class=4, m=9)
+    with pytest.raises(SolverFailure, match="duality gap"):
+        solve_class_weights(D, counts)
 
 
 @pytest.mark.parametrize("value", [0.0, 2.5])

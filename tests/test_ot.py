@@ -247,6 +247,18 @@ def test_pivot_cap_counts_pivots():
     assert capped.objective == full.objective and capped_basis == full_basis
 
 
+def test_a_loop_stopped_short_of_the_optimum_raises(monkeypatch):
+    # pricing that hides the negative reduced costs stops the loop at the
+    # least-cost start, which is not optimal here (it needs pivots); the
+    # certificate, built from the tree's own potentials, must refuse it
+    prob = OtProblem(rng(2).random((6, 6)), np.full(6, 1 / 6), np.full(6, 1 / 6))
+    reduced_costs = ot._reduced_costs
+    monkeypatch.setattr(ot, "_reduced_costs", lambda C, tree, out: np.maximum(
+        reduced_costs(C, tree, out), 0.0, out=out))
+    with pytest.raises(SolverFailure, match="duality gap"):
+        solve_exact_ot(prob)
+
+
 def _solves_within(prob, max_iters, basis=None):
     try:
         _transport_simplex(prob, max_iters=max_iters, basis=basis)

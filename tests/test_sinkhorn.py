@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import otselect.bounds
 import otselect.sinkhorn
 from otselect import (FeatureMatrix, SinkhornConfig, pairwise_distances,
                       run_verification_suite, sinkhorn_class_weights, solve_class_weights)
 from otselect.errors import DimensionMismatch
 from otselect.sinkhorn import _logsumexp
 
+from conftest import gate03_instance
 from test_classlp import make_instance
 
 
@@ -21,17 +23,6 @@ def feasibility_errors(sol, counts):
     row_class = np.repeat(np.arange(len(counts)), counts)
     spread = max(float(np.ptp(row_sums[row_class == i])) for i in range(len(counts)))
     return col_dev, spread
-
-
-def gate03_instance(i):
-    """The i-th instance of acceptance gate 03 (mixed k, n and m)."""
-    r = np.random.default_rng(3000 + i)
-    k = int(r.integers(2, 5))
-    counts = np.minimum(r.integers(3, max(4, 60 // k) + 1, size=k), 60 // k)
-    m = int(r.integers(8, 61))
-    src = r.normal(size=(int(counts.sum()), 2)) * 2
-    tgt = r.normal(size=(m, 2)) + r.normal(size=2)
-    return pairwise_distances(FeatureMatrix(src), FeatureMatrix(tgt)), counts
 
 
 def count_logsumexp(mp):
@@ -77,7 +68,7 @@ def small_epsilon_solves(gate03_small_epsilon):
         return seen[-1][2]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(otselect.sinkhorn, "sinkhorn_class_weights", recording)
+        mp.setattr(otselect.bounds, "sinkhorn_class_weights", recording)
         run_verification_suite(0, 1000)
     assert len(seen) == 8 and (9, 4) in [D.shape for D, _, _ in seen]
     solves += [(f"verify-{i}", *rec) for i, rec in enumerate(seen)]
