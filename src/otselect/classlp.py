@@ -30,7 +30,7 @@ from scipy.optimize import linprog
 
 from .data import ClassWeights, TransportPlan, WEIGHT_CLAMP
 from .errors import DimensionMismatch, MalformedFile, SolverFailure, TooManyClasses
-from .ot import OtProblem, _transport_simplex
+from .ot import _limits, _solve
 
 # Above this many cost entries the LP is solved on a candidate set of cells.
 # On gate-03-shaped instances (2-4 classes, 2-D) the two paths tie at about
@@ -251,13 +251,16 @@ def _certified_solution(D: np.ndarray, counts: np.ndarray, plan: np.ndarray, f: 
 # ============================================================
 
 
-def _grid_compositions(k: int, steps: int):
-    """Integer vectors of length k summing to `steps`, lexicographic order."""
+def _grid_walk(k: int, steps: int, reverse: bool = False):
+    """Integer vectors of length k summing to ``steps``, in serpentine order:
+    the walk over the entries after the first runs forward at an even first
+    entry and backward at an odd one, so consecutive vectors differ by one
+    unit moved between two entries. ``reverse`` yields the walk backwards."""
     if k == 1:
         yield (steps,)
         return
-    for head in range(steps + 1):
-        for tail in _grid_compositions(k - 1, steps - head):
+    for head in (range(steps, -1, -1) if reverse else range(steps + 1)):
+        for tail in _grid_walk(k - 1, steps - head, (head % 2 == 1) != reverse):
             yield (head,) + tail
 
 
@@ -274,13 +277,12 @@ def brute_force_class_weights(
     order wins. The minimum over a finite subset of the feasible set, so
     the result is always >= the LP optimum. Supports up to 4 classes.
 
-    The points are walked in lexicographic order, where most consecutive
-    points differ by one step of weight between the last two classes. Each
-    solve starts from the final basis of the point before it: every point
-    shares the cost, so that basis stays optimal (dual-feasible) and is
-    reused as it is when it is feasible for the new marginals; otherwise a
-    few dual simplex pivots repair it, and the solve starts cold from the
-    least-cost basis only when the repair would take more than n + m pivots.
+    The points are walked in serpentine order (``_grid_walk``), one step of
+    weight between two classes at a time, and one basis tree, with its
+    potentials, is carried from each solve to the next (``ot._solve``). All
+    points share the cost, so the tree stays dual-feasible, and a few dual
+    simplex pivots repair it when it is not feasible at once. Each point is
+    still certified by its duality gap and the marginals of its plan.
     """
     D, counts = _check_inputs(D, class_counts)
     k = counts.size
@@ -291,16 +293,18 @@ def brute_force_class_weights(
     steps = max(1, round(1.0 / grid_step))
 
     nu = np.full(D.shape[1], 1.0 / D.shape[1])
-    best_obj, best_comp = np.inf, ()
-    basis = None
-    for comp in _grid_compositions(k, steps):
-        w = np.asarray(comp, dtype=np.float64) / steps
-        plan, basis = _transport_simplex(OtProblem(D, np.repeat(w / counts, counts), nu),
-                                         basis=basis)
-        if plan.objective < best_obj:  # strict: the earlier point wins a tie
-            best_obj, best_comp = plan.objective, comp
-    w = np.asarray(best_comp, dtype=np.float64) / steps
-    return ClassWeights(w / w.sum()), float(best_obj)
+    limits = _limits(D)
+    best, tree = (np.inf, ()), None
+    for comp in _grid_walk(k, steps):
+        mu = np.repeat(np.asarray(comp, dtype=np.float64) / steps / counts, counts)
+        if tree is not None:
+            tree.vals = tree.values(mu, nu)
+        plan, objective, _, tree = _solve(D, mu, nu, tree, *limits)
+        if max(np.abs(plan.sum(axis=1) - mu).max(), np.abs(plan.sum(axis=0) - nu).max()) > 1e-7:
+            raise SolverFailure(f"grid point {comp}: plan marginals off by more than 1e-7")
+        best = min(best, (objective, comp))  # ties go to the first point in lexicographic order
+    w = np.asarray(best[1], dtype=np.float64) / steps
+    return ClassWeights(w / w.sum()), float(best[0])
 
 
 def weights_to_sample_probabilities(w: ClassWeights, labels: np.ndarray) -> np.ndarray:

@@ -25,11 +25,11 @@ cycle by walking both ends of the entering cell up to their common ancestor.
 The leaving cell cuts off one subtree; it is re-hung from the entering cell
 and only its potentials move, all by the entering cell's reduced cost.
 
-A solve may also start from a given basis (``_transport_simplex``).
-Optimality of a basis depends on the cost alone, so a sequence of solves
-over one cost with nearby marginals, as in the grid oracle of ``classlp``,
-passes each solve's final basis to the next. A basis that is feasible for
-the new marginals is optimal at once. One that is not is still
+A solve may also start from a given basis tree (``_solve``). Optimality of
+a basis depends on the cost alone, so a sequence of solves over one cost
+with nearby marginals, as in the grid oracle of ``classlp``, carries one
+tree, with its potentials, from each solve to the next. A basis that is
+feasible for the new marginals is optimal at once. One that is not is still
 dual-feasible, and is repaired by the dual network simplex (Ahuja, Magnanti
 & Orlin 1993, *Network Flows*, ch. 11): the most negative basic cell leaves,
 and the cheapest cell across the cut it opens enters, through the same
@@ -111,8 +111,7 @@ def _least_cost_start(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[list
     for the perturbed marginals. Values are resolved separately.
     """
     n, m = C.shape
-    a = a.tolist()
-    b = b.tolist()
+    a, b = a.tolist(), b.tolist()
     ka, kb = (w.tolist() for w in _eps_weights(n, m))
     row_open = [True] * n
     col_open = [True] * m
@@ -239,12 +238,10 @@ class _Tree:
                 e = pcell[x]
                 vals[e], eps[e] = (vals[e] - t, eps[e] - kt) if x < n else (vals[e] + t, eps[e] + kt)
         p = parent[leave]
-        del adj[leave][p]
-        del adj[p][leave]
+        del adj[leave][p], adj[p][leave]
         self.bi[el], self.bj[el] = ei, ej
         vals[el], eps[el] = theta, k
-        adj[ei][n + ej] = el
-        adj[n + ej][ei] = el
+        adj[ei][n + ej] = adj[n + ej][ei] = el
         s, t = (ei, n + ej) if on_a else (n + ej, ei)
         parent[s], pcell[s], depth[s] = t, el, depth[t] + 1
         shift = delta if s < n else -delta  # rows move by +shift, columns by -shift
@@ -267,26 +264,18 @@ def _basis_tree(bi: list[int], bj: list[int], cost: np.ndarray, mu: np.ndarray,
     n, m = cost.shape
     adj: list[dict[int, int]] = [dict() for _ in range(n + m)]
     for e in range(len(bi)):
-        adj[bi[e]][n + bj[e]] = e
-        adj[n + bj[e]][bi[e]] = e
-    parent = [-1] * (n + m)
-    pcell = [-1] * (n + m)
-    depth = [0] * (n + m)
-    pot = [0.0] * (n + m)
-    seen = [False] * (n + m)
-    seen[0] = True
-    reached = 1
+        adj[bi[e]][n + bj[e]] = adj[n + bj[e]][bi[e]] = e
+    parent, pcell = [-1] * (n + m), [-1] * (n + m)  # parent -1: the root, or not reached yet
+    depth, pot = [0] * (n + m), [0.0] * (n + m)
     stack = [0]
     while stack:
         x = stack.pop()
         for y, e in adj[x].items():
-            if not seen[y]:
-                seen[y] = True
-                reached += 1
+            if y and parent[y] < 0:
                 parent[y], pcell[y], depth[y] = x, e, depth[x] + 1
                 pot[y] = cost.item(bi[e], bj[e]) - pot[x]
                 stack.append(y)
-    if reached < n + m:
+    if -1 in parent[1:]:
         return None
     tree = _Tree(n, bi, bj, adj, parent, pcell, depth, pot, [], [])
     tree.vals = tree.values(mu, nu)
@@ -306,19 +295,16 @@ def _dual_repair(tree: _Tree, C: np.ndarray, rc_tol: float,
                  cap: int) -> tuple[_Tree | None, int]:
     """Dual simplex pivots that make a dual-feasible basis primal-feasible.
 
-    Each pivot drops the basic cell of most negative value (by
-    ``_lex_less``). That cuts off the subtree below the cell's child node,
-    whose net supply has the wrong sign: a row child's subtree lacks mass, a
-    column child's has too much. The entering cell is the one of least
-    reduced cost from a row outside the subtree to a column inside it (row
-    child), or from a row inside to a column outside (column child). The
-    subtree is re-hung from it, and the reduced costs of the cells across
-    the cut move by the entering cell's, the least of them, so the basis
-    stays dual-feasible. Returns the repaired tree (as it stands when
-    already feasible) and the pivots made, or None in its place when the
-    basis is infeasible and not dual-feasible, needs more than n + m pivots
-    or has no entering cell. Raises ``SolverFailure`` when a pivot is due at
-    the cap.
+    Each pivot drops the basic cell of most negative value (by ``_lex_less``),
+    which cuts off the subtree below its child node: a row child's subtree
+    lacks mass, a column child's has too much. The cell of least reduced cost
+    from a row outside the subtree to a column inside it (row child), or the
+    reverse (column child), enters; the reduced costs across the cut move by
+    its own, the least of them, so the basis stays dual-feasible. Returns the
+    repaired tree (as it stands when already feasible) and the pivots made,
+    or None in its place when the basis is infeasible and not dual-feasible
+    (a reduced cost below -rc_tol), needs more than n + m pivots or has no
+    entering cell. Raises ``SolverFailure`` when a pivot is due at the cap.
     """
     n, m = C.shape
     for pivots in range(n + m + 1):
@@ -362,41 +348,49 @@ def solve_exact_ot(problem: OtProblem, max_iters: int | None = None) -> Transpor
 
 def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
                        basis: Basis | None = None) -> tuple[TransportPlan, Basis | None]:
-    """``solve_exact_ot`` that may start from ``basis`` and returns the final one.
-
-    ``basis`` must be a spanning tree of this problem's shape. It is used as
-    it stands when it is feasible for the perturbed marginals (no basic value
-    below zero by ``_lex_less``). When it is not, but it is dual-feasible for
-    this cost (every reduced cost >= -rc_tol, as the optimal basis of the
-    same cost under other marginals is), dual simplex pivots
-    (``_dual_repair``) first make it feasible. Any other basis, or a repair
-    that would need more than n + m pivots or finds no entering cell, gives
-    way to the cold start, the least-cost basis (``_least_cost_start``).
-    Dual pivots count toward ``max_iters``. Single-row or single-column
-    problems need no simplex and return None as their basis.
-    """
+    """``solve_exact_ot`` that may start from ``basis``, a spanning tree of
+    this problem's shape (used as ``_solve`` says), and returns the final
+    basis: None for single-row or single-column problems."""
     C, mu, nu = problem.cost, problem.mu, problem.nu
     n, m = C.shape
-    if max_iters is not None and max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
-
-    if n == 1 or m == 1:
-        plan = np.outer(mu, nu) / mu.sum()
-        obj = float(np.sum(C * plan))
-        return TransportPlan(plan, mu, nu, obj, dual_gap=0.0), None
-
-    # Relative to the largest cost, so that scaling C scales nothing else.
-    c_max = float(C.max(initial=0.0))
-    rc_tol = 1e-11 * c_max if c_max > 0.0 else 1e-11
-    cap = max_iters if max_iters is not None else 20 * n * m + 50 * (n + m) + 200
-
     tree = None
-    done = 0  # pivots made so far
     if (basis is not None and len(basis[0]) == n + m - 1
             and max(basis[0]) < n and max(basis[1]) < m):
         tree = _basis_tree(list(basis[0]), list(basis[1]), C, mu, nu)
-        if tree is not None:
-            tree, done = _dual_repair(tree, C, rc_tol, cap)
+    plan, objective, gap, tree = _solve(C, mu, nu, tree, *_limits(C, max_iters))
+    return (TransportPlan(plan, mu, nu, objective, dual_gap=gap),
+            None if tree is None else (tuple(tree.bi), tuple(tree.bj)))
+
+
+def _limits(C: np.ndarray, max_iters: int | None = None) -> tuple[float, int]:
+    """The reduced-cost tolerance, relative to the largest cost so that
+    scaling C scales nothing else, and the pivot cap."""
+    if max_iters is not None and max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
+    c_max = float(C.max(initial=0.0))
+    n, m = C.shape
+    return (1e-11 * c_max if c_max > 0.0 else 1e-11,
+            max_iters if max_iters is not None else 20 * n * m + 50 * (n + m) + 200)
+
+
+def _solve(C: np.ndarray, mu: np.ndarray, nu: np.ndarray, tree: _Tree | None,
+           rc_tol: float, cap: int) -> tuple[np.ndarray, float, float, _Tree | None]:
+    """The optimal plan, its objective, its duality gap and the final tree.
+
+    ``tree``, given with its values for mu and nu, is used as it stands when
+    it is feasible for the perturbed marginals, repaired by ``_dual_repair``
+    when it is not, and replaced by the least-cost start when the repair
+    gives up. Dual pivots count toward the ``cap``. The tree is changed in
+    place; single-row or single-column problems return None as their tree.
+    """
+    n, m = C.shape
+    if n == 1 or m == 1:
+        plan = np.outer(mu, nu) / mu.sum()
+        return plan, float(np.sum(C * plan)), 0.0, None
+
+    done = 0  # pivots made so far
+    if tree is not None:
+        tree, done = _dual_repair(tree, C, rc_tol, cap)
     if tree is None:
         tree = _basis_tree(*_least_cost_start(C, mu, nu), C, mu, nu)
         assert tree is not None, "the least-cost start must span"
@@ -411,19 +405,19 @@ def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
         if pivots == cap:
             raise SolverFailure(f"transportation simplex hit the {cap}-pivot cap")
         ei, ej = divmod(pos, m)
-        # Going round the cycle closed by the entering cell from row ei,
-        # cells entered row-first lose theta: on ei's side those whose child
-        # is a row, on the other side those whose child is a column. The
-        # first least of them in path order leaves.
+        # Going round the cycle closed by the entering cell from row ei, cells entered
+        # row-first lose theta: on ei's side those whose child is a row, on the other
+        # side those whose child is a column. The first least of them in path order leaves.
         side_a, side_b = tree.cycle(ei, n + ej)
         pcell = tree.pcell
         el = tree.least([pcell[x] for x in side_a if x < n]
                         + [pcell[x] for x in reversed(side_b) if x >= n])
         tree.pivot(ei, ej, side_a, side_b, el, delta)
 
-    # The plan for the true marginals, rebuilt from the optimal basis.
+    # The plan for the true marginals, from the optimal basis; its values are
+    # rebuilt after pivots, which move them by rounding.
     plan = np.zeros((n, m))
-    plan[tree.bi, tree.bj] = np.maximum(tree.values(mu, nu), 0.0)
+    plan[tree.bi, tree.bj] = np.maximum(tree.vals if pivots == 0 else tree.values(mu, nu), 0.0)
     objective = float(np.sum(C * plan))
 
     # Rigorous certificate: shift u until (u, v) is dual feasible, then gap.
@@ -432,9 +426,9 @@ def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
     violation = max(0.0, float((u[:, None] + v[None, :] - C).max()))
     dual_obj = float(u @ mu + v @ nu) - violation * float(mu.sum())
     gap = max(objective - dual_obj, 0.0)
-    if gap > 1e-9 * c_max:
+    if gap > 1e-9 * float(C.max(initial=0.0)):
         raise SolverFailure(f"transportation simplex duality gap {gap:.3e} above 1e-9 * max C")
-    return TransportPlan(plan, mu, nu, objective, dual_gap=gap), (tuple(tree.bi), tuple(tree.bj))
+    return plan, objective, gap, tree
 
 
 def wasserstein_distance(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:

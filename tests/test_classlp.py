@@ -17,7 +17,7 @@ from otselect import (
     wasserstein_distance,
     weights_to_sample_probabilities,
 )
-from otselect import classlp
+from otselect import classlp, ot
 from otselect.classlp import brute_force_class_weights
 from otselect.errors import DimensionMismatch, SolverFailure, TooManyClasses
 from otselect.ot import _least_cost_start
@@ -84,6 +84,89 @@ def test_warm_grid_walk_matches_a_cold_walk_bit_for_bit():
         bf_w, bf_obj = brute_force_class_weights(D, counts, 0.05)
         assert bf_obj == best_obj
         np.testing.assert_array_equal(bf_w.weights, best_w / best_w.sum())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_serpentine_walk_moves_one_unit_per_step_over_every_grid_point(k):
+    for steps in range(1, 9):
+        walk = list(classlp._grid_walk(k, steps))
+        lexicographic = [c for c in itertools.product(range(steps + 1), repeat=k)
+                         if sum(c) == steps]
+        assert sorted(walk) == lexicographic  # each point exactly once
+        for a, b in zip(walk, walk[1:]):
+            assert sum(abs(x - y) for x, y in zip(a, b)) == 2, (steps, a, b)
+        # the backward walk, which the sub-walks at odd leading entries run,
+        # is exactly the forward one reversed
+        assert list(classlp._grid_walk(k, steps, reverse=True)) == walk[::-1]
+
+
+def test_grid_ties_go_to_the_first_point_in_lexicographic_order(monkeypatch):
+    # (1, 3, 0) and (1, 0, 3) price the same; the serpentine walk runs its
+    # tail backwards at the odd leading entry 1, so it meets (1, 3, 0) first
+    walk = list(classlp._grid_walk(3, 4))
+    assert walk.index((1, 3, 0)) < walk.index((1, 0, 3))
+    tied = {(0.25, 0.75, 0.0), (0.25, 0.0, 0.75)}
+
+    def planted(C, mu, nu, tree, rc_tol, cap):
+        objective = 0.5 if tuple(mu.tolist()) in tied else 1.0
+        return np.outer(mu, nu), objective, 0.0, tree
+
+    monkeypatch.setattr(classlp, "_solve", planted)
+    w, obj = brute_force_class_weights(np.ones((3, 2)), np.ones(3, dtype=np.int64), 0.25)
+    assert obj == 0.5
+    np.testing.assert_array_equal(w.weights, [0.25, 0.0, 0.75])
+
+
+def test_warm_four_class_grid_walk_matches_a_cold_walk():
+    # the serpentine order recurses deepest at k = 4; every point is solved
+    # cold here and the first of equal objectives in lexicographic order wins
+    r = rng(77)
+    counts = np.array([4, 3, 5, 4])
+    D = pairwise_distances(FeatureMatrix(r.normal(size=(16, 2))),
+                           FeatureMatrix(r.normal(size=(10, 2)) + 0.3))
+    nu = np.full(10, 0.1)
+    best_obj, best_w = np.inf, None
+    for comp in itertools.product(range(9), repeat=4):  # lexicographic
+        if sum(comp) != 8:
+            continue
+        w = np.asarray(comp, dtype=np.float64) / 8
+        obj = solve_exact_ot(OtProblem(D, np.repeat(w / counts, counts), nu)).objective
+        if obj < best_obj:
+            best_obj, best_w = obj, w
+    bf_w, bf_obj = brute_force_class_weights(D, counts, 0.125)
+    assert bf_obj == best_obj
+    np.testing.assert_array_equal(bf_w.weights, best_w / best_w.sum())
+
+
+def test_carried_potentials_stay_exact_on_the_basis_over_a_whole_walk(monkeypatch):
+    # the walk carries one tree's potentials through every pivot instead of
+    # deriving them from the cost at each point: they must not drift
+    D, counts = next(inst for inst in map(gate01_instance, itertools.count())
+                     if inst[1].size == 3)
+    solve, drift = classlp._solve, []
+
+    def checked(C, mu, nu, tree, rc_tol, cap):
+        out = solve(C, mu, nu, tree, rc_tol, cap)
+        t = out[3]
+        uv = np.array(t.pot)
+        drift.append(np.abs(uv[t.bi] + uv[t.n + np.array(t.bj)] - C[t.bi, t.bj]).max())
+        return out
+
+    monkeypatch.setattr(classlp, "_solve", checked)
+    brute_force_class_weights(D, counts, 0.02)
+    assert len(drift) == 1326
+    assert max(drift) <= 1e-12 * D.max()
+
+
+def test_grid_walk_refuses_a_point_stopped_short_of_the_optimum(monkeypatch):
+    # pricing that hides the negative reduced costs stops every solve where
+    # it starts; the certificate of each grid point must refuse that
+    D, counts = make_instance(4, k=3, per_class=4, m=9)
+    reduced_costs = ot._reduced_costs
+    monkeypatch.setattr(ot, "_reduced_costs", lambda C, tree, out: np.maximum(
+        reduced_costs(C, tree, out), 0.0, out=out))
+    with pytest.raises(SolverFailure, match="duality gap"):
+        brute_force_class_weights(D, counts, 0.05)
 
 
 def test_lp_weights_price_back_to_the_reported_objective():
