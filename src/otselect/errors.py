@@ -38,10 +38,6 @@ class TooManyClasses(OtselectError):
     """Brute-force enumeration requested for more classes than it supports."""
 
 
-class NumericalUnderflow(OtselectError):
-    """An entropic plan underflowed to an all-zero column."""
-
-
 class SupportMismatch(OtselectError):
     """A feature atom of one distribution is absent from the other's support."""
 

@@ -220,11 +220,3 @@ def rows_to_csv(rows: list[dict]) -> str:
     for row in rows:
         writer.writerow([_fmt(row.get(col)) for col in RESULT_COLUMNS])
     return buf.getvalue()
-
-
-def summarize(rows: list[dict]) -> dict[tuple[str, str], float]:
-    """Mean accuracy per (scenario, method) from the summary rows."""
-    return {
-        (r["scenario"], r["method"]): r["accuracy_mean"]
-        for r in rows if r["status"] == "summary" and r["accuracy_mean"] is not None
-    }

@@ -14,7 +14,9 @@ down, halving epsilon by default, once the column marginal is roughly met.
 The loop converges only linearly, the slower the smaller epsilon. After 10
 unconverged iterations at the target, a damped Newton method on the dual
 (Brauer et al. 2017) finishes in a few dense O((n+m)^3) steps, up to
-n + m = 2000. The c-transform of the final potentials certifies the gap.
+n + m = 2000, each free of the cost scale. The plan is rounded onto the
+polytope in one pass (Altschuler et al. 2017); the c-transform of the final
+potentials certifies the gap.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from .classlp import (ClassWeightSolution, _certified_solution, _check_inputs, _class_means,
                       _row_classes)
-from .errors import NumericalUnderflow
 
 _SCHEDULE_PERIOD = 100  # most iterations spent at one epsilon above the target
 _LEVEL_TOL = 1e-2  # column violation that ends an epsilon level early
@@ -74,38 +75,18 @@ def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
 
 def _round_to_polytope(P: np.ndarray, counts: np.ndarray, row_class: np.ndarray
                        ) -> np.ndarray:
-    """Project a near-feasible positive plan onto exact column sums and
-    exactly equal within-class row sums.
-
-    The within-class correction redistributes each row's deficit along the
-    class's own column profile, which leaves column sums untouched; so a
-    pass that ends without clamping has both constraint families exact.
-    """
-    n, m = P.shape
-    target_col = 1.0 / m
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    P = P.copy()
-    for _ in range(60):
-        col = P.sum(axis=0)
-        if (col <= 0.0).any():
-            raise NumericalUnderflow("a rounded column lost all mass")
-        P *= target_col / col
-        r = P.sum(axis=1)
-        t = _class_means(r, row_class, counts)
-        for c in range(counts.size):
-            lo, hi = starts[c], starts[c + 1]
-            q = P[lo:hi].sum(axis=0)
-            s = q.sum()
-            if s <= 0.0:
-                continue
-            P[lo:hi] += (t[c] - r[lo:hi])[:, None] * (q / s)[None, :]
-        if P.min() >= 0.0:
-            return P
-        P = np.maximum(P, 0.0)
-    col = P.sum(axis=0)
-    if (col <= 0.0).any():
-        raise NumericalUnderflow("a rounded column lost all mass")
-    return P * (target_col / col)
+    """One-pass rounding onto column sums 1/m and row targets a (Altschuler, Weed &
+    Rigollet 2017, Alg. 2), a_r the class mean of P's row sums over P's total;
+    ||P' - P||_1 <= 2 (||r(P) - a||_1 + ||c(P) - 1/m||_1) (their Lemma 7)."""
+    m = P.shape[1]
+    r = P.sum(axis=1)
+    a = _class_means(r, row_class, counts)[row_class] / r.sum()
+    P = P * np.minimum(1.0, np.divide(a, r, out=np.ones_like(r), where=r > 0.0))[:, None]
+    c = P.sum(axis=0)  # an all-zero row or column keeps a factor of one
+    P *= np.minimum(1.0, np.divide(1.0 / m, c, out=np.ones_like(c), where=c > 0.0))
+    err_r = np.maximum(a - P.sum(axis=1), 0.0)
+    err_c = np.maximum(1.0 / m - P.sum(axis=0), 0.0)
+    return P + np.outer(err_r, err_c / err_c.sum()) if err_c.any() else P
 
 
 def _newton_finish(D: np.ndarray, f: np.ndarray, g: np.ndarray, eps: float,
@@ -113,10 +94,11 @@ def _newton_finish(D: np.ndarray, f: np.ndarray, g: np.ndarray, eps: float,
                    steps: int) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Damped Newton ascent on max sum(g)/m - eps * sum_rj exp((f_r + g_j - D_rj)/eps)
     s.t. sum_{r in c} f_r = 0 (the loop keeps f's class means equal). Each step
-    solves [[H + delta I, A^T], [A, 0]], A the class indicators; delta keeps it
-    regular when a class carries almost no mass. The Armijo search takes the
-    dual's change by expm1 and rejects non-finite trials. Returns f, g, the residual
-    (column L1 violation plus row spread around the class means) and the steps taken."""
+    solves [[eps H + delta I, A^T], [A, 0]], A the class indicators, and scales the
+    solution by eps, so no entry depends on the cost scale; delta keeps it regular
+    when a class carries almost no mass. The Armijo search takes the dual's change by
+    expm1 and rejects non-finite trials. Returns f, g, the residual (column L1
+    violation plus row spread around the class means) and the steps taken."""
     n, m = D.shape
     f, g = f - f.mean(), g + f.mean()
     K = np.zeros((n + m + counts.size,) * 2)
@@ -128,11 +110,11 @@ def _newton_finish(D: np.ndarray, f: np.ndarray, g: np.ndarray, eps: float,
                     + np.abs(r - _class_means(r, row_class, counts)[row_class]).sum())
         if res <= tol or step == steps:
             break
-        H = np.block([[np.diag(r), P], [P.T, np.diag(c)]]) / eps
+        H = np.block([[np.diag(r), P], [P.T, np.diag(c)]])  # eps times the Hessian
         H[np.diag_indices(n + m)] += 1e-12 * H.diagonal().max()
         K[:n + m, :n + m] = H
         grad = np.concatenate([r, c - 1.0 / m])  # of the negated dual
-        d = np.linalg.solve(K, np.concatenate([-grad, np.zeros(counts.size)]))[:n + m]
+        d = eps * np.linalg.solve(K, np.concatenate([-grad, np.zeros(counts.size)]))[:n + m]
         df, dg, slope = d[:n], d[n:], float(grad @ d)
         t = 1.0
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,5 +1,7 @@
 """Experiment matrix: config parsing, execution, summaries, CSV stability."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from otselect import (
     rows_to_csv,
     run_experiment_matrix,
 )
-from otselect.experiment import RESULT_COLUMNS, default_dda_matrix, summarize
+from otselect.experiment import RESULT_COLUMNS, default_dda_matrix
 from otselect.errors import MalformedFile
 
 TINY = ExperimentConfig(
@@ -98,12 +100,11 @@ def test_worker_pool_matches_inline_execution():
     assert inline == pooled
 
 
-def test_summarize_means_by_scenario_and_method():
-    rows = run_experiment_matrix(TINY, threads=1)
-    table = summarize(rows)
-    assert set(table) == {("tiny", "wass"), ("tiny", "all")}
-    for v in table.values():
-        assert 0.0 <= v <= 1.0
+def test_default_matrix_csv_is_pinned():
+    # the bytes `otselect --threads 1 experiment` writes; a change that moves
+    # any figure of the default matrix must update this digest on purpose
+    csv_text = rows_to_csv(run_experiment_matrix(default_dda_matrix(), threads=1))
+    assert hashlib.md5(csv_text.encode()).hexdigest() == "452d104c868df1693d7e7f391e208164"
 
 
 def test_default_matrix_shape():

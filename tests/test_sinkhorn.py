@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import otselect.bounds
@@ -9,7 +11,7 @@ import otselect.sinkhorn
 from otselect import (FeatureMatrix, SinkhornConfig, pairwise_distances,
                       run_verification_suite, sinkhorn_class_weights, solve_class_weights)
 from otselect.errors import DimensionMismatch
-from otselect.sinkhorn import _logsumexp
+from otselect.sinkhorn import _logsumexp, _round_to_polytope
 
 from conftest import gate03_instance
 from test_classlp import make_instance
@@ -114,6 +116,63 @@ def test_rounded_plan_is_feasible():
                 assert col_dev <= 1e-9
                 assert spread <= 1e-6
                 assert abs(sol.weights.weights.sum() - 1) < 1e-9
+
+
+def perturbed_plan(counts, m, seed, noise, duplicate, zero_class, zero_column):
+    """A class-tied product plan (random class weights, column sums 1/m)
+    whose entries are scaled by exp(noise * N(0, 1)). ``duplicate`` copies
+    row 0 to row 1; ``zero_class`` empties the last class and ``zero_column``
+    column 0 (each only when something else keeps mass)."""
+    r = np.random.default_rng(seed)
+    counts = np.asarray(counts)
+    w = r.dirichlet(np.ones(counts.size))
+    P = np.outer(np.repeat(w / counts, counts), np.full(m, 1.0 / m))
+    P *= np.exp(noise * r.normal(size=P.shape))
+    if duplicate and P.shape[0] > 1:
+        P[1] = P[0]
+    if zero_class and counts.size > 1:
+        P[-counts[-1]:] = 0.0
+    if zero_column and m > 1:
+        P[:, 0] = 0.0
+    return P, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(perturbed_plan, counts=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+                 m=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+                 noise=st.sampled_from([0.0, 1e-9, 1e-3, 0.3, 3.0]), duplicate=st.booleans(),
+                 zero_class=st.booleans(), zero_column=st.booleans()))
+@example(perturbed_plan([5], 7, 0, 0.3, False, False, False))  # one class
+@example(perturbed_plan([1, 1, 1], 4, 1, 0.3, False, False, False))  # one row per class
+@example(perturbed_plan([3, 2], 1, 2, 0.3, False, False, False))  # one target point
+@example(perturbed_plan([3, 3], 5, 3, 0.3, True, True, True))  # duplicates, empty class and column
+def test_rounding_is_feasible_and_within_its_bound(plan):
+    P, counts = plan
+    m = P.shape[1]
+    row_class = np.repeat(np.arange(counts.size), counts)
+    Q = _round_to_polytope(P, counts, row_class)
+    r = P.sum(axis=1)
+    a = np.bincount(row_class, weights=r)[row_class] / counts[row_class] / r.sum()
+    assert Q.min() >= 0.0
+    assert np.abs(Q.sum(axis=0) - 1.0 / m).max() <= 1e-15
+    q = Q.sum(axis=1)
+    assert all(np.ptp(q[row_class == c]) <= 1e-15 for c in range(counts.size))
+    # Altschuler, Weed & Rigollet 2017, Lemma 7
+    bound = 2.0 * (np.abs(r - a).sum() + np.abs(P.sum(axis=0) - 1.0 / m).sum())
+    assert np.abs(Q - P).sum() <= bound + 1e-15
+
+
+@pytest.mark.parametrize("k", range(-12, 13, 3))
+@pytest.mark.parametrize("classes, per_class, m", [(3, 10, 20), (4, 30, 60)],
+                         ids=["30x20", "120x60"])
+def test_entropic_objective_scales_with_the_cost(classes, per_class, m, k):
+    # the Newton system must not mix entries of 1/eps with its unit
+    # class-constraint block, whose solve degrades below about 1e-10 * D
+    D, counts = make_instance(60, classes, per_class, m)
+    base = sinkhorn_class_weights(D, counts).objective
+    sol = sinkhorn_class_weights(10.0**k * D, counts)
+    assert sol.warning is None
+    assert abs(sol.objective - 10.0**k * base) <= 1e-12 * 10.0**k * base
 
 
 def test_epsilon_scaling_changes_the_path_not_the_answer():
