@@ -281,8 +281,10 @@ def brute_force_class_weights(
     weight between two classes at a time, and one basis tree, with its
     potentials, is carried from each solve to the next (``ot._solve``). All
     points share the cost, so the tree stays dual-feasible, and a few dual
-    simplex pivots repair it when it is not feasible at once. Each point is
-    still certified by its duality gap and the marginals of its plan.
+    simplex pivots repair it when it is not feasible at once. The tree also
+    carries its reduced costs and dual violation: a point that needs no pivot
+    reuses them instead of pricing every cell again. Each point is still
+    certified by its duality gap and the marginals of its plan.
     """
     D, counts = _check_inputs(D, class_counts)
     k = counts.size

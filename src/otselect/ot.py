@@ -34,6 +34,12 @@ dual-feasible, and is repaired by the dual network simplex (Ahuja, Magnanti
 & Orlin 1993, *Network Flows*, ch. 11): the most negative basic cell leaves,
 and the cheapest cell across the cut it opens enters, through the same
 pivot step as the primal simplex. A few such pivots replace a cold restart.
+
+A carried tree also keeps what it has computed from its potentials: the
+reduced costs C - u - v, the certificate's dual violation and the order of
+its nodes by depth. Only a pivot moves the potentials and the depths, and it
+drops all three, so a solve that makes no pivot prices no cell again and
+recomputes no certificate pass.
 """
 
 from __future__ import annotations
@@ -148,6 +154,13 @@ class _Tree:
     joining them; ``parent``, ``pcell`` (the cell to the parent) and ``depth``
     root the tree. ``pot`` holds u then v, with u[0] = 0 and u_i + v_j = C_ij
     on every basic cell. Basic cell e has value vals[e] + eps[e]·epsilon.
+
+    Three caches hold for the current potentials under the one cost the tree
+    is solved on, and are None until computed: ``rc``, the reduced costs
+    C - u - v (``_priced``); ``viol``, the certificate's dual violation
+    max(u + v - C, 0) (``_solve``); and ``order``, the non-root nodes deepest
+    first (``values``). ``pivot``, the only step that moves potentials and
+    depths, clears all three.
     """
 
     n: int
@@ -160,6 +173,9 @@ class _Tree:
     pot: list[float]
     vals: list[float]
     eps: list[int]
+    rc: np.ndarray | None = None
+    viol: float | None = None
+    order: list[int] | None = None
 
     def values(self, a: np.ndarray, b: np.ndarray) -> list[float]:
         """Basic-cell values for row marginal a and column marginal b: the
@@ -168,7 +184,9 @@ class _Tree:
         n, parent, pcell = self.n, self.parent, self.pcell
         net = a.tolist() + (-b).tolist()
         vals = [0.0] * (len(net) - 1)
-        for x in sorted(range(1, len(net)), key=self.depth.__getitem__, reverse=True):
+        if self.order is None:
+            self.order = sorted(range(1, len(net)), key=self.depth.__getitem__, reverse=True)
+        for x in self.order:
             net[parent[x]] += net[x]
             vals[pcell[x]] = net[x] if x < n else -net[x]
         return vals
@@ -224,8 +242,10 @@ class _Tree:
         row-first lose theta (a mass and an epsilon count) and the others gain
         it, with theta such that ``el`` ends at zero and the entering cell at
         theta. The subtree cut off below ``el`` is re-hung from the entering
-        cell, and its potentials shift by the cell's reduced cost delta.
+        cell, and its potentials shift by the cell's reduced cost delta, which
+        clears the tree's caches.
         """
+        self.rc = self.viol = self.order = None
         n, adj, parent, pcell, depth, pot, vals, eps = (
             self.n, self.adj, self.parent, self.pcell, self.depth, self.pot,
             self.vals, self.eps)
@@ -291,8 +311,24 @@ def _reduced_costs(C: np.ndarray, tree: _Tree, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dual_repair(tree: _Tree, C: np.ndarray, rc_tol: float,
-                 cap: int) -> tuple[_Tree | None, int]:
+def _priced(C: np.ndarray, tree: _Tree, out: np.ndarray) -> np.ndarray:
+    """The tree's reduced costs, priced into ``out`` only when the tree holds
+    none for its current potentials."""
+    if tree.rc is None:
+        tree.rc = _reduced_costs(C, tree, out)
+    return tree.rc
+
+
+def _violation(C: np.ndarray, tree: _Tree) -> float:
+    """max(u_i + v_j - C_ij, 0) over every cell: how far the tree's potentials
+    are from dual feasible. It is taken from the potentials, never read off
+    the reduced costs, so the certificate also catches a faulty pricing."""
+    uv = np.array(tree.pot)
+    return max(0.0, float((uv[:tree.n, None] + uv[None, tree.n:] - C).max()))
+
+
+def _dual_repair(tree: _Tree, C: np.ndarray, rc_tol: float, cap: int,
+                 out: np.ndarray) -> tuple[_Tree | None, int]:
     """Dual simplex pivots that make a dual-feasible basis primal-feasible.
 
     Each pivot drops the basic cell of most negative value (by ``_lex_less``),
@@ -305,19 +341,25 @@ def _dual_repair(tree: _Tree, C: np.ndarray, rc_tol: float,
     or None in its place when the basis is infeasible and not dual-feasible
     (a reduced cost below -rc_tol), needs more than n + m pivots or has no
     entering cell. Raises ``SolverFailure`` when a pivot is due at the cap.
+
+    A tree whose values all exceed the tie tolerance is feasible whatever its
+    epsilon counts, and returns at once. Reduced costs come from ``_priced``
+    (into ``out``), so they are priced only when a pivot is due, once per set
+    of potentials.
     """
     n, m = C.shape
+    if min(tree.vals) > _TIE:
+        return tree, 0
     for pivots in range(n + m + 1):
         low = min(tree.vals) + _TIE  # cells of more mass lose to the least one
         e = tree.least([f for f, v in enumerate(tree.vals) if v <= low])
         if not _lex_less(tree.vals[e], tree.eps[e], 0.0, 0):
             return tree, pivots
-        if pivots == 0:
-            rc = _reduced_costs(C, tree, np.empty_like(C))
-            if rc.min() < -rc_tol:
-                return None, 0
         if pivots == n + m:
             break
+        rc = _priced(C, tree, out)
+        if pivots == 0 and rc.min() < -rc_tol:
+            return None, 0
         if pivots == cap:
             raise SolverFailure(f"transportation simplex hit the {cap}-pivot cap")
         x = tree.child(e)
@@ -330,7 +372,6 @@ def _dual_repair(tree: _Tree, C: np.ndarray, rc_tol: float,
         pos = int(rc[rows[:, None], cols].argmin())
         ei, ej = int(rows[pos // cols.size]), int(cols[pos % cols.size])
         tree.pivot(ei, ej, *tree.cycle(ei, n + ej), e, rc.item(ei, ej))
-        _reduced_costs(C, tree, rc)
     return None, pivots
 
 
@@ -382,22 +423,28 @@ def _solve(C: np.ndarray, mu: np.ndarray, nu: np.ndarray, tree: _Tree | None,
     when it is not, and replaced by the least-cost start when the repair
     gives up. Dual pivots count toward the ``cap``. The tree is changed in
     place; single-row or single-column problems return None as their tree.
+
+    The tree's cached reduced costs and dual violation are used as they
+    stand: a carried tree that needs no pivot is neither priced nor checked
+    again over its cells; only its plan and the two objectives are new. The
+    violation is computed apart from the pricing (``_violation``), so a
+    certificate never rests on the pricing that it checks.
     """
     n, m = C.shape
     if n == 1 or m == 1:
         plan = np.outer(mu, nu) / mu.sum()
         return plan, float(np.sum(C * plan)), 0.0, None
 
+    out = np.empty_like(C)  # where reduced costs are priced
     done = 0  # pivots made so far
     if tree is not None:
-        tree, done = _dual_repair(tree, C, rc_tol, cap)
+        tree, done = _dual_repair(tree, C, rc_tol, cap, out)
     if tree is None:
         tree = _basis_tree(*_least_cost_start(C, mu, nu), C, mu, nu)
         assert tree is not None, "the least-cost start must span"
 
-    rc = np.empty_like(C)
     for pivots in range(done, cap + 1):  # the last pass only checks optimality
-        _reduced_costs(C, tree, rc)
+        rc = _priced(C, tree, out)
         pos = int(rc.argmin())
         delta = rc.item(pos)
         if delta >= -rc_tol:
@@ -421,10 +468,10 @@ def _solve(C: np.ndarray, mu: np.ndarray, nu: np.ndarray, tree: _Tree | None,
     objective = float(np.sum(C * plan))
 
     # Rigorous certificate: shift u until (u, v) is dual feasible, then gap.
+    if tree.viol is None:
+        tree.viol = _violation(C, tree)
     uv = np.array(tree.pot)
-    u, v = uv[:n], uv[n:]
-    violation = max(0.0, float((u[:, None] + v[None, :] - C).max()))
-    dual_obj = float(u @ mu + v @ nu) - violation * float(mu.sum())
+    dual_obj = float(uv[:n] @ mu + uv[n:] @ nu) - tree.viol * float(mu.sum())
     gap = max(objective - dual_obj, 0.0)
     if gap > 1e-9 * float(C.max(initial=0.0)):
         raise SolverFailure(f"transportation simplex duality gap {gap:.3e} above 1e-9 * max C")

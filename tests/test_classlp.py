@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otselect import (
     ClassWeights,
@@ -169,6 +171,61 @@ def test_grid_walk_refuses_a_point_stopped_short_of_the_optimum(monkeypatch):
         brute_force_class_weights(D, counts, 0.05)
 
 
+def test_each_set_of_potentials_is_priced_and_certified_once(monkeypatch):
+    # the walk makes no pivot at most grid points; those points must reuse
+    # the reduced costs and the dual violation that their tree already holds
+    D, counts = next(inst for inst in map(gate01_instance, itertools.count())
+                     if inst[1].size == 3)
+    calls = {"priced": 0, "violation": 0, "pivots": 0, "points": 0}
+
+    def counted(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(ot, "_reduced_costs", counted("priced", ot._reduced_costs))
+    monkeypatch.setattr(ot, "_violation", counted("violation", ot._violation))
+    monkeypatch.setattr(ot._Tree, "pivot", counted("pivots", ot._Tree.pivot))
+    monkeypatch.setattr(classlp, "_solve", counted("points", classlp._solve))
+    brute_force_class_weights(D, counts, 0.02)
+    assert calls["points"] == 1326 and calls["pivots"] < calls["points"]
+    assert 1 <= calls["priced"] <= calls["pivots"] + 1, calls
+    assert 1 <= calls["violation"] <= calls["pivots"] + 1, calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cached_pricing_stays_coherent_over_random_walks(monkeypatch, seed):
+    # one tree carried over a whole serpentine walk: whatever it caches must
+    # be what a fresh pass over its potentials would give, bit for bit
+    r = rng(900 + seed)
+    k = 3 + seed % 2
+    counts = r.integers(2, 6, size=k)
+    D = pairwise_distances(FeatureMatrix(r.normal(size=(int(counts.sum()), 2))),
+                           FeatureMatrix(r.normal(size=(int(r.integers(5, 13)), 2)) + 0.5))
+    solve, seen = classlp._solve, {"rc": 0, "viol": 0, "order": 0}
+
+    def checked(C, mu, nu, tree, rc_tol, cap):
+        out = solve(C, mu, nu, tree, rc_tol, cap)
+        t = out[3]
+        uv = np.array(t.pot)
+        u, v = uv[:t.n], uv[t.n:]
+        if t.rc is not None:
+            seen["rc"] += 1
+            assert t.rc.tobytes() == (C - u[:, None] - v[None, :]).tobytes()
+        if t.viol is not None:
+            seen["viol"] += 1
+            assert t.viol == max(0.0, float((u[:, None] + v[None, :] - C).max()))
+        if t.order is not None:
+            seen["order"] += 1
+            assert t.order == sorted(range(1, len(uv)), key=t.depth.__getitem__, reverse=True)
+        return out
+
+    monkeypatch.setattr(classlp, "_solve", checked)
+    brute_force_class_weights(D, counts, 0.125 if k == 4 else 0.05)
+    assert min(seen.values()) > 0, seen
+
+
 def test_lp_weights_price_back_to_the_reported_objective():
     for seed in range(8):
         D, counts = make_instance(100 + seed, k=3, per_class=5, m=9)
@@ -276,6 +333,39 @@ def test_objective_scales_with_the_cost(classes, per_class, m, k):
     sol = solve_class_weights(10.0**k * D, counts)
     assert abs(sol.objective - 10.0**k * base) <= 1e-9 * 10.0**k * base
     assert sol.plan.dual_gap <= 1e-9 * sol.objective
+
+
+@st.composite
+def class_lp_instances(draw):
+    """1-5 classes of 1-3 rows against 1-5 columns, integer costs in {0..3}
+    at a scale from 1e-6 to 1e6, and a weight vector that may put zero weight
+    on any class but not on all."""
+    counts = np.array(draw(st.lists(st.integers(1, 3), min_size=1, max_size=5)))
+    m = draw(st.integers(1, 5))
+    cells = st.lists(st.integers(0, 3), min_size=int(counts.sum()) * m,
+                     max_size=int(counts.sum()) * m)
+    D = np.array(draw(cells), dtype=np.float64).reshape(-1, m) * 10.0 ** draw(st.floats(-6, 6))
+    w = draw(st.lists(st.integers(0, 4), min_size=counts.size, max_size=counts.size)
+             .filter(any))
+    return D, counts, np.array(w, dtype=np.float64) / sum(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(class_lp_instances())
+def test_class_lp_is_the_least_exact_transport_over_the_weights(instance):
+    # the LP minimizes exact OT over the weight simplex: it is below the exact
+    # OT at any weights and equal to it at its own
+    D, counts, w = instance
+    m = D.shape[1]
+    sol = solve_class_weights(D, counts)
+    tol = 1e-9 * D.max()
+
+    def exact_ot(weights):
+        mu = np.repeat(weights / counts, counts)
+        return solve_exact_ot(OtProblem(D, mu, np.full(m, 1.0 / m))).objective
+
+    assert sol.objective <= exact_ot(w) + tol
+    assert abs(sol.objective - exact_ot(sol.weights.weights)) <= tol
 
 
 def test_staircases_are_the_least_cost_trees_on_the_cost_i_plus_j():
