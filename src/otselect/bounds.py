@@ -14,7 +14,7 @@ upper bound. All randomized checks take explicit seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -222,22 +222,9 @@ class BoundReport:
     lambda_hat: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "eps_source": self.eps_source,
-            "eps_target": self.eps_target,
-            "w1_marginal": self.w1_marginal,
-            "w1_joint": self.w1_joint,
-            "cond_term_source": self.cond_term_source,
-            "cond_term_target": self.cond_term_target,
-            "rho_hat": self.rho_hat,
-            "rho_upper": self.rho_upper,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "sigma_max_diff": self.sigma_max_diff,
-            "bound_value": self.bound_value,
-            "holds": self.holds,
-            "empirical_lambda_hat": self.lambda_hat,
-        }
+        doc = asdict(self)
+        doc["empirical_lambda_hat"] = doc.pop("lambda_hat")
+        return doc
 
 
 def compute_bound_report(pretrained: SoftmaxHead, finetuned: SoftmaxHead,

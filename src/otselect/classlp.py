@@ -30,7 +30,7 @@ from scipy.optimize import linprog
 
 from .data import ClassWeights, TransportPlan, WEIGHT_CLAMP
 from .errors import DimensionMismatch, MalformedFile, SolverFailure, TooManyClasses
-from .ot import _limits, _solve
+from .ot import _solve
 
 # Above this many cost entries the LP is solved on a candidate set of cells.
 # On gate-03-shaped instances (2-4 classes, 2-D) the two paths tie at about
@@ -295,13 +295,10 @@ def brute_force_class_weights(
     steps = max(1, round(1.0 / grid_step))
 
     nu = np.full(D.shape[1], 1.0 / D.shape[1])
-    limits = _limits(D)
     best, tree = (np.inf, ()), None
     for comp in _grid_walk(k, steps):
         mu = np.repeat(np.asarray(comp, dtype=np.float64) / steps / counts, counts)
-        if tree is not None:
-            tree.vals = tree.values(mu, nu)
-        plan, objective, _, tree = _solve(D, mu, nu, tree, *limits)
+        plan, objective, _, tree = _solve(D, mu, nu, tree)
         if max(np.abs(plan.sum(axis=1) - mu).max(), np.abs(plan.sum(axis=0) - nu).max()) > 1e-7:
             raise SolverFailure(f"grid point {comp}: plan marginals off by more than 1e-7")
         best = min(best, (objective, comp))  # ties go to the first point in lexicographic order

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import configparser
 import csv
+import dataclasses
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,6 +87,31 @@ def _parse_list(raw: str) -> list[str]:
     return [tok.strip() for tok in raw.replace(",", " ").split() if tok.strip()]
 
 
+# How a scalar field is read from its INI section, by the type of its default.
+_READERS = {int: "getint", float: "getfloat", str: "get"}
+
+
+def _section_fields(parser: configparser.ConfigParser, section: str, cls, path) -> dict:
+    """The values that one INI section gives the scalar fields of ``cls``.
+
+    Every key must name a field of ``cls`` with a default; one that does not
+    raises ``MalformedFile``, unless it is inherited from [DEFAULT], which
+    reaches every section. Each scalar field is read by the type of its
+    default, and keeps that default when the section omits it. Fields with a
+    tuple default (the [experiment] lists) are left to the caller.
+    """
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)
+                if f.default is not dataclasses.MISSING}
+    inherited = parser.defaults()
+    values = parser[section]
+    for key in values:
+        if key not in defaults and key not in inherited:
+            raise MalformedFile(f"{path}: unknown key {key!r} in [{section}]")
+    return {name: getattr(values, _READERS[type(default)])(name)
+            for name, default in defaults.items()
+            if name in values and type(default) in _READERS}
+
+
 def parse_experiment_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     try:
@@ -98,36 +124,15 @@ def parse_experiment_config(path) -> ExperimentConfig:
         raise MalformedFile(f"{path}: missing [experiment] section")
     exp = parser["experiment"]
     try:
-        scenarios = []
-        for section in parser.sections():
-            if not section.startswith("scenario"):
-                continue
-            name = section[len("scenario"):].strip() or section
-            s = parser[section]
-            scenarios.append(ScenarioConfig(
-                name=name,
-                kind=s.get("kind", "dda"),
-                k_source=s.getint("k_source", 4),
-                k_target=s.getint("k_target", 3),
-                overlap=s.getint("overlap", 0),
-                separation=s.getfloat("separation", 10.0),
-                dim=s.getint("dim", 5),
-                per_class=s.getint("per_class", 30),
-                per_class_train=s.getint("per_class_train", 20),
-                per_class_test=s.getint("per_class_test", 40),
-                near=s.getint("near", 1),
-                seed=s.getint("seed", 1),
-            ))
+        scenarios = tuple(
+            ScenarioConfig(section[len("scenario"):].strip() or section,
+                           **_section_fields(parser, section, ScenarioConfig, path))
+            for section in parser.sections() if section.startswith("scenario"))
         return ExperimentConfig(
-            scenarios=tuple(scenarios),
+            scenarios=scenarios,
             methods=tuple(_parse_list(exp.get("methods", " ".join(PIPELINE_METHODS)))),
             seeds=tuple(int(t) for t in _parse_list(exp.get("seeds", "0 1 2"))),
-            epochs=exp.getint("epochs", 60),
-            learning_rate=exp.getfloat("learning_rate", 0.5),
-            batch_size=exp.getint("batch_size", 32),
-            l2_penalty=exp.getfloat("l2_penalty", 0.0),
-            budget=exp.getint("budget", 0),
-            threads=exp.getint("threads", 0),
+            **_section_fields(parser, "experiment", ExperimentConfig, path),
         )
     except ValueError as e:
         raise MalformedFile(f"{path}: bad experiment config value: {e}") from e

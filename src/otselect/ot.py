@@ -25,11 +25,13 @@ cycle by walking both ends of the entering cell up to their common ancestor.
 The leaving cell cuts off one subtree; it is re-hung from the entering cell
 and only its potentials move, all by the entering cell's reduced cost.
 
-A solve may also start from a given basis tree (``_solve``). Optimality of
-a basis depends on the cost alone, so a sequence of solves over one cost
-with nearby marginals, as in the grid oracle of ``classlp``, carries one
-tree, with its potentials, from each solve to the next. A basis that is
-feasible for the new marginals is optimal at once. One that is not is still
+``_solve`` is the one way into the simplex, for ``solve_exact_ot`` and for
+the grid oracle of ``classlp``, and it may start from a basis tree that it
+is given. Optimality of a basis depends on the cost alone, so a sequence of
+solves over one cost with nearby marginals, as in the grid oracle, carries
+one tree, with its potentials, from each solve to the next; ``_solve``
+gives the tree its values for the new marginals. A basis that is feasible
+for the new marginals is optimal at once. One that is not is still
 dual-feasible, and is repaired by the dual network simplex (Ahuja, Magnanti
 & Orlin 1993, *Network Flows*, ch. 11): the most negative basic cell leaves,
 and the cheapest cell across the cut it opens enters, through the same
@@ -59,9 +61,6 @@ from .errors import (
 
 # Masses closer than this count as equal, and their epsilon counts order them.
 _TIE = 1e-14
-
-# A basis: the row and the column index of each of its n + m - 1 cells.
-Basis = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -277,10 +276,10 @@ class _Tree:
                     stack.append(y)
 
 
-def _basis_tree(bi: list[int], bj: list[int], cost: np.ndarray, mu: np.ndarray,
-                nu: np.ndarray) -> _Tree | None:
+def _basis_tree(bi: list[int], bj: list[int], cost: np.ndarray) -> _Tree | None:
     """The basis tree of cells (bi, bj), with potentials under ``cost`` and
-    values for marginals mu and nu; None unless the cells span every node."""
+    the epsilon counts of its cells, but no values (``_solve`` sets them);
+    None unless the cells span every node."""
     n, m = cost.shape
     adj: list[dict[int, int]] = [dict() for _ in range(n + m)]
     for e in range(len(bi)):
@@ -298,7 +297,6 @@ def _basis_tree(bi: list[int], bj: list[int], cost: np.ndarray, mu: np.ndarray,
     if -1 in parent[1:]:
         return None
     tree = _Tree(n, bi, bj, adj, parent, pcell, depth, pot, [], [])
-    tree.vals = tree.values(mu, nu)
     tree.eps = tree.values(*_eps_weights(n, m))  # the counts depend on the tree alone
     return tree
 
@@ -384,45 +382,24 @@ def solve_exact_ot(problem: OtProblem, max_iters: int | None = None) -> Transpor
     the largest cost raises ``SolverFailure``. ``max_iters`` caps the number
     of pivots; a solve that needs more raises ``SolverFailure`` too.
     """
-    return _transport_simplex(problem, max_iters)[0]
-
-
-def _transport_simplex(problem: OtProblem, max_iters: int | None = None,
-                       basis: Basis | None = None) -> tuple[TransportPlan, Basis | None]:
-    """``solve_exact_ot`` that may start from ``basis``, a spanning tree of
-    this problem's shape (used as ``_solve`` says), and returns the final
-    basis: None for single-row or single-column problems."""
-    C, mu, nu = problem.cost, problem.mu, problem.nu
-    n, m = C.shape
-    tree = None
-    if (basis is not None and len(basis[0]) == n + m - 1
-            and max(basis[0]) < n and max(basis[1]) < m):
-        tree = _basis_tree(list(basis[0]), list(basis[1]), C, mu, nu)
-    plan, objective, gap, tree = _solve(C, mu, nu, tree, *_limits(C, max_iters))
-    return (TransportPlan(plan, mu, nu, objective, dual_gap=gap),
-            None if tree is None else (tuple(tree.bi), tuple(tree.bj)))
-
-
-def _limits(C: np.ndarray, max_iters: int | None = None) -> tuple[float, int]:
-    """The reduced-cost tolerance, relative to the largest cost so that
-    scaling C scales nothing else, and the pivot cap."""
     if max_iters is not None and max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
-    c_max = float(C.max(initial=0.0))
-    n, m = C.shape
-    return (1e-11 * c_max if c_max > 0.0 else 1e-11,
-            max_iters if max_iters is not None else 20 * n * m + 50 * (n + m) + 200)
+    plan, objective, gap, _ = _solve(problem.cost, problem.mu, problem.nu, max_iters=max_iters)
+    return TransportPlan(plan, problem.mu, problem.nu, objective, dual_gap=gap)
 
 
-def _solve(C: np.ndarray, mu: np.ndarray, nu: np.ndarray, tree: _Tree | None,
-           rc_tol: float, cap: int) -> tuple[np.ndarray, float, float, _Tree | None]:
+def _solve(C: np.ndarray, mu: np.ndarray, nu: np.ndarray, tree: _Tree | None = None,
+           max_iters: int | None = None) -> tuple[np.ndarray, float, float, _Tree]:
     """The optimal plan, its objective, its duality gap and the final tree.
 
-    ``tree``, given with its values for mu and nu, is used as it stands when
-    it is feasible for the perturbed marginals, repaired by ``_dual_repair``
-    when it is not, and replaced by the least-cost start when the repair
-    gives up. Dual pivots count toward the ``cap``. The tree is changed in
-    place; single-row or single-column problems return None as their tree.
+    ``tree``, a basis tree of C's shape (``_basis_tree``), is given its values
+    for mu and nu here. It is used as it stands when it is feasible for the
+    perturbed marginals, repaired by ``_dual_repair`` when it is not, and
+    replaced by the least-cost start when the repair gives up. The tree is
+    changed in place. At most ``max_iters`` pivots are made, dual ones
+    included; by default 20nm + 50(n + m) + 200. The reduced-cost tolerance,
+    1e-11 of the largest cost, and the certificate's bound, 1e-9 of it, scale
+    with C, so scaling C scales nothing else.
 
     The tree's cached reduced costs and dual violation are used as they
     stand: a carried tree that needs no pivot is neither priced nor checked
@@ -431,17 +408,19 @@ def _solve(C: np.ndarray, mu: np.ndarray, nu: np.ndarray, tree: _Tree | None,
     certificate never rests on the pricing that it checks.
     """
     n, m = C.shape
-    if n == 1 or m == 1:
-        plan = np.outer(mu, nu) / mu.sum()
-        return plan, float(np.sum(C * plan)), 0.0, None
+    c_max = float(C.max(initial=0.0))
+    rc_tol = 1e-11 * c_max if c_max > 0.0 else 1e-11
+    cap = max_iters if max_iters is not None else 20 * n * m + 50 * (n + m) + 200
 
     out = np.empty_like(C)  # where reduced costs are priced
     done = 0  # pivots made so far
     if tree is not None:
+        tree.vals = tree.values(mu, nu)
         tree, done = _dual_repair(tree, C, rc_tol, cap, out)
     if tree is None:
-        tree = _basis_tree(*_least_cost_start(C, mu, nu), C, mu, nu)
+        tree = _basis_tree(*_least_cost_start(C, mu, nu), C)
         assert tree is not None, "the least-cost start must span"
+        tree.vals = tree.values(mu, nu)
 
     for pivots in range(done, cap + 1):  # the last pass only checks optimality
         rc = _priced(C, tree, out)
@@ -473,7 +452,7 @@ def _solve(C: np.ndarray, mu: np.ndarray, nu: np.ndarray, tree: _Tree | None,
     uv = np.array(tree.pot)
     dual_obj = float(uv[:n] @ mu + uv[n:] @ nu) - tree.viol * float(mu.sum())
     gap = max(objective - dual_obj, 0.0)
-    if gap > 1e-9 * float(C.max(initial=0.0)):
+    if gap > 1e-9 * c_max:
         raise SolverFailure(f"transportation simplex duality gap {gap:.3e} above 1e-9 * max C")
     return plan, objective, gap, tree
 

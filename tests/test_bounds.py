@@ -332,7 +332,11 @@ def test_bound_report_end_to_end_holds_and_serializes():
     assert rep.eps_target <= rep.bound_value + 1e-12
     doc = rep.to_json_dict()
     assert doc["holds"] is True
-    assert "empirical_lambda_hat" in doc
+    assert list(doc) == ["eps_source", "eps_target", "w1_marginal", "w1_joint",
+                         "cond_term_source", "cond_term_target", "rho_hat", "rho_upper",
+                         "alpha", "beta", "sigma_max_diff", "bound_value", "holds",
+                         "empirical_lambda_hat"]
+    assert doc["empirical_lambda_hat"] == rep.lambda_hat
     assert doc["bound_value"] == pytest.approx(rep.bound_value)
 
 

@@ -109,7 +109,7 @@ def test_grid_ties_go_to_the_first_point_in_lexicographic_order(monkeypatch):
     assert walk.index((1, 3, 0)) < walk.index((1, 0, 3))
     tied = {(0.25, 0.75, 0.0), (0.25, 0.0, 0.75)}
 
-    def planted(C, mu, nu, tree, rc_tol, cap):
+    def planted(C, mu, nu, tree):
         objective = 0.5 if tuple(mu.tolist()) in tied else 1.0
         return np.outer(mu, nu), objective, 0.0, tree
 
@@ -147,8 +147,8 @@ def test_carried_potentials_stay_exact_on_the_basis_over_a_whole_walk(monkeypatc
                      if inst[1].size == 3)
     solve, drift = classlp._solve, []
 
-    def checked(C, mu, nu, tree, rc_tol, cap):
-        out = solve(C, mu, nu, tree, rc_tol, cap)
+    def checked(C, mu, nu, tree):
+        out = solve(C, mu, nu, tree)
         t = out[3]
         uv = np.array(t.pot)
         drift.append(np.abs(uv[t.bi] + uv[t.n + np.array(t.bj)] - C[t.bi, t.bj]).max())
@@ -205,8 +205,8 @@ def test_cached_pricing_stays_coherent_over_random_walks(monkeypatch, seed):
                            FeatureMatrix(r.normal(size=(int(r.integers(5, 13)), 2)) + 0.5))
     solve, seen = classlp._solve, {"rc": 0, "viol": 0, "order": 0}
 
-    def checked(C, mu, nu, tree, rc_tol, cap):
-        out = solve(C, mu, nu, tree, rc_tol, cap)
+    def checked(C, mu, nu, tree):
+        out = solve(C, mu, nu, tree)
         t = out[3]
         uv = np.array(t.pot)
         u, v = uv[:t.n], uv[t.n:]
@@ -288,6 +288,21 @@ def test_single_class_gets_weight_one():
     np.testing.assert_allclose(sol.weights.weights, [1.0])
     bf_w, bf_obj = brute_force_class_weights(D, counts, 0.5)
     assert abs(bf_obj - sol.objective) < 1e-9
+
+
+@pytest.mark.parametrize("per_class, m", [(27, 60), (4, 9)])  # restricted (4,860 cells), full
+def test_row_blocks_solve_as_one_block_bit_for_bit(monkeypatch, per_class, m):
+    # the candidate set, the pricing and the certificate each scan the cost
+    # in row blocks; blocks of two rows must give the one-block solve
+    D, counts = make_instance(60, k=3, per_class=per_class, m=m)
+    one = solve_class_weights(D, counts)
+    monkeypatch.setattr(classlp, "_BLOCK_CELLS", 2 * m)
+    assert len(list(classlp._row_blocks(*D.shape))) == D.shape[0] // 2 + D.shape[0] % 2
+    blocks = solve_class_weights(D, counts)
+    assert blocks.weights.weights.tobytes() == one.weights.weights.tobytes()
+    assert blocks.objective == one.objective
+    assert blocks.plan.plan.tobytes() == one.plan.plan.tobytes()
+    assert blocks.plan.dual_gap == one.plan.dual_gap
 
 
 def full_lp(D, counts):

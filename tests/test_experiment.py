@@ -1,6 +1,7 @@
 """Experiment matrix: config parsing, execution, summaries, CSV stability."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,34 @@ def test_bad_configs_rejected(tmp_file, text):
         f.write(text)
     with pytest.raises(MalformedFile):
         parse_experiment_config(path)
+
+
+def test_a_misspelled_key_is_rejected_by_section_and_name(tmp_file):
+    path = tmp_file("typo.ini")
+    for text, where in [
+        ("[experiment]\n\n[scenario x]\nk_sorce = 6\n", "'k_sorce' in [scenario x]"),
+        ("[experiment]\nepoch = 6\n\n[scenario x]\n", "'epoch' in [experiment]"),
+    ]:
+        with open(path, "w") as f:
+            f.write(text)
+        with pytest.raises(MalformedFile, match=re.escape(where)):
+            parse_experiment_config(path)
+
+
+def test_a_bare_scenario_section_takes_every_default(tmp_file):
+    path = tmp_file("bare.ini")
+    with open(path, "w") as f:
+        f.write("[experiment]\n\n[scenario x]\n")
+    cfg = parse_experiment_config(path)
+    assert cfg.scenarios == (ScenarioConfig("x"),)
+    # the INI's seeds default differs from the dataclass's
+    assert cfg == ExperimentConfig(cfg.scenarios, seeds=(0, 1, 2))
+    # [DEFAULT] reaches every section: its keys are read where they name a
+    # field and are no misspelling where they do not
+    with open(path, "w") as f:
+        f.write("[DEFAULT]\nseed = 5\nepochs = 7\n\n[experiment]\n\n[scenario x]\n")
+    cfg = parse_experiment_config(path)
+    assert cfg.scenarios == (ScenarioConfig("x", seed=5),) and cfg.epochs == 7
 
 
 def test_matrix_produces_cell_and_summary_rows():

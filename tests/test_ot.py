@@ -13,6 +13,8 @@ from otselect import (
     DiscreteJointDistribution,
     FeatureMatrix,
     OtProblem,
+    TransportPlan,
+    brute_force_class_weights,
     conditional_wasserstein_term,
     joint_wasserstein,
     pairwise_distances,
@@ -22,7 +24,6 @@ from otselect import (
 from otselect import ot
 from otselect.bounds import random_joint_pair_shared_support
 from otselect.errors import InfeasibleMarginals, SolverFailure, SupportMismatch
-from otselect.ot import _transport_simplex
 
 from conftest import random_joint, rng
 
@@ -68,10 +69,23 @@ def basis_values(basis, mu, nu):
     return np.linalg.lstsq(A, np.concatenate([mu, nu]), rcond=None)[0]
 
 
-def perturbed_feasible(tree):
-    """Whether every basic value is >= 0 once its epsilon count breaks ties:
-    a mass within 1e-14 of zero needs a count >= 0."""
-    return all(v >= 1e-14 or (v >= -1e-14 and k >= 0) for v, k in zip(tree.vals, tree.eps))
+def warm_solve(prob, max_iters=None, basis=None):
+    """``solve_exact_ot`` started from ``basis``, the row and the column
+    tuples of a spanning tree (``ot._basis_tree``), through ``ot._solve``:
+    the plan and the final basis, as such tuples."""
+    tree = None if basis is None else ot._basis_tree(list(basis[0]), list(basis[1]), prob.cost)
+    plan, objective, gap, tree = ot._solve(prob.cost, prob.mu, prob.nu, tree, max_iters)
+    return (TransportPlan(plan, prob.mu, prob.nu, objective, dual_gap=gap),
+            (tuple(tree.bi), tuple(tree.bj)))
+
+
+def perturbed_feasible(bi, bj, cost, mu, nu):
+    """Whether cells (bi, bj) span (``ot._basis_tree``) and every basic value
+    for mu and nu is >= 0 once its epsilon count breaks ties: a mass within
+    1e-14 of zero needs a count >= 0."""
+    tree = ot._basis_tree(list(bi), list(bj), cost)
+    return tree is not None and all(v >= 1e-14 or (v >= -1e-14 and k >= 0)
+                                    for v, k in zip(tree.values(mu, nu), tree.eps))
 
 
 def check_warm_starts(cost, mu, nu, r):
@@ -84,7 +98,7 @@ def check_warm_starts(cost, mu, nu, r):
     infeasible starts were met.
     """
     n, m = cost.shape
-    _, basis = _transport_simplex(OtProblem(cost, mu, nu))
+    _, basis = warm_solve(OtProblem(cost, mu, nu))
     seen = {"feasible": False, "infeasible": False}
     for t in (1e-3, 0.3, 1.0):
         mu2 = (1 - t) * mu + t * r.dirichlet(np.ones(n))
@@ -93,7 +107,7 @@ def check_warm_starts(cost, mu, nu, r):
         seen["feasible" if feasible else "infeasible"] = True
         prob = OtProblem(cost, mu2, nu2)
         cold = solve_exact_ot(prob)
-        warm, _ = _transport_simplex(prob, max_iters=0 if feasible else None, basis=basis)
+        warm, _ = warm_solve(prob, max_iters=0 if feasible else None, basis=basis)
         assert abs(warm.objective - cold.objective) <= 1e-12 * (1 + abs(cold.objective))
         np.testing.assert_allclose(warm.plan.sum(axis=1), mu2, atol=1e-10)
         np.testing.assert_allclose(warm.plan.sum(axis=0), nu2, atol=1e-10)
@@ -177,6 +191,26 @@ def test_degenerate_shapes():
     one_row = wasserstein_distance(np.array([[1.0, 2.0, 3.0]]), np.array([1.0]),
                                    np.array([0.2, 0.3, 0.5]))
     assert abs(one_row - (0.2 + 0.6 + 1.5)) < 1e-12
+    # one row or one column, at random and all-zero costs: the least-cost
+    # start spans these and the general path solves them without a pivot
+    for seed in range(12):
+        r = rng(60 + seed)
+        k = int(r.integers(2, 20))
+        shape = (k, 1) if seed % 2 else (1, k)
+        cost = r.random(shape) * 10.0 ** r.integers(-6, 7) if seed < 8 else np.zeros(shape)
+        mu, nu = r.dirichlet(np.ones(shape[0])), r.dirichlet(np.ones(shape[1]))
+        sol = solve_exact_ot(OtProblem(cost, mu, nu), max_iters=0)
+        np.testing.assert_allclose(sol.plan.sum(axis=1), mu, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(sol.plan.sum(axis=0), nu, rtol=0, atol=1e-15)
+        assert sol.dual_gap <= 1e-9 * cost.max(), (seed, sol.dual_gap)
+        assert sol.objective == float(np.sum(cost * sol.plan))
+    # the grid oracle over one target point: every plan is forced, so the
+    # whole weight goes to the class of least mean cost
+    cost = rng(72).random((7, 1))
+    w, obj = brute_force_class_weights(cost, np.array([3, 4]), 0.25)
+    means = [cost[:3].mean(), cost[3:].mean()]
+    np.testing.assert_array_equal(w.weights, np.eye(2)[np.argmin(means)])
+    assert abs(obj - min(means)) <= 1e-15
 
 
 def test_metric_properties_on_point_clouds():
@@ -215,12 +249,12 @@ def test_pivot_cap_raises_solver_failure():
     # a start from another cost's optimal basis is feasible here but not
     # optimal, so it needs pivots and the cap still holds
     other = OtProblem(r.random((6, 6)), prob.mu, prob.nu)
-    _, other_basis = _transport_simplex(other)
-    _, own_basis = _transport_simplex(prob)
+    _, other_basis = warm_solve(other)
+    _, own_basis = warm_solve(prob)
     assert set(zip(*other_basis)) != set(zip(*own_basis))
     with pytest.raises(SolverFailure):
-        _transport_simplex(prob, max_iters=0, basis=other_basis)
-    warm, _ = _transport_simplex(prob, basis=other_basis)
+        warm_solve(prob, max_iters=0, basis=other_basis)
+    warm, _ = warm_solve(prob, basis=other_basis)
     assert abs(warm.objective - solve_exact_ot(prob).objective) <= 1e-12
 
 
@@ -238,12 +272,12 @@ def test_pivot_cap_counts_pivots():
         solve_exact_ot(prob, max_iters=-1)
     # on a larger problem the smallest cap that solves gives the uncapped solve
     prob = OtProblem(rng(2).random((6, 6)), np.full(6, 1 / 6), np.full(6, 1 / 6))
-    full, full_basis = _transport_simplex(prob)
+    full, full_basis = warm_solve(prob)
     k = next(c for c in itertools.count() if _solves_within(prob, c))
     assert k >= 2
     with pytest.raises(SolverFailure):
-        _transport_simplex(prob, max_iters=k - 1)
-    capped, capped_basis = _transport_simplex(prob, max_iters=k)
+        warm_solve(prob, max_iters=k - 1)
+    capped, capped_basis = warm_solve(prob, max_iters=k)
     assert capped.objective == full.objective and capped_basis == full_basis
 
 
@@ -261,7 +295,7 @@ def test_a_loop_stopped_short_of_the_optimum_raises(monkeypatch):
 
 def _solves_within(prob, max_iters, basis=None):
     try:
-        _transport_simplex(prob, max_iters=max_iters, basis=basis)
+        warm_solve(prob, max_iters=max_iters, basis=basis)
     except SolverFailure:
         return False
     return True
@@ -288,7 +322,7 @@ def test_infeasible_warm_start_is_repaired_without_a_cold_restart(monkeypatch):
         r = rng(300 + seed)
         n, m = r.integers(4, 16, size=2)
         cost, mu, nu = r.random((n, m)), r.dirichlet(np.ones(n)), r.dirichlet(np.ones(m))
-        _, basis = _transport_simplex(OtProblem(cost, mu, nu))
+        _, basis = warm_solve(OtProblem(cost, mu, nu))
         for prob in infeasible_neighbours(cost, basis, mu, nu, r, 3):
             cases.append((prob, basis, solve_exact_ot(prob)))
 
@@ -297,7 +331,7 @@ def test_infeasible_warm_start_is_repaired_without_a_cold_restart(monkeypatch):
 
     monkeypatch.setattr(ot, "_least_cost_start", cold_start)
     for prob, basis, cold in cases:
-        warm, _ = _transport_simplex(prob, basis=basis)
+        warm, _ = warm_solve(prob, basis=basis)
         assert abs(warm.objective - cold.objective) <= 1e-12 * abs(cold.objective)
         np.testing.assert_allclose(warm.plan.sum(axis=1), prob.mu, atol=1e-10)
         np.testing.assert_allclose(warm.plan.sum(axis=0), prob.nu, atol=1e-10)
@@ -307,11 +341,11 @@ def test_infeasible_warm_start_is_repaired_without_a_cold_restart(monkeypatch):
 def test_dual_pivots_count_toward_the_cap_and_foreign_bases_start_cold(monkeypatch):
     r = rng(5)
     cost, mu, nu = r.random((9, 7)), r.dirichlet(np.ones(9)), r.dirichlet(np.ones(7))
-    _, basis = _transport_simplex(OtProblem(cost, mu, nu))
+    _, basis = warm_solve(OtProblem(cost, mu, nu))
     prob = infeasible_neighbours(cost, basis, mu, nu, r, 1)[0]
     cold = solve_exact_ot(prob)
     with pytest.raises(SolverFailure):
-        _transport_simplex(prob, max_iters=0, basis=basis)
+        warm_solve(prob, max_iters=0, basis=basis)
     # the smallest cap that solves the warm start is its number of dual pivots
     k = next(c for c in itertools.count() if _solves_within(prob, c, basis))
     assert k >= 1
@@ -320,14 +354,14 @@ def test_dual_pivots_count_toward_the_cap_and_foreign_bases_start_cold(monkeypat
     least_cost = ot._least_cost_start
     monkeypatch.setattr(ot, "_least_cost_start",
                         lambda *args: cold_starts.append(1) or least_cost(*args))
-    warm, _ = _transport_simplex(prob, max_iters=k, basis=basis)
+    warm, _ = warm_solve(prob, max_iters=k, basis=basis)
     assert not cold_starts and warm.objective == cold.objective
     # another cost's optimal basis is infeasible here and not dual-feasible
     # for this cost, so the solve starts cold and still reaches the optimum
-    foreign = (_transport_simplex(OtProblem(r.random((9, 7)), mu, nu))[1] for _ in range(50))
+    foreign = (warm_solve(OtProblem(r.random((9, 7)), mu, nu))[1] for _ in range(50))
     foreign = next(b for b in foreign if basis_values(b, prob.mu, prob.nu).min() < -1e-9)
     cold_starts.clear()
-    warm, _ = _transport_simplex(prob, basis=foreign)
+    warm, _ = warm_solve(prob, basis=foreign)
     assert cold_starts == [1]
     assert abs(warm.objective - cold.objective) <= 1e-12 * cold.objective
 
@@ -365,10 +399,9 @@ def test_least_cost_start_spans_and_solves_as_the_northwest_corner(family):
         northwest = ot._least_cost_start(np.add.outer(np.arange(n), np.arange(m)).astype(float),
                                          prob.mu, prob.nu)
         for start in (ot._least_cost_start(prob.cost, prob.mu, prob.nu), northwest):
-            tree = ot._basis_tree(*start, prob.cost, prob.mu, prob.nu)
-            assert tree is not None and perturbed_feasible(tree)
-        cold, _ = _transport_simplex(prob)
-        old, _ = _transport_simplex(prob, basis=northwest)
+            assert perturbed_feasible(*start, prob.cost, prob.mu, prob.nu)
+        cold, _ = warm_solve(prob)
+        old, _ = warm_solve(prob, basis=northwest)
         assert cold.dual_gap <= 1e-9 * (1 + cold.objective)
         if family == "duplicates":
             # duplicate lines make several plans optimal, so the two starts
@@ -426,7 +459,7 @@ def test_heavily_degenerate_problems_match_highs_and_warm_starts(n, m, seed):
     mu = r.multinomial(N, np.full(n, 1 / n)) / N
     nu = r.multinomial(N, np.full(m, 1 / m)) / N
     prob = OtProblem(cost, mu, nu)
-    cold, cold_basis = _transport_simplex(prob)
+    cold, cold_basis = warm_solve(prob)
     want = highs_ot(cost, mu, nu)
     assert abs(cold.objective - want) <= 1e-10 * (1 + want)
     assert cold.dual_gap <= 1e-10 * (1 + want)
@@ -434,13 +467,13 @@ def test_heavily_degenerate_problems_match_highs_and_warm_starts(n, m, seed):
     near = mu.copy()
     near[np.flatnonzero(mu)[0]] -= 1 / N
     near[r.integers(n)] += 1 / N
-    _, basis = _transport_simplex(OtProblem(cost, near, nu))
-    warm, warm_basis = _transport_simplex(prob, basis=basis)
+    _, basis = warm_solve(OtProblem(cost, near, nu))
+    warm, warm_basis = warm_solve(prob, basis=basis)
     assert warm.objective == cold.objective
     # both end on bases feasible for the perturbed marginals: no zero-mass
     # cell with a negative epsilon count
     for bi, bj in (cold_basis, warm_basis):
-        assert perturbed_feasible(ot._basis_tree(list(bi), list(bj), cost, mu, nu))
+        assert perturbed_feasible(bi, bj, cost, mu, nu)
     np.testing.assert_array_equal(warm.plan.sum(axis=1), mu)
     np.testing.assert_array_equal(warm.plan.sum(axis=0), nu)
 
