@@ -17,9 +17,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import compute_bound_report, run_verification_suite
-from .classlp import solve_class_weights
 from .data import (
-    ClassWeights,
     DiscreteJointDistribution,
     FeatureMatrix,
     LabeledDataset,
@@ -42,11 +40,13 @@ from .ot import OtProblem, solve_exact_ot
 from .pipeline import (
     PIPELINE_METHODS,
     TrainConfig,
+    _select_and_train,
+    evaluate,
     load_head,
-    run_pipeline,
+    select_weights,
     sort_by_class,
 )
-from .sinkhorn import SinkhornConfig, sinkhorn_class_weights
+from .sinkhorn import SinkhornConfig
 from .synth import build_scenario
 
 
@@ -137,18 +137,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _external_ids(mapping: dict[int, int]) -> np.ndarray:
-    ids = np.empty(len(mapping), dtype=np.int64)
-    for orig, dense in mapping.items():
-        ids[dense] = orig
-    return ids
-
-
 def _load_dataset(feat_path, label_path, format: str
                   ) -> tuple[LabeledDataset, np.ndarray, dict[int, int]]:
+    """The dataset in dense labels, the external id of each dense label and the
+    external -> dense mapping (``densify_labels`` inserts ids in dense order)."""
     feats = load_feature_matrix(feat_path, format=format)
     dense, mapping = load_labels(label_path)
-    return LabeledDataset(feats, dense), _external_ids(mapping), mapping
+    return LabeledDataset(feats, dense), np.array(list(mapping), dtype=np.int64), mapping
 
 
 def _write_report(path, doc, outputs: list) -> None:
@@ -200,14 +195,10 @@ def _cmd_select(args, timings, warnings):
         target = load_feature_matrix(args.target, format=args.format)
 
     with _timed(timings, "solve"):
-        ordered = sort_by_class(dataset)
-        D = pairwise_distances(ordered.features, target)
-        if args.solver == "exact":
-            sol = solve_class_weights(D, ordered.class_counts)
-        else:
-            cfg = SinkhornConfig(epsilon=args.epsilon, max_iters=args.sinkhorn_max_iters,
-                                 tol=args.sinkhorn_tol)
-            sol = sinkhorn_class_weights(D, ordered.class_counts, cfg)
+        cfg = (SinkhornConfig(epsilon=args.epsilon, max_iters=args.sinkhorn_max_iters,
+                              tol=args.sinkhorn_tol) if args.solver == "sinkhorn" else None)
+        sol = select_weights("wass-sinkhorn" if cfg else "wass", sort_by_class(dataset),
+                             target, args.seed, sinkhorn_cfg=cfg)
     if sol.warning:
         warnings.append(sol.warning)
 
@@ -238,36 +229,30 @@ def _cmd_pipeline(args, timings, warnings):
                                            args.format)
         ttest, test_ids, _ = _load_dataset(args.target_test, args.target_test_labels,
                                            args.format)
-    missing = set(test_ids.tolist()) - set(tgt_ids.tolist())
-    if missing:
-        raise OtselectError(f"test labels {sorted(missing)} never seen in target train")
-    # align test dense ids onto the train class space
-    test_pos = {int(c): i for i, c in enumerate(tgt_ids)}
-    remapped = np.array([test_pos[int(test_ids[v])] for v in ttest.labels], dtype=np.int64)
-    ttest = LabeledDataset(ttest.features, remapped) if (
-        remapped != ttest.labels).any() else ttest
 
     with _timed(timings, "pipeline"):
         cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
-        result = run_pipeline(source, ttrain, ttest, method=args.method, cfg=cfg,
-                              budget=args.budget, source_class_ids=src_ids,
-                              target_class_ids=tgt_ids)
-    warnings.extend(result.warnings)
+        t = _select_and_train(source, ttrain, args.method, cfg, budget=args.budget,
+                              source_class_ids=src_ids, target_class_ids=tgt_ids)
+        report = evaluate(t.finetuned, ttest.features, test_ids[ttest.labels])
+    sol = t.solution
+    if sol.warning:
+        warnings.append(sol.warning)
 
+    held = set(test_ids.tolist())  # an absent class would read as a 0.0 miss
     payload = {
-        "method": result.method,
-        "accuracy": result.report.accuracy,
-        "zero_one_error": result.report.zero_one_error,
-        "cross_entropy": result.report.cross_entropy,
+        "method": args.method,
+        "accuracy": report.accuracy,
+        "zero_one_error": report.zero_one_error,
+        "cross_entropy": report.cross_entropy,
         "per_class_accuracy": {
-            str(int(c)): float(a) for c, a in
-            zip(result.finetuned.class_list, result.report.per_class_accuracy)
+            str(c): float(a) for c, a in
+            zip(t.finetuned.class_list.tolist(), report.per_class_accuracy) if c in held
         },
-        "n_eval": result.report.n_eval,
-        "w1_objective": result.w1_objective,
-        "support_size": result.support_size,
-        "weights": {str(int(src_ids[i])): float(result.weights.weights[i])
-                    for i in range(result.weights.k)},
+        "n_eval": report.n_eval,
+        "w1_objective": sol.objective,
+        "support_size": sol.support_size,
+        "weights": {str(int(c)): float(w) for c, w in zip(src_ids, sol.weights.weights)},
     }
     outputs = []
     _write_report(args.report, payload, outputs)
@@ -278,19 +263,13 @@ def _cmd_bound(args, timings, warnings):
     with _timed(timings, "load"):
         pre = load_head(args.pretrained_head)
         fine = load_head(args.finetuned_head)
-        sfeat = load_feature_matrix(args.source, format=args.format)
-        sdense, smap = load_labels(args.source_labels)
-        tfeat = load_feature_matrix(args.target, format=args.format)
-        tdense, tmap = load_labels(args.target_labels)
+        source, src_ids, _ = _load_dataset(args.source, args.source_labels, args.format)
+        target, tgt_ids, _ = _load_dataset(args.target, args.target_labels, args.format)
 
-    source = DiscreteJointDistribution(
-        sfeat.values, _external_ids(smap)[sdense], np.full(sdense.size, 1.0 / sdense.size)
-    )
-    target = DiscreteJointDistribution(
-        tfeat.values, _external_ids(tmap)[tdense], np.full(tdense.size, 1.0 / tdense.size)
-    )
     with _timed(timings, "compute"):
-        report = compute_bound_report(pre, fine, source, target)
+        report = compute_bound_report(
+            pre, fine, DiscreteJointDistribution.from_dataset(source, label_ids=src_ids),
+            DiscreteJointDistribution.from_dataset(target, label_ids=tgt_ids))
     payload = report.to_json_dict()
     outputs = []
     _write_report(args.report, payload, outputs)

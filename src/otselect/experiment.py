@@ -123,11 +123,16 @@ def parse_experiment_config(path) -> ExperimentConfig:
     if "experiment" not in parser:
         raise MalformedFile(f"{path}: missing [experiment] section")
     exp = parser["experiment"]
+    names = {section: section[len("scenario "):].strip()
+             for section in parser.sections() if section != "experiment"}
+    for section, name in names.items():
+        if not section.startswith("scenario ") or not name:
+            raise MalformedFile(f"{path}: unknown section [{section}]; expected "
+                                "[experiment] or [scenario NAME]")
     try:
         scenarios = tuple(
-            ScenarioConfig(section[len("scenario"):].strip() or section,
-                           **_section_fields(parser, section, ScenarioConfig, path))
-            for section in parser.sections() if section.startswith("scenario"))
+            ScenarioConfig(name, **_section_fields(parser, section, ScenarioConfig, path))
+            for section, name in names.items())
         return ExperimentConfig(
             scenarios=scenarios,
             methods=tuple(_parse_list(exp.get("methods", " ".join(PIPELINE_METHODS)))),

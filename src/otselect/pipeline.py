@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classlp import solve_class_weights, weights_to_sample_probabilities
+from .classlp import (ClassWeightSolution, solve_class_weights,
+                      weights_to_sample_probabilities)
 from .data import ClassWeights, FeatureMatrix, LabeledDataset, densify_labels
 from .distance import pairwise_distances
 from .errors import (
@@ -308,33 +309,27 @@ def sort_by_class(dataset: LabeledDataset) -> LabeledDataset:
 
 def select_weights(method: str, source_sorted: LabeledDataset, target: FeatureMatrix,
                    seed: int, mn_top: int = 3,
-                   sinkhorn_cfg: SinkhornConfig | None = None
-                   ) -> tuple[ClassWeights, float, tuple[str, ...]]:
-    """Class weights for any method plus the transport cost they achieve.
+                   sinkhorn_cfg: SinkhornConfig | None = None) -> ClassWeightSolution:
+    """Class weights for any method, with the plan and transport cost they achieve.
 
-    For baselines the cost is evaluated by an exact fixed-marginal solve at
-    the chosen weights, so all methods report a comparable objective.
+    ``wass`` and ``wass-sinkhorn`` return their solver's solution. For the
+    baselines the plan is an exact fixed-marginal solve at the chosen
+    weights, so all methods report a comparable objective.
     """
     D = pairwise_distances(source_sorted.features, target)
     counts = source_sorted.class_counts
-    warnings: tuple[str, ...] = ()
     if method == "wass":
-        sol = solve_class_weights(D, counts)
-        return sol.weights, sol.objective, warnings
+        return solve_class_weights(D, counts)
     if method == "wass-sinkhorn":
-        sol = sinkhorn_class_weights(D, counts, sinkhorn_cfg)
-        if sol.warning:
-            warnings = (sol.warning,)
-        return sol.weights, sol.objective, warnings
+        return sinkhorn_class_weights(D, counts, sinkhorn_cfg)
     w = baseline_weights(method, source_sorted, target, seed, mn_top)
-    mu = np.repeat(w.weights / counts, counts)
-    nu = np.full(target.rows, 1.0 / target.rows)
-    obj = solve_exact_ot(OtProblem(D, mu, nu)).objective
-    return w, obj, warnings
+    plan = solve_exact_ot(OtProblem(D, np.repeat(w.weights / counts, counts),
+                                    np.full(target.rows, 1.0 / target.rows)))
+    return ClassWeightSolution(w, plan, plan.objective, int(w.support().size))
 
 
-_Trained = namedtuple("_Trained", "source_sorted sample_probs weights w1 warnings "
-                     "source_ids target_ids pretrained finetuned")
+_Trained = namedtuple("_Trained", "source_sorted sample_probs solution source_ids target_ids "
+                     "pretrained finetuned")
 
 
 def _select_and_train(source: LabeledDataset, target_train: LabeledDataset, method: str,
@@ -369,10 +364,9 @@ def _select_and_train(source: LabeledDataset, target_train: LabeledDataset, meth
         tgt_labels = np.array([at[c] for c in tgt_ids.tolist()], dtype=np.int64)[tgt_labels]
 
     source_sorted = sort_by_class(source)
-    weights, w1, warns = select_weights(
-        method, source_sorted, target_train.features, cfg.seed, mn_top, sinkhorn_cfg
-    )
-    probs = weights_to_sample_probabilities(weights, source_sorted.labels)
+    sol = select_weights(method, source_sorted, target_train.features, cfg.seed, mn_top,
+                         sinkhorn_cfg)
+    probs = weights_to_sample_probabilities(sol.weights, source_sorted.labels)
     pre, pre_probs = source_sorted, probs
     if budget > 0:
         pre, kept = resample_fixed_budget(source_sorted, probs, budget, seed=cfg.seed * 4 + 3)
@@ -382,8 +376,7 @@ def _select_and_train(source: LabeledDataset, target_train: LabeledDataset, meth
     finetuned = (finetune_head(target_train.features, tgt_labels, pretrained,
                                replace(cfg, seed=cfg.seed * 4 + 2), class_list=fine_ids)
                  if finetune else pretrained)
-    return _Trained(source_sorted, probs, weights, float(w1), warns, src_ids, tgt_ids,
-                    pretrained, finetuned)
+    return _Trained(source_sorted, probs, sol, src_ids, tgt_ids, pretrained, finetuned)
 
 
 def run_pipeline(source: LabeledDataset, target_train: LabeledDataset,
@@ -406,8 +399,9 @@ def run_pipeline(source: LabeledDataset, target_train: LabeledDataset,
                           sinkhorn_cfg=sinkhorn_cfg, source_class_ids=source_class_ids,
                           target_class_ids=target_class_ids)
     report = evaluate(t.finetuned, target_test.features, t.target_ids[target_test.labels])
-    return PipelineResult(method, t.weights, int(t.weights.support().size), t.w1, report,
-                          t.pretrained, t.finetuned, t.warnings)
+    sol = t.solution
+    return PipelineResult(method, sol.weights, sol.support_size, sol.objective, report,
+                          t.pretrained, t.finetuned, (sol.warning,) if sol.warning else ())
 
 
 # ============================================================

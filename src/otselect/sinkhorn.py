@@ -205,7 +205,8 @@ def sinkhorn_class_weights(
     The reported objective is Tr(D^T P) of the rounded plan, which satisfies
     the column marginal exactly and the class row ties to within roundoff.
     If the iteration cap is hit with the marginal violation still above ten
-    times the tolerance, the best iterate is returned with a warning flag.
+    times the tolerance, or before the target epsilon is reached, the best
+    iterate is returned with a warning flag.
     The class LP optimum lies in [objective - plan.dual_gap, objective]: the
     lower end is mean(g) for the class-centred f and its c-transform g.
     """
@@ -219,7 +220,10 @@ def sinkhorn_class_weights(
     spread = float((np.maximum.reduceat(row_sums, starts)
                     - np.minimum.reduceat(row_sums, starts)).max())
     warning = None
-    if not converged and best_viol > 10.0 * cfg.tol:
+    if best_viol == np.inf:
+        warning = (f"target epsilon not reached after {spent} iterations "
+                   f"(stopped at epsilon {eps:.3e})")
+    elif not converged and best_viol > 10.0 * cfg.tol:
         warning = (f"marginal violation {best_viol:.3e} still above 10*tol after "
                    f"{spent} iterations")
     if spread > 1e-6:

@@ -370,6 +370,20 @@ def test_conditional_terms_are_none_without_shared_support():
     assert rep.sigma_max_diff == 0.0
 
 
+def test_rho_falls_back_to_the_analytic_bound_when_every_row_is_equal():
+    r = rng(13)
+    pre = SoftmaxHead(r.normal(size=(3, 2)), np.array([0, 1, 2]))
+    fine = SoftmaxHead(r.normal(size=(3, 2)), np.array([0, 1, 2]))
+    z = np.tile([0.5, -1.0], (3, 1))
+    p = DiscreteJointDistribution(z, np.array([0, 1, 2]), np.full(3, 1 / 3))
+    q = DiscreteJointDistribution(z[:2], np.array([1, 2]), np.full(2, 0.5))
+    rep = compute_bound_report(pre, fine, p, q)
+    assert rep.rho_hat is None
+    sigma = float(np.linalg.svd(pre.weight_matrix, compute_uv=False)[0])
+    assert rep.rho_upper == pytest.approx(softmax_lipschitz_constant(3) * sigma, rel=1e-12)
+    assert rep.alpha == softmax_lipschitz_constant(3)
+
+
 def test_label_cost_scales_the_reported_conditional_terms():
     p, q = random_joint_pair_shared_support(rng(3))
     labels = np.union1d(p.labels, q.labels)

@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, JSON payloads, file outputs."""
 
+import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import otselect
 from otselect import (
     FeatureMatrix,
     SoftmaxHead,
@@ -166,6 +171,40 @@ def test_pipeline_rejects_test_labels_unseen_in_training(tmp_path, capsys):
     assert "77" in err
 
 
+def test_pipeline_accepts_a_test_split_that_lacks_a_train_class(tmp_path, capsys):
+    paths = write_scenario_files(tmp_path)
+    # keep only the test rows of class 2; class 4 is in the train split alone
+    held = load_feature_matrix(paths["target_test"], format="csv").values[:7]
+    save_feature_matrix(FeatureMatrix(held), paths["target_test"], format="csv")
+    save_labels(np.full(7, 2), paths["target_test_labels"])
+    code, payload, err = run_cli(capsys, "pipeline",
+                                 "--source", paths["source"],
+                                 "--source-labels", paths["source_labels"],
+                                 "--target-train", paths["target_train"],
+                                 "--target-train-labels", paths["target_train_labels"],
+                                 "--target-test", paths["target_test"],
+                                 "--target-test-labels", paths["target_test_labels"],
+                                 "--format", "csv", "--epochs", "15")
+    assert code == 0, err
+    assert payload["n_eval"] == 7
+    assert list(payload["per_class_accuracy"]) == ["2"]
+    assert payload["per_class_accuracy"]["2"] == pytest.approx(payload["accuracy"])
+
+
+def test_select_reports_an_unreached_sinkhorn_target_as_a_warning(tmp_path, capsys):
+    paths = write_scenario_files(tmp_path)
+    code, payload, err = run_cli(capsys, "select", "--source", paths["source"],
+                                 "--source-labels", paths["source_labels"],
+                                 "--target", paths["target_train"], "--format", "csv",
+                                 "--out-weights", str(tmp_path / "w.json"),
+                                 "--solver", "sinkhorn", "--sinkhorn-max-iters", "5")
+    assert code == 0
+    assert payload["converged"] is False
+    assert len(payload["warnings"]) == 1
+    assert payload["warnings"][0].startswith("target epsilon not reached after 5 iterations")
+    assert f"warning: {payload['warnings'][0]}" in err.splitlines()
+
+
 def test_bound_subcommand(tmp_path, capsys):
     paths = write_scenario_files(tmp_path)
     r = rng(3)
@@ -239,6 +278,24 @@ def test_experiment_to_stdout_prints_csv_not_json(tmp_path, capsys):
     assert out.startswith("scenario,method,seed,")
 
 
+def test_experiment_cells_that_fail_become_error_rows(tmp_path, capsys):
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nmethods = all\nseeds = 0, 1\nepochs = 2\n\n"
+                   "[scenario broken]\nkind = oda\noverlap = 0\n")
+    out = str(tmp_path / "r.csv")
+    code, payload, err = run_cli(capsys, "experiment", "--config", str(ini), "--out", out)
+    assert code == 0
+    assert payload["cells"] == 2 and payload["warnings"] == ["2 cells failed"]
+    assert "warning: 2 cells failed" in err.splitlines()
+    with open(out, newline="") as f:
+        cells = list(csv.DictReader(f))
+    assert [c["status"].startswith("error: ") for c in cells] == [True, True, False]
+    assert all("overlap" in c["status"] for c in cells[:2])
+    summary = cells[2]
+    assert summary["status"] == "summary"
+    assert summary["accuracy_mean"] == "" and summary["accuracy_std"] == ""
+
+
 def test_payload_carries_version_config_and_timings(tmp_path, capsys):
     cost = str(tmp_path / "c.csv")
     save_feature_matrix(FeatureMatrix(np.eye(2)), cost, format="csv")
@@ -284,3 +341,22 @@ def test_subcommands_do_not_mutate_inputs(tmp_path, capsys):
             "--target-test-labels", paths["target_test_labels"],
             "--format", "csv", "--epochs", "4")
     assert hashes == {p: file_hash(p) for p in paths.values()}
+
+
+def run_module(tmp_path, *argv):
+    """``python -m otselect`` in a subprocess, with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(otselect.__file__)))
+    return subprocess.run([sys.executable, "-m", "otselect", *argv], capture_output=True,
+                          text=True, cwd=tmp_path, env=env, timeout=120)
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    proc = run_module(tmp_path, "--quiet", "synth", "--per-class", "4", "--dim", "2",
+                      "--format", "csv", "--out-dir", "tmp")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["subcommand"] == "synth" and len(payload["outputs"]) == 6
+    assert all(os.path.exists(tmp_path / p) for p in payload["outputs"])
+    proc = run_module(tmp_path, "select", "--source", "x.csv")
+    assert proc.returncode == 2
+    assert "required" in proc.stderr

@@ -84,6 +84,15 @@ def test_a_misspelled_key_is_rejected_by_section_and_name(tmp_file):
             parse_experiment_config(path)
 
 
+@pytest.mark.parametrize("section", ["senario b", "scenariofoo"])
+def test_a_misspelled_section_is_rejected_by_name(tmp_file, section):
+    path = tmp_file("typo.ini")
+    with open(path, "w") as f:
+        f.write(f"[experiment]\n\n[scenario a]\n\n[{section}]\n")
+    with pytest.raises(MalformedFile, match=re.escape(f"[{section}]")):
+        parse_experiment_config(path)
+
+
 def test_a_bare_scenario_section_takes_every_default(tmp_file):
     path = tmp_file("bare.ini")
     with open(path, "w") as f:
