@@ -18,6 +18,11 @@ on that set. Its duals then price every cell in row blocks; the cells of
 negative reduced cost join and the LP is solved again, until no cell enters.
 The final row duals are certified over every cell by the c-transform bound
 that the entropic solver uses too (``_certified_solution``).
+
+HiGHS is driven through its own bindings, which scipy ships as
+``scipy.optimize._highspy._core``, with its dual simplex and presolve off
+(``_run_highs``, the one place that touches it). scipy is needed only for
+HiGHS, and is imported on the first LP, not with the package.
 """
 
 from __future__ import annotations
@@ -25,19 +30,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .data import ClassWeights, TransportPlan, WEIGHT_CLAMP
 from .errors import DimensionMismatch, MalformedFile, SolverFailure, TooManyClasses
 from .ot import _solve
 
 # Above this many cost entries the LP is solved on a candidate set of cells.
-# On gate-03-shaped instances (2-4 classes, 2-D) the two paths tie at about
-# 1,000 cells and the restricted one is 1.5-2.4x faster from 2,000; on gate
-# 01's (at most 540 cells) the full LP is 1.45x faster. Up to 4,000 cells,
+# On gate-03-shaped instances (2-4 classes, 2-D; six per size, best of five)
+# the two paths tie at 1,000-2,000 cells, and the restricted one is 1.1x faster
+# at 3,000 cells, 1.3-1.45x at 4,000-8,000 and 1.7x at 16,000; at gate 01's
+# sizes (at most 540 cells) the full LP is 1.5x faster. Up to 4,000 cells,
 # which holds every LP of gates 01 and 03, the full LP stays: the restricted
-# one would save at most 7 ms each and move their objectives in the last bits.
+# one would save at most 5 ms each and move their objectives in the last bits.
 _RESTRICTED_MIN_CELLS = 4_000
 _SEED_EPS = 1e-3  # the seed's target epsilon, in units of mean D
 _SEED_TOL = 1e-2  # column violation at which the seed stops
@@ -166,35 +170,16 @@ def _solve_on_cells(D: np.ndarray, counts: np.ndarray, cells: np.ndarray
     n, m = D.shape
     k = counts.size
     row_class = _row_classes(counts)
-    b_eq = np.concatenate([np.full(m, 1.0 / m), np.zeros(n)])
     # HiGHS's tolerances are absolute, so it solves on D / max D and the
     # duals are scaled back: the result is then exact at any cost scale.
     scale = float(D.max()) or 1.0
-    # Presolve stays on up to _RESTRICTED_MIN_CELLS, so those instances keep
-    # their optimal vertex; above it, it costs a third of the LP's memory and
-    # time.
-    presolve = n * m <= _RESTRICTED_MIN_CELLS
     cells = cells.copy()
     rounds = 0
     while True:
         rounds += 1
         rows, cols = np.nonzero(cells)
-        e = rows.size
-        # Equality rows: column sums equal 1/m (duals y), and each row sum
-        # minus its class variable equals 0 (duals z).
-        A_eq = sp.csr_matrix(
-            (np.concatenate([np.ones(2 * e), -np.ones(n)]),
-             (np.concatenate([cols, m + rows, m + np.arange(n)]),
-              np.concatenate([np.arange(e), np.arange(e), e + row_class]))),
-            shape=(m + n, e + k))
-        c = np.concatenate([D[rows, cols] / scale, np.zeros(k)])
-        bounds = np.repeat([[0.0, np.inf], [-np.inf, np.inf]], [e, k], axis=0)
-        res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs",
-                      options={"presolve": presolve, "primal_feasibility_tolerance": 1e-9,
-                               "dual_feasibility_tolerance": 1e-9})
-        if res.status != 0:
-            raise SolverFailure(f"LP solver failed (status {res.status}): {res.message}")
-        duals = scale * np.asarray(res.eqlin.marginals, dtype=np.float64)
+        x, duals = _run_highs(D[rows, cols] / scale, rows, cols, row_class, n, m, k)
+        duals = scale * duals
         y, z = duals[:m], duals[m:]
 
         # Price every cell: reduced cost D_rj - y_j - z_r.
@@ -208,11 +193,65 @@ def _solve_on_cells(D: np.ndarray, counts: np.ndarray, cells: np.ndarray
             break
 
     plan = np.zeros((n, m))
-    plan[rows, cols] = res.x[:e]
+    plan[rows, cols] = x
     sol = _certified_solution(D, counts, np.maximum(plan, 0.0), z)
     if sol.plan.dual_gap > 1e-9 * scale:
         raise SolverFailure(f"class LP duality gap {sol.plan.dual_gap:.3e} above 1e-9 * max D")
     return sol, rounds
+
+
+def _run_highs(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, row_class: np.ndarray,
+               n: int, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the class LP on the cells (rows, cols) with HiGHS's dual simplex;
+    return the cells' values and the row duals (y for the m column sums, then
+    z for the n row ties), in the units of ``cost``.
+
+    Rows: each target column's mass equals 1/m, and each source row's mass
+    minus its class variable equals 0. Columns, in this order: one per cell,
+    with a one in its target column's row and in its source row's row, then
+    one free variable per class, with -1 on its class's rows. The matrix is
+    filled column-wise in closed form. Presolve is off: on these LPs it
+    changes neither the iteration count nor the plan, and on gate 03's it
+    adds about a fifth to each solve.
+    """
+    try:
+        from scipy.optimize._highspy import _core as highs
+    except ImportError as e:
+        raise ImportError("otselect needs scipy>=1.17, which ships HiGHS's own bindings "
+                          "as scipy.optimize._highspy._core") from e
+
+    e = rows.size
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = e + k
+    lp.num_row_ = lp.a_matrix_.num_row_ = m + n
+    lp.col_cost_ = np.concatenate([cost, np.zeros(k)])
+    lp.col_lower_ = np.concatenate([np.zeros(e), np.full(k, -highs.kHighsInf)])
+    lp.col_upper_ = np.full(e + k, highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = np.concatenate([np.full(m, 1.0 / m), np.zeros(n)])
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate(
+        [np.arange(0, 2 * e + 1, 2), 2 * e + np.cumsum(np.bincount(row_class, minlength=k))]
+    ).astype(np.int32)
+    lp.a_matrix_.index_ = np.concatenate(
+        [np.stack([cols, m + rows], axis=1).ravel(), m + np.argsort(row_class, kind="stable")]
+    ).astype(np.int32)
+    lp.a_matrix_.value_ = np.concatenate([np.ones(2 * e), -np.ones(n)])
+
+    options = highs.HighsOptions()
+    options.presolve = "off"
+    options.simplex_strategy = 1  # dual simplex
+    options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = 1e-9
+    options.output_flag = options.log_to_console = False
+    solver = highs._Highs()
+    solver.passOptions(options)
+    if (solver.passModel(lp) == highs.HighsStatus.kError
+            or solver.run() == highs.HighsStatus.kError
+            or solver.getModelStatus() != highs.HighsModelStatus.kOptimal):
+        raise SolverFailure(
+            f"LP solver failed: {solver.modelStatusToString(solver.getModelStatus())}")
+    solution = solver.getSolution()
+    return (np.asarray(solution.col_value, dtype=np.float64)[:e],
+            np.asarray(solution.row_dual, dtype=np.float64))
 
 
 def _certified_solution(D: np.ndarray, counts: np.ndarray, plan: np.ndarray, f: np.ndarray,

@@ -1,6 +1,9 @@
 """Class-weight LP vs the grid-search oracle, plus plan/weight invariants."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -463,20 +466,20 @@ def test_tight_certificate_on_a_single_class_lp():
     assert sol.plan.dual_gap <= 1e-9 * (1 + sol.objective)
 
 
-def recording_linprog(monkeypatch, perturb=None):
-    """Route classlp's HiGHS calls through a recorder; return the list that
-    collects each call's equality duals (after ``perturb``, if given)."""
+def recording_highs(monkeypatch, perturb=None):
+    """Route classlp's HiGHS runs through a recorder; return the list that
+    collects each run's row duals (after ``perturb``, if given)."""
     marginals = []
-    linprog = classlp.linprog
+    run_highs = classlp._run_highs
 
-    def record(*args, **kwargs):
-        res = linprog(*args, **kwargs)
+    def record(*args):
+        x, duals = run_highs(*args)
         if perturb is not None:
-            res.eqlin.marginals = perturb(np.asarray(res.eqlin.marginals))
-        marginals.append(np.array(res.eqlin.marginals))
-        return res
+            duals = perturb(duals)
+        marginals.append(np.array(duals))
+        return x, duals
 
-    monkeypatch.setattr(classlp, "linprog", record)
+    monkeypatch.setattr(classlp, "_run_highs", record)
     return marginals
 
 
@@ -495,7 +498,7 @@ def reduced_cost_gap(D, counts, marginals, objective):
 
 
 def test_c_transform_certificate_is_never_looser_than_the_reduced_cost_one(monkeypatch):
-    marginals = recording_linprog(monkeypatch)
+    marginals = recording_highs(monkeypatch)
     instances = ([gate01_instance(i) for i in range(100)]
                  + [gate03_instance(i) for i in range(50)]
                  + [make_instance(3, k=3, per_class=40, m=60)])  # 7,200 cells: restricted
@@ -508,10 +511,33 @@ def test_corrupted_lp_duals_raise(monkeypatch):
     # any row duals give a lower bound, but these give a loose one: the
     # solver must refuse the result rather than report the gap
     noise = rng(5)
-    recording_linprog(monkeypatch, lambda y: y + 1e-3 * noise.standard_normal(y.size))
+    recording_highs(monkeypatch, lambda y: y + 1e-3 * noise.standard_normal(y.size))
     D, counts = make_instance(30, k=3, per_class=4, m=9)
     with pytest.raises(SolverFailure, match="duality gap"):
         solve_class_weights(D, counts)
+
+
+def test_an_infeasible_lp_raises_with_the_model_status():
+    # no cell in target column 2: its mass of 1/m cannot be met
+    D, counts = make_instance(31, k=2, per_class=3, m=4)
+    cells = np.ones(D.shape, dtype=bool)
+    cells[:, 2] = False
+    with pytest.raises(SolverFailure, match="(?i)infeasible"):
+        classlp._solve_on_cells(D, counts, cells)
+
+
+def test_import_loads_no_scipy_until_the_first_lp():
+    code = ("import sys, numpy as np, otselect\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+            "sol = otselect.solve_class_weights(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1, 1]))\n"
+            "print(sol.objective)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(classlp.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, objective = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert float(objective) == 0.0
 
 
 @pytest.mark.parametrize("value", [0.0, 2.5])
