@@ -12,7 +12,8 @@ class 0, the next n_2 class 1, and so on.
 Large instances are solved exactly on a subset of the plan cells (a sparse
 multiscale scheme after Schmitzer 2016, with the kernel truncation of
 Schmitzer 2019 as the candidate rule). A short, loosely stopped log-domain
-Sinkhorn run at a small epsilon marks the likely cells, a staircase spanning
+Sinkhorn run at a small epsilon, in float32 on D / max D, marks the likely
+cells (their slack window is tested in float64 on D), a staircase spanning
 tree per class keeps every class feasible on its own, and HiGHS solves the LP
 on that set. Its duals then price every cell in row blocks; the cells of
 negative reduced cost join and the LP is solved again, until no cell enters.
@@ -83,7 +84,9 @@ def _row_classes(counts: np.ndarray) -> np.ndarray:
 
 
 def _class_means(values: np.ndarray, row_class: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    return np.bincount(row_class, weights=values, minlength=counts.size) / counts
+    """Mean of ``values`` over the rows of each class, in the dtype of ``values``."""
+    means = np.bincount(row_class, weights=values, minlength=counts.size) / counts
+    return means.astype(values.dtype, copy=False)
 
 
 def solve_class_weights(
@@ -145,12 +148,19 @@ def _candidate_cells(D: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Mask of the cells whose slack D_rj - f_r - g_j under the potentials of
     a short, loose Sinkhorn run (the _SEED_* constants) is within 5 epsilon of
     their row's smallest, plus the staircases (kernel truncation, Schmitzer
-    2019). The pricing loop makes up for a loose seed, so it is cut early."""
+    2019). The pricing loop makes up for a loose seed, so it is cut early.
+
+    The seed only picks cells, so it runs in float32, on D / max D: unlike D
+    itself, that matrix fits float32 at any cost scale. Its g and epsilon are
+    scaled back to D's units, and the window is tested in float64 on D."""
     from .sinkhorn import SinkhornConfig, _sinkhorn_potentials
 
-    cfg = SinkhornConfig(epsilon=_SEED_EPS * float(D.mean()) or None,  # None: all-zero D
+    scale = float(D.max()) or 1.0
+    Dn = (D / scale).astype(np.float32)
+    cfg = SinkhornConfig(epsilon=_SEED_EPS * float(Dn.mean()) or None,  # None: all-zero D
                          max_iters=_SEED_ITERS, tol=_SEED_TOL)
-    _, g, eps, _, _, _ = _sinkhorn_potentials(D, counts, _row_classes(counts), cfg)
+    _, g, eps, _, _, _ = _sinkhorn_potentials(Dn, counts, _row_classes(counts), cfg)
+    g, eps = scale * g.astype(np.float64), scale * eps
     cells = _staircases(counts, D.shape[1])
     for lo, hi in _row_blocks(*D.shape):
         slack = D[lo:hi] - g  # f_r is constant along a row

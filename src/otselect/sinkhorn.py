@@ -138,6 +138,9 @@ def _sinkhorn_potentials(D: np.ndarray, counts: np.ndarray, row_class: np.ndarra
     unconverged at the target epsilon, the best iterate there is returned.
     ``newton`` enables the finish (each step counts against ``max_iters``);
     the exact class LP seeds its candidate cells from the plain loop.
+    The loop runs in D's dtype (the class LP's seed passes a float32 D): every
+    scalar that meets an array is a Python float, since a numpy float64 scalar
+    would promote the loop to float64.
     """
     n, m = D.shape
     d_max = float(D.max())
@@ -150,14 +153,15 @@ def _sinkhorn_potentials(D: np.ndarray, counts: np.ndarray, row_class: np.ndarra
         eps = eps_target
     newton = newton and n + m <= _NEWTON_MAX_SIZE
 
-    log_counts = np.log(counts.astype(np.float64))
+    log_counts = np.log(counts.astype(D.dtype))
     target_col = 1.0 / m
+    log_m = float(np.log(m))
 
     best_viol = np.inf
     best_state: tuple | None = None
     converged = handoff = False
 
-    f, g = np.zeros(n), np.zeros(m)
+    f, g = np.zeros(n, D.dtype), np.zeros(m, D.dtype)
     viol, level_start = np.inf, 0
     for it in range(cfg.max_iters):
         if eps > eps_target and (viol <= _LEVEL_TOL or it - level_start == _SCHEDULE_PERIOD):
@@ -176,7 +180,7 @@ def _sinkhorn_potentials(D: np.ndarray, counts: np.ndarray, row_class: np.ndarra
             if newton and it - level_start == _NEWTON_AFTER:
                 handoff = True
                 break
-        g = eps * (-np.log(m) - lse_cols)
+        g = eps * (-log_m - lse_cols)
         logr = f / eps + _logsumexp((g[None, :] - D) / eps, axis=1)
         logt = _class_means(logr, row_class, counts)
         f = f + eps * (logt[row_class] - logr)

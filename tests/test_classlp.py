@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -457,6 +458,46 @@ def test_seed_keeps_a_small_candidate_set_that_needs_one_round():
     sol, rounds = classlp._solve_on_cells(D, counts, cells)
     assert rounds == 1
     assert sol.plan.dual_gap <= 1e-9 * (1 + sol.objective)
+
+
+def test_candidate_cells_do_not_depend_on_the_cost_scale():
+    # the float32 seed runs on D / max D, which is the same matrix at every
+    # power-of-two scale: D itself would overflow or underflow float32
+    D, counts = make_instance(61, k=4, per_class=30, m=60)
+    assert D.size > classlp._RESTRICTED_MIN_CELLS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = classlp._candidate_cells(D, counts)
+        for k in (-1000, -500, -40, 40, 500, 1000):
+            np.testing.assert_array_equal(classlp._candidate_cells(D * 2.0**k, counts), base)
+
+
+@st.composite
+def switch_sized_instances(draw):
+    """1-6 classes and 4,001 to 12,000 cells of integer costs in {0..3}, whose
+    rows and columns repeat a few distinct ones: many ties and duplicates."""
+    m = draw(st.integers(20, 120))
+    n = draw(st.integers(max(4_001 // m + 1, 6), 12_000 // m))
+    k = draw(st.integers(1, 6))
+    cuts = draw(st.lists(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1, unique=True))
+    counts = np.diff([0, *sorted(cuts), n])
+    distinct_rows, distinct_cols = draw(st.integers(2, 60)), draw(st.integers(2, 40))
+    r = rng(draw(st.integers(0, 2**32 - 1)))
+    base = r.integers(0, 4, size=(distinct_rows, distinct_cols)).astype(np.float64)
+    D = base[r.integers(0, distinct_rows, n)][:, r.integers(0, distinct_cols, m)]
+    return D, counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(switch_sized_instances())
+def test_restricted_lp_matches_the_full_lp_near_the_switch(instance):
+    D, counts = instance
+    assert D.size > classlp._RESTRICTED_MIN_CELLS
+    sol = solve_class_weights(D, counts)
+    exact = full_lp(D, counts)
+    tol = 1e-9 * (1 + exact.objective)
+    assert abs(sol.objective - exact.objective) <= tol
+    assert sol.plan.dual_gap <= tol and exact.plan.dual_gap <= tol
 
 
 def test_tight_certificate_on_a_single_class_lp():

@@ -280,6 +280,18 @@ def test_inline_logsumexp_matches_scipy():
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_potentials_follow_the_cost_dtype(dtype):
+    # the exact LP's candidate seed runs the loop in float32: no float64
+    # constant may promote it back, and the entropic solver stays in float64
+    D, counts = make_instance(55, k=3, per_class=20, m=40)
+    row_class = np.repeat(np.arange(counts.size), counts)
+    cfg = SinkhornConfig(epsilon=1e-3 * D.mean(), max_iters=40, tol=1e-2)
+    f, g, *_ = otselect.sinkhorn._sinkhorn_potentials(D.astype(dtype), counts, row_class, cfg)
+    assert f.dtype == g.dtype == dtype
+    assert np.isfinite(f).all() and np.isfinite(g).all()
+
+
 def test_shape_validation():
     with pytest.raises(DimensionMismatch):
         sinkhorn_class_weights(np.ones((4, 3)), np.array([3, 3]))
