@@ -179,6 +179,8 @@ class DiscreteJointDistribution:
         m = np.asarray(self.masses, dtype=np.float64)
         if z.ndim != 2 or y.shape != (z.shape[0],) or m.shape != (z.shape[0],):
             raise DimensionMismatch("joint distribution arrays disagree on atom count")
+        if z.shape[1] < 1:
+            raise MalformedFile("joint distribution needs at least one feature column")
         _check_finite(z, "joint distribution features")
         _check_finite(m, "joint distribution masses")
         if m.min() < 0:

@@ -50,7 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DiscreteJointDistribution, TransportPlan
+from .data import DiscreteJointDistribution, FeatureMatrix, TransportPlan
+from .distance import pairwise_distances
 from .errors import (
     DimensionMismatch,
     InfeasibleMarginals,
@@ -467,21 +468,17 @@ def wasserstein_distance(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> fl
 # ============================================================
 
 
-def _joint_cost(p: DiscreteJointDistribution, q: DiscreteJointDistribution,
-                label_cost: float) -> np.ndarray:
-    if p.features.shape[1] != q.features.shape[1]:
-        raise DimensionMismatch("joint distributions disagree on feature dimension")
-    diff = p.features[:, None, :] - q.features[None, :, :]
-    dz = np.sqrt(np.sum(diff * diff, axis=2))
-    return dz + label_cost * (p.labels[:, None] != q.labels[None, :])
-
-
 def joint_wasserstein(p: DiscreteJointDistribution, q: DiscreteJointDistribution,
                       label_cost: float = 1.0) -> float:
-    """W1 over feature-label space with ground cost ||z-z'|| + label_cost*[y != y']."""
+    """W1 over feature-label space with ground cost ||z-z'|| + label_cost*[y != y'].
+
+    The feature part is ``pairwise_distances``, the one Euclidean kernel of
+    every transport cost; it raises ``DimensionMismatch`` on unequal dims."""
     if label_cost < 0:
         raise ValueError("label_cost must be nonnegative")
-    return wasserstein_distance(_joint_cost(p, q, label_cost), p.masses, q.masses)
+    cost = pairwise_distances(FeatureMatrix(p.features), FeatureMatrix(q.features))
+    cost += label_cost * (p.labels[:, None] != q.labels[None, :])
+    return wasserstein_distance(cost, p.masses, q.masses)
 
 
 def _atom_tables(p: DiscreteJointDistribution, q: DiscreteJointDistribution

@@ -49,6 +49,21 @@ def reweighted_objective(D, counts, w):
     return wasserstein_distance(D[keep], mu[keep], np.full(m, 1.0 / m))
 
 
+def cold_grid_argmin(D, counts, steps):
+    """The grid oracle's answer with every point solved cold, in lexicographic
+    order, so the first of equal objectives wins."""
+    nu = np.full(D.shape[1], 1.0 / D.shape[1])
+    best_obj, best_w = np.inf, None
+    for comp in itertools.product(range(steps + 1), repeat=len(counts)):
+        if sum(comp) != steps:
+            continue
+        w = np.asarray(comp, dtype=np.float64) / steps
+        obj = solve_exact_ot(OtProblem(D, np.repeat(w / counts, counts), nu)).objective
+        if obj < best_obj:
+            best_obj, best_w = obj, w
+    return best_w / best_w.sum(), best_obj
+
+
 def test_lp_never_beaten_by_grid_search():
     for seed in range(12):
         D, counts = make_instance(seed, k=3, per_class=4, m=10)
@@ -76,20 +91,11 @@ def test_warm_grid_walk_matches_a_cold_walk_bit_for_bit():
             instances.append((pairwise_distances(FeatureMatrix(src), FeatureMatrix(tgt)), counts))
         if len(instances) == 3:
             break
-    steps = 20
     for D, counts in instances:
-        nu = np.full(D.shape[1], 1.0 / D.shape[1])
-        best_obj, best_w = np.inf, None
-        for comp in itertools.product(range(steps + 1), repeat=3):  # lexicographic
-            if sum(comp) != steps:
-                continue
-            w = np.asarray(comp, dtype=np.float64) / steps
-            obj = solve_exact_ot(OtProblem(D, np.repeat(w / counts, counts), nu)).objective
-            if obj < best_obj:
-                best_obj, best_w = obj, w
+        best_w, best_obj = cold_grid_argmin(D, counts, 20)
         bf_w, bf_obj = brute_force_class_weights(D, counts, 0.05)
         assert bf_obj == best_obj
-        np.testing.assert_array_equal(bf_w.weights, best_w / best_w.sum())
+        np.testing.assert_array_equal(bf_w.weights, best_w)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -130,18 +136,31 @@ def test_warm_four_class_grid_walk_matches_a_cold_walk():
     counts = np.array([4, 3, 5, 4])
     D = pairwise_distances(FeatureMatrix(r.normal(size=(16, 2))),
                            FeatureMatrix(r.normal(size=(10, 2)) + 0.3))
-    nu = np.full(10, 0.1)
-    best_obj, best_w = np.inf, None
-    for comp in itertools.product(range(9), repeat=4):  # lexicographic
-        if sum(comp) != 8:
-            continue
-        w = np.asarray(comp, dtype=np.float64) / 8
-        obj = solve_exact_ot(OtProblem(D, np.repeat(w / counts, counts), nu)).objective
-        if obj < best_obj:
-            best_obj, best_w = obj, w
+    best_w, best_obj = cold_grid_argmin(D, counts, 8)
     bf_w, bf_obj = brute_force_class_weights(D, counts, 0.125)
     assert bf_obj == best_obj
-    np.testing.assert_array_equal(bf_w.weights, best_w / best_w.sum())
+    np.testing.assert_array_equal(bf_w.weights, best_w)
+
+
+def test_a_repair_past_n_plus_m_pivots_restarts_cold_and_keeps_the_cold_argmin(monkeypatch):
+    # integer costs in {0..3} make the walk's bases so degenerate that a dual
+    # repair can run past n + m pivots; it gives up and the point starts cold
+    r = rng(5)
+    counts = r.integers(3, 15, size=3)
+    m = int(r.integers(8, 25))
+    D = r.integers(0, 4, size=(int(counts.sum()), m)).astype(float)
+    starts = []
+
+    def counted(*args):
+        starts.append(args)
+        return _least_cost_start(*args)
+
+    monkeypatch.setattr(ot, "_least_cost_start", counted)
+    bf_w, bf_obj = brute_force_class_weights(D, counts, 0.05)
+    assert len(starts) >= 2  # the walk's first point and at least one restart
+    best_w, best_obj = cold_grid_argmin(D, counts, 20)
+    assert bf_obj == best_obj
+    np.testing.assert_array_equal(bf_w.weights, best_w)
 
 
 def test_carried_potentials_stay_exact_on_the_basis_over_a_whole_walk(monkeypatch):
@@ -352,6 +371,20 @@ def test_objective_scales_with_the_cost(classes, per_class, m, k):
     sol = solve_class_weights(10.0**k * D, counts)
     assert abs(sol.objective - 10.0**k * base) <= 1e-9 * 10.0**k * base
     assert sol.plan.dual_gap <= 1e-9 * sol.objective
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_translating_the_features_leaves_the_selection_unchanged(seed):
+    sc = build_scenario("dda", 4, 3, 0, 10.0, seed)
+    src = sort_by_class(sc.source)
+    x, y = src.features.values, sc.target_train.features.values
+    base = solve_class_weights(pairwise_distances(FeatureMatrix(x), FeatureMatrix(y)),
+                               src.class_counts)
+    for t in (1e2, 1e4, 1e6):
+        D = pairwise_distances(FeatureMatrix(x + t), FeatureMatrix(y + t))
+        sol = solve_class_weights(D, src.class_counts)
+        np.testing.assert_allclose(sol.weights.weights, base.weights.weights, rtol=0, atol=1e-12)
+        assert abs(sol.objective - base.objective) <= 1e-9 * base.objective
 
 
 @st.composite

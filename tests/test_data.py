@@ -243,6 +243,12 @@ def test_joint_mass_must_sum_to_one():
         DiscreteJointDistribution(np.ones((2, 1)), np.array([0, 1]), np.array([0.7, 0.7]))
 
 
+def test_joint_needs_a_feature_column():
+    # its feature cost comes from pairwise_distances, which needs one too
+    with pytest.raises(MalformedFile, match="feature column"):
+        DiscreteJointDistribution(np.ones((2, 0)), np.array([0, 1]), np.array([0.5, 0.5]))
+
+
 def test_transport_plan_checks_marginals():
     plan = np.full((2, 2), 0.25)
     TransportPlan(plan, np.array([0.5, 0.5]), np.array([0.5, 0.5]), 1.0, 0.0)

@@ -1,6 +1,7 @@
 """Pairwise distance matrix vs a naive per-pair oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,13 +55,34 @@ def test_symmetry_under_argument_swap():
     np.testing.assert_array_equal(pairwise_distances(a, b), pairwise_distances(b, a).T)
 
 
-def test_translation_invariance():
+@pytest.mark.parametrize("t", [0.0, 1e2, 1e4, 1e6, 1e8])
+def test_translation_invariance(t):
+    # inputs on a 2^-20 grid and an integer shift, so the shifted sets are
+    # exact translates: only the kernel can move a distance, at any offset
     r = rng(7)
-    x, y = r.normal(size=(5, 2)), r.normal(size=(6, 2))
-    shift = r.normal(size=2) * 100
+    x, y = (np.round(r.normal(size=s) * 2**20) / 2**20 for s in [(5, 2), (6, 2)])
+    shift = np.round(r.normal(size=2) * t)
+    xs, ys = x + shift, y + shift
     d0 = pairwise_distances(FeatureMatrix(x), FeatureMatrix(y))
-    d1 = pairwise_distances(FeatureMatrix(x + shift), FeatureMatrix(y + shift))
+    d1 = pairwise_distances(FeatureMatrix(xs), FeatureMatrix(ys))
+    exact = np.sqrt(np.sum((xs[:, None, :] - ys[None, :, :]) ** 2, axis=2))
+    assert np.abs(d1 - exact).max() <= 4 * np.finfo(float).eps * exact.max()
     np.testing.assert_allclose(d1, d0, rtol=1e-9, atol=1e-9)
+
+
+def test_memory_stays_a_few_outputs_at_a_large_offset():
+    # far from the origin every entry of the uncentred expansion is within
+    # roundoff of zero, and recomputing them all takes an (n*m) x d array
+    r = rng(8)
+    x = FeatureMatrix(r.normal(size=(1000, 32)) + 1e6)
+    y = FeatureMatrix(r.normal(size=(200, 32)) + 1e6)
+    tracemalloc.start()
+    try:
+        D = pairwise_distances(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * D.nbytes
 
 
 def test_feature_dimension_mismatch_raises():

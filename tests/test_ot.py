@@ -1,6 +1,7 @@
 """Exact transport solver vs permutation and generic-LP oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -545,6 +546,20 @@ def test_joint_distance_zero_label_cost_reduces_to_feature_distance():
     p, q = random_joint(3, 4), random_joint(4, 4)
     d = pairwise_distances(FeatureMatrix(p.features), FeatureMatrix(q.features))
     assert abs(joint_wasserstein(p, q, 0.0) - wasserstein_distance(d, p.masses, q.masses)) < 1e-12
+
+
+def test_joint_cost_holds_no_difference_array():
+    # an n x m x d broadcast of the feature differences would take 92 MB here
+    r = rng(9)
+    p, q = (DiscreteJointDistribution(r.normal(size=(150, 512)), r.integers(0, 3, size=150),
+                                      np.full(150, 1 / 150)) for _ in range(2))
+    tracemalloc.start()
+    try:
+        joint_wasserstein(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_joint_distance_of_identical_distributions_is_zero():
