@@ -13,6 +13,7 @@ from .bounds import (
     beta_bound,
     check_error_difference_bound,
     compute_bound_report,
+    conditional_wasserstein_term,
     decomposition_check,
     end_to_end_bound_report,
     estimate_rho,
@@ -54,7 +55,6 @@ from .experiment import (
 )
 from .ot import (
     OtProblem,
-    conditional_wasserstein_term,
     joint_wasserstein,
     solve_exact_ot,
     wasserstein_distance,

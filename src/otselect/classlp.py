@@ -178,8 +178,6 @@ def _solve_on_cells(D: np.ndarray, counts: np.ndarray, cells: np.ndarray
     every cell in the LP.
     """
     n, m = D.shape
-    k = counts.size
-    row_class = _row_classes(counts)
     # HiGHS's tolerances are absolute, so it solves on D / max D and the
     # duals are scaled back: the result is then exact at any cost scale.
     scale = float(D.max()) or 1.0
@@ -188,7 +186,7 @@ def _solve_on_cells(D: np.ndarray, counts: np.ndarray, cells: np.ndarray
     while True:
         rounds += 1
         rows, cols = np.nonzero(cells)
-        x, duals = _run_highs(D[rows, cols] / scale, rows, cols, row_class, n, m, k)
+        x, duals = _run_highs(D[rows, cols] / scale, rows, cols, counts, m)
         duals = scale * duals
         y, z = duals[:m], duals[m:]
 
@@ -210,8 +208,8 @@ def _solve_on_cells(D: np.ndarray, counts: np.ndarray, cells: np.ndarray
     return sol, rounds
 
 
-def _run_highs(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, row_class: np.ndarray,
-               n: int, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _run_highs(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, counts: np.ndarray,
+               m: int) -> tuple[np.ndarray, np.ndarray]:
     """Solve the class LP on the cells (rows, cols) with HiGHS's dual simplex;
     return the cells' values and the row duals (y for the m column sums, then
     z for the n row ties), in the units of ``cost``.
@@ -219,8 +217,9 @@ def _run_highs(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, row_class: 
     Rows: each target column's mass equals 1/m, and each source row's mass
     minus its class variable equals 0. Columns, in this order: one per cell,
     with a one in its target column's row and in its source row's row, then
-    one free variable per class, with -1 on its class's rows. The matrix is
-    filled column-wise in closed form. Presolve is off: on these LPs it
+    one free variable per class, with -1 on its class's rows, which are
+    consecutive, ``counts`` of them per class. The matrix is filled
+    column-wise in closed form. Presolve is off: on these LPs it
     changes neither the iteration count nor the plan, and on gate 03's it
     adds about a fifth to each solve.
     """
@@ -230,7 +229,7 @@ def _run_highs(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, row_class: 
         raise ImportError("otselect needs scipy>=1.17, which ships HiGHS's own bindings "
                           "as scipy.optimize._highspy._core") from e
 
-    e = rows.size
+    e, n, k = rows.size, int(counts.sum()), counts.size
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = e + k
     lp.num_row_ = lp.a_matrix_.num_row_ = m + n
@@ -240,10 +239,10 @@ def _run_highs(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, row_class: 
     lp.row_lower_ = lp.row_upper_ = np.concatenate([np.full(m, 1.0 / m), np.zeros(n)])
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
     lp.a_matrix_.start_ = np.concatenate(
-        [np.arange(0, 2 * e + 1, 2), 2 * e + np.cumsum(np.bincount(row_class, minlength=k))]
+        [np.arange(0, 2 * e + 1, 2), 2 * e + np.cumsum(counts)]
     ).astype(np.int32)
     lp.a_matrix_.index_ = np.concatenate(
-        [np.stack([cols, m + rows], axis=1).ravel(), m + np.argsort(row_class, kind="stable")]
+        [np.stack([cols, m + rows], axis=1).ravel(), m + np.arange(n)]
     ).astype(np.int32)
     lp.a_matrix_.value_ = np.concatenate([np.ones(2 * e), -np.ones(n)])
 

@@ -58,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="default seed for subcommands")
     p.add_argument("--threads", type=int, default=0,
-                   help="worker processes for experiment cells (0 = all cores)")
+                   help="worker processes for experiment cells (0 = the config's "
+                        "threads, whose own 0 means all cores)")
     p.add_argument("--quiet", action="store_true", help="suppress progress diagnostics")
     sub = p.add_subparsers(dest="command", required=True)
 

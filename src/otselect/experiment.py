@@ -175,7 +175,9 @@ def run_experiment_matrix(config: ExperimentConfig, threads: int | None = None) 
 
     Row order is fixed by config order regardless of completion order, and
     summary statistics are the mean and sample standard deviation of the
-    accuracy over the cell's successful seeds.
+    accuracy over the cell's successful seeds. ``threads`` worker processes
+    run the cells, the config's own ``threads`` when None; 0 means all cores,
+    and 1 runs them inline. The CLI passes None for its ``--threads 0``.
     """
     threads = config.threads if threads is None else threads
     if threads == 0:

@@ -52,13 +52,7 @@ import numpy as np
 
 from .data import DiscreteJointDistribution, FeatureMatrix, TransportPlan
 from .distance import pairwise_distances
-from .errors import (
-    DimensionMismatch,
-    InfeasibleMarginals,
-    MalformedFile,
-    SolverFailure,
-    SupportMismatch,
-)
+from .errors import DimensionMismatch, InfeasibleMarginals, MalformedFile, SolverFailure
 
 # Masses closer than this count as equal, and their epsilon counts order them.
 _TIE = 1e-14
@@ -464,7 +458,7 @@ def wasserstein_distance(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> fl
 
 
 # ============================================================
-# Joint and conditional distances over feature x label space
+# Joint distance over feature x label space
 # ============================================================
 
 
@@ -479,66 +473,3 @@ def joint_wasserstein(p: DiscreteJointDistribution, q: DiscreteJointDistribution
     cost = pairwise_distances(FeatureMatrix(p.features), FeatureMatrix(q.features))
     cost += label_cost * (p.labels[:, None] != q.labels[None, :])
     return wasserstein_distance(cost, p.masses, q.masses)
-
-
-def _atom_tables(p: DiscreteJointDistribution, q: DiscreteJointDistribution
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The shared feature support and each side's (atom x label) mass table.
-
-    Feature atoms are matched by their exact bytes and listed in order of
-    first appearance over p's atoms, then q's; the label columns are the
-    sorted union of both label sets.
-    """
-    if p.features.shape[1] != q.features.shape[1]:
-        raise DimensionMismatch("joint distributions disagree on feature dimension")
-    feats = np.vstack([p.features, q.features])
-    _, first, inv = np.unique(feats.view(np.int64), axis=0, return_index=True,
-                              return_inverse=True)
-    order = np.argsort(first)
-    atom = np.argsort(order)[inv.reshape(-1)]  # the place of each atom's feature in the support
-    side = np.repeat([0, first.size], [p.masses.size, q.masses.size])  # q's table follows p's
-    labels = np.union1d(p.labels, q.labels)
-    col = np.searchsorted(labels, np.concatenate([p.labels, q.labels]))
-    tp, tq = np.bincount((side + atom) * labels.size + col,
-                         weights=np.concatenate([p.masses, q.masses]),
-                         minlength=2 * first.size * labels.size).reshape(2, first.size, -1)
-    return feats[first[order]], tp, tq
-
-
-def _label_tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Total variation between the label laws in matching rows of two mass
-    tables: their W1 under the 0-1 label cost (Gibbs & Su 2002)."""
-    a = a / a.sum(axis=1, keepdims=True)
-    b = b / b.sum(axis=1, keepdims=True)
-    return 0.5 * np.abs(a - b).sum(axis=1)
-
-
-def _conditional_term(tp: np.ndarray, tq: np.ndarray, weighting: str) -> float:
-    """``conditional_wasserstein_term`` at unit label cost, from the tables."""
-    mp, mq = tp.sum(axis=1), tq.sum(axis=1)
-    w, other = (mp, mq) if weighting == "source" else (mq, mp)
-    if ((w > 0.0) & (other <= 0.0)).any():
-        raise SupportMismatch(
-            "a feature atom of the weighting marginal is missing from the other support"
-        )
-    keep = w > 0.0
-    return float(w[keep] @ _label_tv(tp[keep], tq[keep]) / w.sum())
-
-
-def conditional_wasserstein_term(p: DiscreteJointDistribution,
-                                 q: DiscreteJointDistribution,
-                                 weighting: str = "source",
-                                 label_cost: float = 1.0) -> float:
-    """Expected per-feature W1 between the two conditional label distributions.
-
-    The expectation runs over the feature marginal of ``p`` (weighting
-    "source") or ``q`` ("target"); features are matched by exact equality.
-    Under the cost label_cost * [y != y'] each W1 is label_cost times the
-    total variation distance, so no transport problem is solved.
-    """
-    if weighting not in ("source", "target"):
-        raise ValueError(f"weighting must be 'source' or 'target', got {weighting!r}")
-    if label_cost < 0:
-        raise ValueError("label_cost must be nonnegative")
-    _, tp, tq = _atom_tables(p, q)
-    return label_cost * _conditional_term(tp, tq, weighting)

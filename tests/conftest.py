@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -8,7 +10,9 @@ from otselect import (
     DiscreteJointDistribution,
     FeatureMatrix,
     LabeledDataset,
+    default_dda_matrix,
     pairwise_distances,
+    run_experiment_matrix,
 )
 
 # Property tests draw the same examples on every run, so tier-1 is
@@ -69,6 +73,15 @@ def random_joint(seed: int, n_atoms: int = 5, d: int = 2, n_labels: int = 3,
     labels = r.integers(0, n_labels, size=z.shape[0])
     masses = r.dirichlet(np.ones(z.shape[0]))
     return DiscreteJointDistribution(np.asarray(z, dtype=np.float64), labels, masses)
+
+
+@pytest.fixture(scope="session")
+def default_matrix_run() -> tuple[list[dict], float]:
+    """The default experiment matrix, run once per session through the worker
+    pool (the config's threads), and the seconds that run took."""
+    start = time.perf_counter()
+    rows = run_experiment_matrix(default_dda_matrix())
+    return rows, time.perf_counter() - start
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ from otselect import (
 )
 from otselect.bounds import random_joint_pair_shared_support
 from otselect.classlp import brute_force_class_weights
-from otselect.experiment import default_dda_matrix, run_experiment_matrix
+from otselect.experiment import default_dda_matrix
 from otselect.pipeline import softmax, weighted_cross_entropy
 from otselect.synth import build_scenario
 
@@ -181,11 +181,9 @@ def test_criterion_08_transfer_bound_end_to_end():
     assert rep.bound_value == rep.eps_source + max(rep.rho_upper, 1.0) * rep.w1_joint
 
 
-def test_criterion_09_selection_beats_baselines_on_the_default_matrix():
-    start = time.perf_counter()
+def test_criterion_09_selection_beats_baselines_on_the_default_matrix(default_matrix_run):
+    rows, elapsed = default_matrix_run
     config = default_dda_matrix()
-    rows = run_experiment_matrix(config)
-    elapsed = time.perf_counter() - start
 
     means = {(r["scenario"], r["method"]): r["accuracy_mean"]
              for r in rows if r["status"] == "summary"}

@@ -85,6 +85,20 @@ def test_verify_is_deterministic_given_seed():
     assert verify_softmax_lipschitz(3, 500, seed=42) == verify_softmax_lipschitz(3, 500, seed=42)
 
 
+@pytest.mark.parametrize("trials", [1, 2, 3, 5, 999, 1000, 1001])
+def test_verify_softmax_lipschitz_draws_exactly_trials_pairs(trials, monkeypatch):
+    # each pair passes one row for v and one for v' through the softmax
+    rows = []
+
+    def counting_softmax(z):
+        rows.append(z.shape[0])
+        return softmax(z)
+
+    monkeypatch.setattr(bounds, "softmax", counting_softmax)
+    verify_softmax_lipschitz(3, trials, seed=0)
+    assert sum(rows) == 2 * trials
+
+
 # --------------------------------------------------------- singular values
 
 
