@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import ClassWeights, TransportPlan, WEIGHT_CLAMP
 from .errors import DimensionMismatch, MalformedFile, SolverFailure, TooManyClasses
-from .ot import _solve
+from .ot import _dense_plan, _solve
 
 # Above this many cost entries the LP is solved on a candidate set of cells.
 # On gate-03-shaped instances (2-4 classes, 2-D; six per size, best of five)
@@ -332,7 +332,17 @@ def brute_force_class_weights(
     simplex pivots repair it when it is not feasible at once. The tree also
     carries its reduced costs and dual violation: a point that needs no pivot
     reuses them instead of pricing every cell again. Each point is still
-    certified by its duality gap and the marginals of its plan.
+    certified by its duality gap and the marginals of its plan, both taken
+    over its n + m - 1 basic cells alone.
+
+    The points are ranked by the dense objective ``np.sum(D * plan)`` that
+    ``solve_exact_ot`` reports (``ot._dense_plan``), but only the points whose
+    basic-cell objective is within 1e-12, relative, of the least one build
+    their dense plan, after the walk. Every term is nonnegative, so the
+    basic-cell sum, correctly rounded, is within one unit in the last place
+    of the exact sum and the dense one within about 20 + log2(nm) units, both
+    relative: a point further above cannot be the minimizer. A point that
+    makes no pivot is then O(n + m).
     """
     D, counts = _check_inputs(D, class_counts)
     k = counts.size
@@ -342,14 +352,22 @@ def brute_force_class_weights(
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
     steps = max(1, round(1.0 / grid_step))
 
-    nu = np.full(D.shape[1], 1.0 / D.shape[1])
-    best, tree = (np.inf, ()), None
+    n, m = D.shape
+    nu = np.full(m, 1.0 / m)
+    short, least, tree = [], np.inf, None  # the points that may be the minimizer
     for comp in _grid_walk(k, steps):
         mu = np.repeat(np.asarray(comp, dtype=np.float64) / steps / counts, counts)
-        plan, objective, _, tree = _solve(D, mu, nu, tree)
-        if max(np.abs(plan.sum(axis=1) - mu).max(), np.abs(plan.sum(axis=0) - nu).max()) > 1e-7:
+        bi, bj, vals, objective, _, tree = _solve(D, mu, nu, tree)
+        if max(np.abs(np.bincount(bi, vals, n) - mu).max(),
+               np.abs(np.bincount(bj, vals, m) - nu).max()) > 1e-7:
             raise SolverFailure(f"grid point {comp}: plan marginals off by more than 1e-7")
-        best = min(best, (objective, comp))  # ties go to the first point in lexicographic order
+        if objective <= least + 1e-12 * least:
+            if objective < least:
+                least = objective
+                short = [p for p in short if p[0] <= least + 1e-12 * least]
+            short.append((objective, comp, bi, bj, vals))
+    # ties go to the first point in lexicographic order
+    best = min((_dense_plan(D, bi, bj, vals)[1], comp) for _, comp, bi, bj, vals in short)
     w = np.asarray(best[1], dtype=np.float64) / steps
     return ClassWeights(w / w.sum()), float(best[0])
 

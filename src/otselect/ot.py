@@ -38,14 +38,23 @@ and the cheapest cell across the cut it opens enters, through the same
 pivot step as the primal simplex. A few such pivots replace a cold restart.
 
 A carried tree also keeps what it has computed from its potentials: the
-reduced costs C - u - v, the certificate's dual violation and the order of
-its nodes by depth. Only a pivot moves the potentials and the depths, and it
-drops all three, so a solve that makes no pivot prices no cell again and
-recomputes no certificate pass.
+reduced costs C - u - v with the place of the least of them, the
+certificate's dual violation and the order of its nodes by depth; and what
+it knows of its cost, the largest entry and the tolerance it sets. Only a
+pivot moves the potentials and the depths, and it drops the first three, so
+a solve that makes no pivot prices no cell again and recomputes no
+certificate pass.
+
+``_solve`` returns the optimal basis's n + m - 1 cells and values, with
+their objective summed over those cells alone, never a dense plan. So a
+solve that makes no pivot is O(n + m): it creates no n x m array and makes
+no pass over all n·m cells. ``solve_exact_ot`` builds the dense plan
+(``_dense_plan``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,12 +158,15 @@ class _Tree:
     root the tree. ``pot`` holds u then v, with u[0] = 0 and u_i + v_j = C_ij
     on every basic cell. Basic cell e has value vals[e] + eps[e]·epsilon.
 
-    Three caches hold for the current potentials under the one cost the tree
-    is solved on, and are None until computed: ``rc``, the reduced costs
-    C - u - v (``_priced``); ``viol``, the certificate's dual violation
-    max(u + v - C, 0) (``_solve``); and ``order``, the non-root nodes deepest
-    first (``values``). ``pivot``, the only step that moves potentials and
-    depths, clears all three.
+    A tree is solved on one cost, whose largest entry ``c_max`` and
+    reduced-cost tolerance ``rc_tol`` (1e-11 of c_max) it holds
+    (``_basis_tree``). Four caches hold for the current potentials under that
+    cost, and are None until computed: ``rc``, the reduced costs C - u - v,
+    and ``low``, the flat position of the least of them (``_priced``);
+    ``viol``, the certificate's dual violation max(u + v - C, 0) (``_solve``);
+    and ``order``, the non-root nodes deepest first (``values``). ``pivot``,
+    the only step that moves potentials and depths, clears all four. ``out``
+    is where ``rc`` is priced, allocated on the first pricing and kept.
     """
 
     n: int
@@ -167,9 +179,13 @@ class _Tree:
     pot: list[float]
     vals: list[float]
     eps: list[int]
+    c_max: float
+    rc_tol: float
     rc: np.ndarray | None = None
+    low: int | None = None
     viol: float | None = None
     order: list[int] | None = None
+    out: np.ndarray | None = None
 
     def values(self, a: np.ndarray, b: np.ndarray) -> list[float]:
         """Basic-cell values for row marginal a and column marginal b: the
@@ -239,7 +255,7 @@ class _Tree:
         cell, and its potentials shift by the cell's reduced cost delta, which
         clears the tree's caches.
         """
-        self.rc = self.viol = self.order = None
+        self.rc = self.low = self.viol = self.order = None
         n, adj, parent, pcell, depth, pot, vals, eps = (
             self.n, self.adj, self.parent, self.pcell, self.depth, self.pot,
             self.vals, self.eps)
@@ -272,9 +288,10 @@ class _Tree:
 
 
 def _basis_tree(bi: list[int], bj: list[int], cost: np.ndarray) -> _Tree | None:
-    """The basis tree of cells (bi, bj), with potentials under ``cost`` and
-    the epsilon counts of its cells, but no values (``_solve`` sets them);
-    None unless the cells span every node."""
+    """The basis tree of cells (bi, bj), with potentials under ``cost``, the
+    epsilon counts of its cells and the cost's scale (``c_max``, ``rc_tol``),
+    but no values (``_solve`` sets them); None unless the cells span every
+    node."""
     n, m = cost.shape
     adj: list[dict[int, int]] = [dict() for _ in range(n + m)]
     for e in range(len(bi)):
@@ -291,7 +308,9 @@ def _basis_tree(bi: list[int], bj: list[int], cost: np.ndarray) -> _Tree | None:
                 stack.append(y)
     if -1 in parent[1:]:
         return None
-    tree = _Tree(n, bi, bj, adj, parent, pcell, depth, pot, [], [])
+    c_max = float(cost.max(initial=0.0))
+    rc_tol = 1e-11 * c_max if c_max > 0.0 else 1e-11
+    tree = _Tree(n, bi, bj, adj, parent, pcell, depth, pot, [], [], c_max, rc_tol)
     tree.eps = tree.values(*_eps_weights(n, m))  # the counts depend on the tree alone
     return tree
 
@@ -304,12 +323,16 @@ def _reduced_costs(C: np.ndarray, tree: _Tree, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _priced(C: np.ndarray, tree: _Tree, out: np.ndarray) -> np.ndarray:
-    """The tree's reduced costs, priced into ``out`` only when the tree holds
-    none for its current potentials."""
+def _priced(C: np.ndarray, tree: _Tree) -> tuple[np.ndarray, int]:
+    """The tree's reduced costs and the flat position of the least of them,
+    priced into the tree's buffer only when the tree holds none for its
+    current potentials."""
     if tree.rc is None:
-        tree.rc = _reduced_costs(C, tree, out)
-    return tree.rc
+        if tree.out is None:
+            tree.out = np.empty_like(C)
+        tree.rc = _reduced_costs(C, tree, tree.out)
+        tree.low = int(tree.rc.argmin())
+    return tree.rc, tree.low
 
 
 def _violation(C: np.ndarray, tree: _Tree) -> float:
@@ -320,8 +343,7 @@ def _violation(C: np.ndarray, tree: _Tree) -> float:
     return max(0.0, float((uv[:tree.n, None] + uv[None, tree.n:] - C).max()))
 
 
-def _dual_repair(tree: _Tree, C: np.ndarray, rc_tol: float, cap: int,
-                 out: np.ndarray) -> tuple[_Tree | None, int]:
+def _dual_repair(tree: _Tree, C: np.ndarray, cap: int) -> tuple[_Tree | None, int]:
     """Dual simplex pivots that make a dual-feasible basis primal-feasible.
 
     Each pivot drops the basic cell of most negative value (by ``_lex_less``),
@@ -332,13 +354,13 @@ def _dual_repair(tree: _Tree, C: np.ndarray, rc_tol: float, cap: int,
     its own, the least of them, so the basis stays dual-feasible. Returns the
     repaired tree (as it stands when already feasible) and the pivots made,
     or None in its place when the basis is infeasible and not dual-feasible
-    (a reduced cost below -rc_tol), needs more than n + m pivots or has no
-    entering cell. Raises ``SolverFailure`` when a pivot is due at the cap.
+    (a reduced cost below the tree's rc_tol), needs more than n + m pivots or
+    has no entering cell. Raises ``SolverFailure`` when a pivot is due at the
+    cap.
 
     A tree whose values all exceed the tie tolerance is feasible whatever its
-    epsilon counts, and returns at once. Reduced costs come from ``_priced``
-    (into ``out``), so they are priced only when a pivot is due, once per set
-    of potentials.
+    epsilon counts, and returns at once. Reduced costs come from ``_priced``,
+    so they are priced only when a pivot is due, once per set of potentials.
     """
     n, m = C.shape
     if min(tree.vals) > _TIE:
@@ -350,8 +372,8 @@ def _dual_repair(tree: _Tree, C: np.ndarray, rc_tol: float, cap: int,
             return tree, pivots
         if pivots == n + m:
             break
-        rc = _priced(C, tree, out)
-        if pivots == 0 and rc.min() < -rc_tol:
+        rc, least = _priced(C, tree)
+        if pivots == 0 and rc.item(least) < -tree.rc_tol:
             return None, 0
         if pivots == cap:
             raise SolverFailure(f"transportation simplex hit the {cap}-pivot cap")
@@ -379,49 +401,64 @@ def solve_exact_ot(problem: OtProblem, max_iters: int | None = None) -> Transpor
     """
     if max_iters is not None and max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
-    plan, objective, gap, _ = _solve(problem.cost, problem.mu, problem.nu, max_iters=max_iters)
-    return TransportPlan(plan, problem.mu, problem.nu, objective, dual_gap=gap)
+    bi, bj, vals, _, dual_obj, _ = _solve(problem.cost, problem.mu, problem.nu,
+                                          max_iters=max_iters)
+    plan, objective = _dense_plan(problem.cost, bi, bj, vals)
+    return TransportPlan(plan, problem.mu, problem.nu, objective,
+                         dual_gap=max(objective - dual_obj, 0.0))
+
+
+def _dense_plan(C: np.ndarray, bi: np.ndarray, bj: np.ndarray, vals: np.ndarray
+                ) -> tuple[np.ndarray, float]:
+    """The n x m plan with ``vals`` on cells (bi, bj) and zero elsewhere, and
+    its objective ``np.sum(C * plan)``: the one ``solve_exact_ot`` reports."""
+    plan = np.zeros(C.shape)
+    plan[bi, bj] = vals
+    return plan, float(np.sum(C * plan))
 
 
 def _solve(C: np.ndarray, mu: np.ndarray, nu: np.ndarray, tree: _Tree | None = None,
-           max_iters: int | None = None) -> tuple[np.ndarray, float, float, _Tree]:
-    """The optimal plan, its objective, its duality gap and the final tree.
+           max_iters: int | None = None
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, _Tree]:
+    """The optimal basis's cells (bi, bj) and their values, their objective,
+    a dual-feasible objective and the final tree.
 
-    ``tree``, a basis tree of C's shape (``_basis_tree``), is given its values
-    for mu and nu here. It is used as it stands when it is feasible for the
+    The plan is the values on cells (bi, bj) and zero elsewhere; no n x m
+    array is built here. The objective is summed over the basic cells alone
+    and correctly rounded (``math.fsum``), so it does not depend on their
+    order. The certificate's gap is that objective minus the dual one.
+
+    ``tree``, a basis tree of C (``_basis_tree``), is given its values for mu
+    and nu here. It is used as it stands when it is feasible for the
     perturbed marginals, repaired by ``_dual_repair`` when it is not, and
     replaced by the least-cost start when the repair gives up. The tree is
     changed in place. At most ``max_iters`` pivots are made, dual ones
     included; by default 20nm + 50(n + m) + 200. The reduced-cost tolerance,
     1e-11 of the largest cost, and the certificate's bound, 1e-9 of it, scale
-    with C, so scaling C scales nothing else.
+    with C, so scaling C scales nothing else; the tree holds both for its cost.
 
-    The tree's cached reduced costs and dual violation are used as they
-    stand: a carried tree that needs no pivot is neither priced nor checked
-    again over its cells; only its plan and the two objectives are new. The
-    violation is computed apart from the pricing (``_violation``), so a
-    certificate never rests on the pricing that it checks.
+    The tree's cached pricing and dual violation are used as they stand: a
+    carried tree that needs no pivot is neither priced nor checked again over
+    its cells, and the solve is O(n + m). The violation is computed apart
+    from the pricing (``_violation``), so a certificate never rests on the
+    pricing that it checks.
     """
     n, m = C.shape
-    c_max = float(C.max(initial=0.0))
-    rc_tol = 1e-11 * c_max if c_max > 0.0 else 1e-11
     cap = max_iters if max_iters is not None else 20 * n * m + 50 * (n + m) + 200
 
-    out = np.empty_like(C)  # where reduced costs are priced
     done = 0  # pivots made so far
     if tree is not None:
         tree.vals = tree.values(mu, nu)
-        tree, done = _dual_repair(tree, C, rc_tol, cap, out)
+        tree, done = _dual_repair(tree, C, cap)
     if tree is None:
         tree = _basis_tree(*_least_cost_start(C, mu, nu), C)
         assert tree is not None, "the least-cost start must span"
         tree.vals = tree.values(mu, nu)
 
     for pivots in range(done, cap + 1):  # the last pass only checks optimality
-        rc = _priced(C, tree, out)
-        pos = int(rc.argmin())
+        rc, pos = _priced(C, tree)
         delta = rc.item(pos)
-        if delta >= -rc_tol:
+        if delta >= -tree.rc_tol:
             break
         if pivots == cap:
             raise SolverFailure(f"transportation simplex hit the {cap}-pivot cap")
@@ -435,11 +472,11 @@ def _solve(C: np.ndarray, mu: np.ndarray, nu: np.ndarray, tree: _Tree | None = N
                         + [pcell[x] for x in reversed(side_b) if x >= n])
         tree.pivot(ei, ej, side_a, side_b, el, delta)
 
-    # The plan for the true marginals, from the optimal basis; its values are
+    # The values for the true marginals, on the optimal basis; they are
     # rebuilt after pivots, which move them by rounding.
-    plan = np.zeros((n, m))
-    plan[tree.bi, tree.bj] = np.maximum(tree.vals if pivots == 0 else tree.values(mu, nu), 0.0)
-    objective = float(np.sum(C * plan))
+    bi, bj = np.array(tree.bi), np.array(tree.bj)
+    vals = np.maximum(tree.vals if pivots == 0 else tree.values(mu, nu), 0.0)
+    objective = math.fsum((C[bi, bj] * vals).tolist())
 
     # Rigorous certificate: shift u until (u, v) is dual feasible, then gap.
     if tree.viol is None:
@@ -447,9 +484,9 @@ def _solve(C: np.ndarray, mu: np.ndarray, nu: np.ndarray, tree: _Tree | None = N
     uv = np.array(tree.pot)
     dual_obj = float(uv[:n] @ mu + uv[n:] @ nu) - tree.viol * float(mu.sum())
     gap = max(objective - dual_obj, 0.0)
-    if gap > 1e-9 * c_max:
+    if gap > 1e-9 * tree.c_max:
         raise SolverFailure(f"transportation simplex duality gap {gap:.3e} above 1e-9 * max C")
-    return plan, objective, gap, tree
+    return bi, bj, vals, objective, dual_obj, tree
 
 
 def wasserstein_distance(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:

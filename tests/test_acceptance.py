@@ -10,10 +10,8 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from otselect import (
-    ClassWeights,
     FeatureMatrix,
     SinkhornConfig,
     SoftmaxHead,
@@ -192,8 +190,6 @@ def test_criterion_09_selection_beats_baselines_on_the_default_matrix(default_ma
 
     # the generator plants a closest subset that differs from uniform in
     # every default scenario, so the uniform comparison applies everywhere
-    from otselect.experiment import ScenarioConfig  # noqa: F401  (doc import)
-
     for sc in config.scenarios:
         built = build_scenario(sc.kind, sc.k_source, sc.k_target, sc.overlap,
                                sc.separation, sc.seed, dim=sc.dim,

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -75,27 +76,17 @@ def test_lp_never_beaten_by_grid_search():
 
 
 def test_warm_grid_walk_matches_a_cold_walk_bit_for_bit():
-    # gate 01's recipe, at its first three instances with k = 3; each grid
-    # point is solved cold here, while the oracle warm-starts (and repairs)
-    # every solve from the basis of the point before it
-    instances = []
-    for i in itertools.count():
-        r = rng(1000 + i)
-        k = int(r.integers(1, 4))
-        hi = 24 if k == 3 else 30
-        counts = np.minimum(r.integers(2, max(3, hi // k) + 1, size=k), 30 // k)
-        m = int(r.integers(6, hi + 1))
-        src = r.normal(size=(int(counts.sum()), 2))
-        tgt = r.normal(size=(m, 2)) + r.normal(size=2)
-        if k == 3:
-            instances.append((pairwise_distances(FeatureMatrix(src), FeatureMatrix(tgt)), counts))
-        if len(instances) == 3:
-            break
-    for D, counts in instances:
-        best_w, best_obj = cold_grid_argmin(D, counts, 20)
-        bf_w, bf_obj = brute_force_class_weights(D, counts, 0.05)
-        assert bf_obj == best_obj
-        np.testing.assert_array_equal(bf_w.weights, best_w)
+    # gate 01's first three instances at each k from 1 to 3; each grid point
+    # is solved cold here, while the oracle warm-starts (and repairs) every
+    # solve from the basis of the point before it
+    for k in (1, 2, 3):
+        instances = (inst for inst in map(gate01_instance, itertools.count())
+                     if inst[1].size == k)
+        for D, counts in itertools.islice(instances, 3):
+            best_w, best_obj = cold_grid_argmin(D, counts, 20)
+            bf_w, bf_obj = brute_force_class_weights(D, counts, 0.05)
+            assert bf_obj == best_obj, k
+            np.testing.assert_array_equal(bf_w.weights, best_w)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -119,11 +110,16 @@ def test_grid_ties_go_to_the_first_point_in_lexicographic_order(monkeypatch):
     assert walk.index((1, 3, 0)) < walk.index((1, 0, 3))
     tied = {(0.25, 0.75, 0.0), (0.25, 0.0, 0.75)}
 
-    def planted(C, mu, nu, tree):
-        objective = 0.5 if tuple(mu.tolist()) in tied else 1.0
-        return np.outer(mu, nu), objective, 0.0, tree
+    def planted(mu):
+        return 0.5 if tuple(mu.tolist()) in tied else 1.0
 
-    monkeypatch.setattr(classlp, "_solve", planted)
+    def solve(C, mu, nu, tree):  # every cell basic, at the product plan
+        bi, bj = np.indices(C.shape).reshape(2, -1)
+        return bi, bj, np.outer(mu, nu).ravel(), planted(mu), planted(mu), tree
+
+    monkeypatch.setattr(classlp, "_solve", solve)
+    monkeypatch.setattr(classlp, "_dense_plan",
+                        lambda C, bi, bj, vals: (None, planted(np.bincount(bi, vals))))
     w, obj = brute_force_class_weights(np.ones((3, 2)), np.ones(3, dtype=np.int64), 0.25)
     assert obj == 0.5
     np.testing.assert_array_equal(w.weights, [0.25, 0.0, 0.75])
@@ -140,6 +136,27 @@ def test_warm_four_class_grid_walk_matches_a_cold_walk():
     bf_w, bf_obj = brute_force_class_weights(D, counts, 0.125)
     assert bf_obj == best_obj
     np.testing.assert_array_equal(bf_w.weights, best_w)
+
+
+def test_screened_walk_ranks_as_if_every_point_had_its_dense_objective():
+    # with integer costs over 3 many grid points tie up to rounding, and at
+    # rng(92) the point of least dense objective has a basic-cell objective
+    # above the least one: the screen must leave such points a margin
+    for seed in range(88, 96):
+        r = rng(seed)
+        counts = r.integers(2, 12, size=3)
+        m = int(r.integers(3, 20))
+        D = r.integers(0, 4, size=(int(counts.sum()), m)) / 3
+        nu = np.full(m, 1.0 / m)
+        best, tree = (np.inf, ()), None
+        for comp in classlp._grid_walk(3, 20):
+            mu = np.repeat(np.asarray(comp, dtype=np.float64) / 20 / counts, counts)
+            bi, bj, vals, _, _, tree = ot._solve(D, mu, nu, tree)
+            best = min(best, (ot._dense_plan(D, bi, bj, vals)[1], comp))
+        w, obj = brute_force_class_weights(D, counts, 0.05)
+        assert obj == best[0], seed
+        want = np.asarray(best[1], dtype=np.float64) / 20
+        np.testing.assert_array_equal(w.weights, want / want.sum())
 
 
 def test_a_repair_past_n_plus_m_pivots_restarts_cold_and_keeps_the_cold_argmin(monkeypatch):
@@ -172,7 +189,7 @@ def test_carried_potentials_stay_exact_on_the_basis_over_a_whole_walk(monkeypatc
 
     def checked(C, mu, nu, tree):
         out = solve(C, mu, nu, tree)
-        t = out[3]
+        t = out[-1]
         uv = np.array(t.pot)
         drift.append(np.abs(uv[t.bi] + uv[t.n + np.array(t.bj)] - C[t.bi, t.bj]).max())
         return out
@@ -217,6 +234,44 @@ def test_each_set_of_potentials_is_priced_and_certified_once(monkeypatch):
     assert 1 <= calls["violation"] <= calls["pivots"] + 1, calls
 
 
+def test_a_grid_point_without_a_pivot_allocates_no_n_by_m_array(monkeypatch):
+    # a 100 x 100 cost on a fine grid, where most points need no pivot: those
+    # that also stay off the dense objective must allocate less than one
+    # n x m array between the start of one point and the start of the next
+    r = rng(0)
+    D = pairwise_distances(FeatureMatrix(r.normal(size=(100, 2))),
+                           FeatureMatrix(r.normal(size=(100, 2)) + 0.3))
+    done = {"pivots": 0, "dense": 0}
+    points = list(classlp._grid_walk(2, 500))
+    peaks = []
+
+    def counted(name, f):
+        def wrapped(*args):
+            done[name] += 1
+            return f(*args)
+        return wrapped
+
+    def traced(k, steps):
+        for comp in points:
+            before = dict(done)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            yield comp
+            if done == before:
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(ot._Tree, "pivot", counted("pivots", ot._Tree.pivot))
+    monkeypatch.setattr(classlp, "_dense_plan", counted("dense", classlp._dense_plan))
+    monkeypatch.setattr(classlp, "_grid_walk", traced)
+    tracemalloc.start()
+    try:
+        brute_force_class_weights(D, np.array([50, 50]), 1 / 500)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) >= 100
+    assert max(peaks) < D.size * 8
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_cached_pricing_stays_coherent_over_random_walks(monkeypatch, seed):
     # one tree carried over a whole serpentine walk: whatever it caches must
@@ -230,7 +285,7 @@ def test_cached_pricing_stays_coherent_over_random_walks(monkeypatch, seed):
 
     def checked(C, mu, nu, tree):
         out = solve(C, mu, nu, tree)
-        t = out[3]
+        t = out[-1]
         uv = np.array(t.pot)
         u, v = uv[:t.n], uv[t.n:]
         if t.rc is not None:
@@ -385,6 +440,47 @@ def test_translating_the_features_leaves_the_selection_unchanged(seed):
         sol = solve_class_weights(D, src.class_counts)
         np.testing.assert_allclose(sol.weights.weights, base.weights.weights, rtol=0, atol=1e-12)
         assert abs(sol.objective - base.objective) <= 1e-9 * base.objective
+
+
+def test_grid_oracle_is_exactly_equivariant_under_binary_scaling(monkeypatch):
+    # D·2^k rounds nothing, so the walk must make the same choices: its
+    # tolerances follow the cost's own scale, and a point is screened out of
+    # the dense objective relative to the least one, never by an absolute bound
+    dense, dense_plan = [], classlp._dense_plan
+
+    def counted(*args):
+        dense.append(args)
+        return dense_plan(*args)
+
+    monkeypatch.setattr(classlp, "_dense_plan", counted)
+    for i in range(12):
+        D, counts = gate01_instance(i)
+        w, obj = brute_force_class_weights(D, counts, 0.05)
+        points = len(dense)
+        for k in (-600, -40, 40, 600):
+            dense.clear()
+            wk, obj_k = brute_force_class_weights(np.ldexp(D, k), counts, 0.05)
+            assert obj_k == np.ldexp(obj, k), (i, k)
+            assert wk.weights.tobytes() == w.weights.tobytes(), (i, k)
+            assert len(dense) == points, (i, k)
+        dense.clear()
+
+
+def test_permuting_targets_and_rows_within_a_class_leaves_the_selection_unchanged():
+    # the target points and the rows of each class are unordered sets
+    for i in range(12):
+        D, counts = gate01_instance(i)
+        lp = solve_class_weights(D, counts)
+        w, obj = brute_force_class_weights(D, counts, 0.02)
+        starts = np.cumsum(counts) - counts
+        for seed in range(3):
+            r = rng(seed)
+            rows = np.concatenate([s + r.permutation(c) for s, c in zip(starts, counts)])
+            P = D[rows][:, r.permutation(D.shape[1])]
+            assert abs(solve_class_weights(P, counts).objective - lp.objective) <= 1e-9 * D.max()
+            wp, obj_p = brute_force_class_weights(P, counts, 0.02)
+            np.testing.assert_array_equal(wp.weights, w.weights)
+            assert abs(obj_p - obj) <= 1e-12 * obj, (i, seed)
 
 
 @st.composite

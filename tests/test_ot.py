@@ -75,8 +75,10 @@ def warm_solve(prob, max_iters=None, basis=None):
     tuples of a spanning tree (``ot._basis_tree``), through ``ot._solve``:
     the plan and the final basis, as such tuples."""
     tree = None if basis is None else ot._basis_tree(list(basis[0]), list(basis[1]), prob.cost)
-    plan, objective, gap, tree = ot._solve(prob.cost, prob.mu, prob.nu, tree, max_iters)
-    return (TransportPlan(plan, prob.mu, prob.nu, objective, dual_gap=gap),
+    bi, bj, vals, _, dual_obj, tree = ot._solve(prob.cost, prob.mu, prob.nu, tree, max_iters)
+    plan, objective = ot._dense_plan(prob.cost, bi, bj, vals)
+    return (TransportPlan(plan, prob.mu, prob.nu, objective,
+                          dual_gap=max(objective - dual_obj, 0.0)),
             (tuple(tree.bi), tuple(tree.bj)))
 
 
