@@ -17,17 +17,28 @@ cells (their slack window is tested in float64 on D), a staircase spanning
 tree per class keeps every class feasible on its own, and HiGHS solves the LP
 on that set. Its duals then price every cell in row blocks; the cells of
 negative reduced cost join and the LP is solved again, until no cell enters.
-The final row duals are certified over every cell by the c-transform bound
-that the entropic solver uses too (``_certified_solution``).
+The selection is sparse, so whole classes are screened too: a class on which
+the seed plan puts at most 1e-3 of its mass gets no cell, and HiGHS sees only
+the rows of the other classes. Once no cell enters, each class left out is
+priced whole by its Dantzig-Wolfe reduced cost h_c(y) (Luebbecke &
+Desrosiers 2005), and the classes with h_c < 0 enter, two at a time. The
+final row duals, lifted to the rows left out, are certified over every cell
+by the c-transform bound that the entropic solver uses too
+(``_certified_solution``).
 
-HiGHS is driven through its own bindings, which scipy ships as
+HiGHS is driven through its own bindings, the extension
 ``scipy.optimize._highspy._core``, with its dual simplex and presolve off
 (``_run_highs``, the one place that touches it). scipy is needed only for
-HiGHS, and is imported on the first LP, not with the package.
+HiGHS. The extension is loaded from its file on the first LP, neither with
+the package nor through ``scipy/optimize/__init__.py`` (``_highs_core``).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +60,9 @@ _SEED_TOL = 1e-2  # column violation at which the seed stops
 _SEED_ITERS = 40  # most Sinkhorn iterations behind the candidate set
 _SLACK_WINDOW = 5.0  # candidate slack window, in units of the seed's epsilon
 _BLOCK_CELLS = 1 << 20  # cells per row block when scanning the cost matrix
+_CLASS_MASS_MIN = 1e-3  # share of the seed plan's mass a class needs to get cells
+_CLASSES_PER_ROUND = 2  # most classes priced back into the LP per round
+_HIGHS_CORE = "scipy.optimize._highspy._core"
 
 
 @dataclass(frozen=True)
@@ -101,9 +115,13 @@ def solve_class_weights(
     shared row sum of class i and w_i := n_i * t_i is recovered afterwards.
     Up to 4,000 cost entries the LP holds every plan cell. Larger instances
     solve it on a candidate set: the cells a short log-domain Sinkhorn run
-    marks as likely, plus a staircase spanning tree per class. Every cell
-    is then priced with the LP duals, the cells with a negative reduced cost
-    join the set, and the LP is solved again until none is left, so the
+    marks as likely, plus a staircase spanning tree per class, on only the
+    classes that hold more than 1e-3 of that run's mass (the heaviest class
+    always): the LP has no row of the others. Every cell of the classes in
+    the LP is then priced with the LP duals, the cells with a negative
+    reduced cost join the set, and the LP is solved again until none is
+    left. Then every class left out is priced whole, and those that would
+    lower the cost enter, at most two per round, until none would. So the
     result is exact at every size. A c-transform duality gap over all cells
     above 1e-9 of the largest cost raises ``SolverFailure``. Instances with
     more than ``sinkhorn_threshold`` cost entries are routed to the entropic
@@ -124,10 +142,15 @@ def solve_class_weights(
     return _solve_on_cells(D, counts, cells)[0]
 
 
-def _row_blocks(n: int, m: int):
+def _row_blocks(n: int, m: int, rows: np.ndarray | None = None):
+    """Row ranges of at most _BLOCK_CELLS cells over all n rows, or over only
+    the rows where the mask ``rows`` holds, run by run of consecutive ones."""
     step = max(1, _BLOCK_CELLS // m)
-    for lo in range(0, n, step):
-        yield lo, min(n, lo + step)
+    runs = ([(0, n)] if rows is None else
+            np.flatnonzero(np.diff(rows, prepend=False, append=False)).reshape(-1, 2).tolist())
+    for start, stop in runs:
+        for lo in range(start, stop, step):
+            yield lo, min(stop, lo + step)
 
 
 def _staircases(counts: np.ndarray, m: int) -> np.ndarray:
@@ -148,21 +171,36 @@ def _candidate_cells(D: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Mask of the cells whose slack D_rj - f_r - g_j under the potentials of
     a short, loose Sinkhorn run (the _SEED_* constants) is within 5 epsilon of
     their row's smallest, plus the staircases (kernel truncation, Schmitzer
-    2019). The pricing loop makes up for a loose seed, so it is cut early.
+    2019), on the rows of the classes that can carry weight. The pricing loop
+    makes up for a loose seed, so it is cut early.
+
+    A class can carry weight when the seed plan exp((f_r + g_j - D_rj) / eps)
+    puts more than _CLASS_MASS_MIN of its mass on the class's rows; the
+    heaviest class always can. The other classes get no cell, and the LP
+    prices them back in if they are needed (``_solve_on_cells``).
 
     The seed only picks cells, so it runs in float32, on D / max D: unlike D
-    itself, that matrix fits float32 at any cost scale. Its g and epsilon are
-    scaled back to D's units, and the window is tested in float64 on D."""
-    from .sinkhorn import SinkhornConfig, _sinkhorn_potentials
+    itself, that matrix fits float32 at any cost scale. The class masses are
+    taken there too. Its g and epsilon are scaled back to D's units, and the
+    window is tested in float64 on D."""
+    from .sinkhorn import SinkhornConfig, _logsumexp, _sinkhorn_potentials
 
     scale = float(D.max()) or 1.0
     Dn = (D / scale).astype(np.float32)
+    row_class = _row_classes(counts)
     cfg = SinkhornConfig(epsilon=_SEED_EPS * float(Dn.mean()) or None,  # None: all-zero D
                          max_iters=_SEED_ITERS, tol=_SEED_TOL)
-    _, g, eps, _, _, _ = _sinkhorn_potentials(Dn, counts, _row_classes(counts), cfg)
+    f, g, eps, _, _, _ = _sinkhorn_potentials(Dn, counts, row_class, cfg)
+    log_mass = f / eps + _logsumexp((g - Dn) / eps, axis=1)  # of each row, float32
+    mass = np.bincount(row_class, weights=np.exp(log_mass - log_mass.max()),
+                       minlength=counts.size)
+    keep = mass > _CLASS_MASS_MIN * mass.sum()
+    keep[mass.argmax()] = True
+    live = keep[row_class]
+
     g, eps = scale * g.astype(np.float64), scale * eps
-    cells = _staircases(counts, D.shape[1])
-    for lo, hi in _row_blocks(*D.shape):
+    cells = _staircases(counts, D.shape[1]) & live[:, None]
+    for lo, hi in _row_blocks(*D.shape, live):
         slack = D[lo:hi] - g  # f_r is constant along a row
         cells[lo:hi] |= slack <= slack.min(axis=1, keepdims=True) + _SLACK_WINDOW * eps
     return cells
@@ -174,6 +212,19 @@ def _solve_on_cells(D: np.ndarray, counts: np.ndarray, cells: np.ndarray
     duals, add the cells of negative reduced cost and repeat until none is
     added; return the solution and the number of LP solves.
 
+    Only the classes with a cell in the mask are in the LP, with their rows
+    alone. Once no cell enters, each class c left out is priced whole by
+    h_c(y) = mean over its rows r of phi_r = min_j (D_rj - y_j): the reduced
+    cost of its best assignment of rows to columns (Dantzig-Wolfe pricing,
+    Luebbecke & Desrosiers 2005). Its rows take the duals z_r = phi_r - h_c,
+    which sum to zero over the class and leave every cell a reduced cost of
+    at least h_c. So when no h_c is negative, the duals are feasible on every
+    cell of every row, and the certificate covers them all. Otherwise at most
+    _CLASSES_PER_ROUND of the classes with h_c < 0 enter, the most negative
+    first, each with its staircase and its cells of negative reduced cost
+    under these duals (every row's least cell under y among them), and the
+    loop goes on.
+
     Each round adds at least one cell, so the loop ends, at the latest with
     every cell in the LP.
     """
@@ -181,24 +232,45 @@ def _solve_on_cells(D: np.ndarray, counts: np.ndarray, cells: np.ndarray
     # HiGHS's tolerances are absolute, so it solves on D / max D and the
     # duals are scaled back: the result is then exact at any cost scale.
     scale = float(D.max()) or 1.0
+    row_class = _row_classes(counts)
     cells = cells.copy()
     rounds = 0
     while True:
         rounds += 1
         rows, cols = np.nonzero(cells)
-        x, duals = _run_highs(D[rows, cols] / scale, rows, cols, counts, m)
+        kept = np.bincount(row_class[rows], minlength=counts.size) > 0
+        live = kept[row_class]
+        x, duals = _run_highs(D[rows, cols] / scale, rows, cols, counts, m, kept)
         duals = scale * duals
-        y, z = duals[:m], duals[m:]
+        y, z = duals[:m], np.zeros(n)
+        z[live] = duals[m:]
 
-        # Price every cell: reduced cost D_rj - y_j - z_r.
+        # Price every cell of the classes in the LP: reduced cost D_rj - y_j - z_r.
         added = False
-        for lo, hi in _row_blocks(n, m):
+        for lo, hi in _row_blocks(n, m, live):
             enter = (D[lo:hi] - (y + z[lo:hi, None]) < 0.0) & ~cells[lo:hi]
             if enter.any():
                 cells[lo:hi] |= enter
                 added = True
-        if not added:
+        if added:
+            continue
+        if kept.all():
             break
+
+        # Price every class left out, whole, and lift its rows' duals.
+        phi = np.zeros(n)
+        for lo, hi in _row_blocks(n, m, ~live):
+            phi[lo:hi] = (D[lo:hi] - y).min(axis=1)
+        h = _class_means(phi, row_class, counts)
+        z[~live] = (phi - h[row_class])[~live]
+        enter = np.flatnonzero(~kept & (h < 0.0))
+        if enter.size == 0:
+            break
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        for c in enter[np.argsort(h[enter], kind="stable")[:_CLASSES_PER_ROUND]]:
+            lo, hi = starts[c], starts[c + 1]
+            cells[lo:hi] |= (_staircases(counts[c:c + 1], m)
+                             | (D[lo:hi] - (y + z[lo:hi, None]) < 0.0))
 
     plan = np.zeros((n, m))
     plan[rows, cols] = x
@@ -208,43 +280,61 @@ def _solve_on_cells(D: np.ndarray, counts: np.ndarray, cells: np.ndarray
     return sol, rounds
 
 
-def _run_highs(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, counts: np.ndarray,
-               m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the class LP on the cells (rows, cols) with HiGHS's dual simplex;
-    return the cells' values and the row duals (y for the m column sums, then
-    z for the n row ties), in the units of ``cost``.
+def _highs_core():
+    """HiGHS's bindings, the extension scipy ships as _HIGHS_CORE.
 
-    Rows: each target column's mass equals 1/m, and each source row's mass
-    minus its class variable equals 0. Columns, in this order: one per cell,
-    with a one in its target column's row and in its source row's row, then
-    one free variable per class, with -1 on its class's rows, which are
-    consecutive, ``counts`` of them per class. The matrix is filled
-    column-wise in closed form. Presolve is off: on these LPs it
-    changes neither the iteration count nor the plan, and on gate 03's it
-    adds about a fifth to each solve.
-    """
+    The extension is loaded from its file under its full name and registered
+    in ``sys.modules`` first, so ``scipy/optimize/__init__.py``, which loads
+    some 300 scipy modules, never runs for it; a later ``import scipy.optimize``
+    finds and reuses the same module. If the file load fails in any way, the
+    package import is the fallback."""
+    core = sys.modules.get(_HIGHS_CORE)
+    if core is not None:
+        return core
     try:
-        from scipy.optimize._highspy import _core as highs
+        root = os.path.dirname(importlib.util.find_spec("scipy").origin)
+        stem = os.path.join(root, "optimize", "_highspy", "_core")
+        path = next(stem + s for s in importlib.machinery.EXTENSION_SUFFIXES
+                    if os.path.isfile(stem + s))
+        spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+        core = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_CORE] = core
+        spec.loader.exec_module(core)
+        return core
+    except Exception:  # whatever failed, the package import below tries again and reports
+        sys.modules.pop(_HIGHS_CORE, None)
+    try:
+        from scipy.optimize._highspy import _core
     except ImportError as e:
         raise ImportError("otselect needs scipy>=1.17, which ships HiGHS's own bindings "
                           "as scipy.optimize._highspy._core") from e
+    return _core
 
+
+def _run_highs(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, counts: np.ndarray,
+               m: int, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the class LP on the cells (rows, cols) with HiGHS's dual simplex;
+    return the cells' values and the row duals (y for the m column sums, then
+    z for the row ties of the classes in ``kept``, in row order), in the units
+    of ``cost``.
+
+    Only the classes in ``kept`` are in the model, and every cell lies on one
+    of their rows. Rows: each target column's mass equals 1/m, and each source
+    row's mass minus its class variable equals 0. Columns, in this order: one
+    per cell, with a one in its target column's row and in its source row's
+    row, then one free variable per class, with -1 on its class's rows, which
+    are consecutive. The matrix is filled column-wise in closed form and
+    passed as arrays. Presolve is off: on these LPs it changes neither the
+    iteration count nor the plan, and on gate 03's it adds about a fifth to
+    each solve.
+    """
+    highs = _highs_core()
+    if not kept.all():  # number the rows of the classes in the model from 0
+        rows, counts = (np.cumsum(kept[_row_classes(counts)]) - 1)[rows], counts[kept]
     e, n, k = rows.size, int(counts.sum()), counts.size
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = e + k
-    lp.num_row_ = lp.a_matrix_.num_row_ = m + n
-    lp.col_cost_ = np.concatenate([cost, np.zeros(k)])
-    lp.col_lower_ = np.concatenate([np.zeros(e), np.full(k, -highs.kHighsInf)])
-    lp.col_upper_ = np.full(e + k, highs.kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = np.concatenate([np.full(m, 1.0 / m), np.zeros(n)])
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate(
-        [np.arange(0, 2 * e + 1, 2), 2 * e + np.cumsum(counts)]
-    ).astype(np.int32)
-    lp.a_matrix_.index_ = np.concatenate(
-        [np.stack([cols, m + rows], axis=1).ravel(), m + np.arange(n)]
-    ).astype(np.int32)
-    lp.a_matrix_.value_ = np.concatenate([np.ones(2 * e), -np.ones(n)])
+    start = np.concatenate([np.arange(0, 2 * e + 1, 2), 2 * e + np.cumsum(counts[:-1])])
+    index = np.concatenate([np.stack([cols, m + rows], axis=1).ravel(), m + np.arange(n)])
+    bounds = np.concatenate([np.full(m, 1.0 / m), np.zeros(n)])
 
     options = highs.HighsOptions()
     options.presolve = "off"
@@ -253,7 +343,14 @@ def _run_highs(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, counts: np.
     options.output_flag = options.log_to_console = False
     solver = highs._Highs()
     solver.passOptions(options)
-    if (solver.passModel(lp) == highs.HighsStatus.kError
+    if (solver.passModel(e + k, m + n, 2 * e + n, int(highs.MatrixFormat.kColwise),
+                         int(highs.ObjSense.kMinimize), 0.0,
+                         np.concatenate([cost, np.zeros(k)]),
+                         np.concatenate([np.zeros(e), np.full(k, -highs.kHighsInf)]),
+                         np.full(e + k, highs.kHighsInf), bounds, bounds,
+                         start.astype(np.int32), index.astype(np.int32),
+                         np.concatenate([np.ones(2 * e), -np.ones(n)]),
+                         np.zeros(e + k, dtype=np.int32)) == highs.HighsStatus.kError
             or solver.run() == highs.HighsStatus.kError
             or solver.getModelStatus() != highs.HighsModelStatus.kOptimal):
         raise SolverFailure(

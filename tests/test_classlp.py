@@ -589,6 +589,60 @@ def test_seed_keeps_a_small_candidate_set_that_needs_one_round():
     assert sol.plan.dual_gap <= 1e-9 * (1 + sol.objective)
 
 
+def lp_scale_instance(shape, seed):
+    """An instance of lp-scale's 300 x 200 or 600 x 300 shape: 10 or 20
+    source classes of 30 rows against 5 target classes of 40 or 60 points."""
+    k_source, per_target = {"300x200": (10, 40), "600x300": (20, 60)}[shape]
+    sc = build_scenario("dda", k_source, 5, 0, 10.0, seed=seed, per_class=30,
+                        per_class_train=per_target)
+    source = sort_by_class(sc.source)
+    return pairwise_distances(source.features, sc.target_train.features), source.class_counts
+
+
+def classes_with_cells(cells, counts):
+    return np.flatnonzero(np.bincount(np.repeat(np.arange(counts.size), counts),
+                                      weights=cells.sum(axis=1), minlength=counts.size))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", ["300x200", "600x300"])
+def test_screened_class_lp_equals_the_unscreened_one(monkeypatch, shape, seed):
+    # with the mass threshold above one only the heaviest class starts, so the
+    # classes that carry weight must be priced back in by h_c(y)
+    D, counts = lp_scale_instance(shape, seed)
+    monkeypatch.setattr(classlp, "_CLASS_MASS_MIN", 2.0)
+    cells = classlp._candidate_cells(D, counts)
+    assert classes_with_cells(cells, counts).size == 1
+    sol, rounds = classlp._solve_on_cells(D, counts, cells)
+    exact = full_lp(D, counts)
+    assert (exact.weights.weights > 0).sum() > 1  # the seed missed a class with weight
+    assert rounds > 1
+    assert abs(sol.objective - exact.objective) <= 1e-9 * (1 + exact.objective)
+    assert sol.plan.dual_gap <= 1e-9 * float(D.max())
+
+
+@pytest.mark.parametrize("threshold", [1.0, np.inf])
+def test_a_threshold_that_keeps_no_class_still_keeps_the_heaviest(monkeypatch, threshold):
+    D, counts = make_instance(63, k=4, per_class=30, m=60)  # 3 classes with weight
+    monkeypatch.setattr(classlp, "_CLASS_MASS_MIN", threshold)
+    cells = classlp._candidate_cells(D, counts)
+    assert classes_with_cells(cells, counts).size == 1
+    sol, rounds = classlp._solve_on_cells(D, counts, cells)
+    exact = full_lp(D, counts)
+    assert (exact.weights.weights > 0).sum() > 1
+    assert rounds > 1
+    assert abs(sol.objective - exact.objective) <= 1e-9 * (1 + exact.objective)
+    assert sol.plan.dual_gap <= 1e-9 * float(D.max())
+
+    # one class is the heaviest, and nothing is left out
+    D, counts = make_instance(64, k=1, per_class=100, m=60)
+    cells = classlp._candidate_cells(D, counts)
+    assert classes_with_cells(cells, counts).tolist() == [0]
+    sol = classlp._solve_on_cells(D, counts, cells)[0]
+    assert abs(sol.objective - full_lp(D, counts).objective) <= 1e-9 * (1 + sol.objective)
+    assert sol.plan.dual_gap <= 1e-9 * float(D.max())
+
+
 def test_candidate_cells_do_not_depend_on_the_cost_scale():
     # the float32 seed runs on D / max D, which is the same matrix at every
     # power-of-two scale: D itself would overflow or underflow float32
@@ -638,7 +692,8 @@ def test_tight_certificate_on_a_single_class_lp():
 
 def recording_highs(monkeypatch, perturb=None):
     """Route classlp's HiGHS runs through a recorder; return the list that
-    collects each run's row duals (after ``perturb``, if given)."""
+    collects each run's row duals (after ``perturb``, if given) with the mask
+    of the classes in its LP."""
     marginals = []
     run_highs = classlp._run_highs
 
@@ -646,11 +701,24 @@ def recording_highs(monkeypatch, perturb=None):
         x, duals = run_highs(*args)
         if perturb is not None:
             duals = perturb(duals)
-        marginals.append(np.array(duals))
+        marginals.append((np.array(duals), args[-1].copy()))
         return x, duals
 
     monkeypatch.setattr(classlp, "_run_highs", record)
     return marginals
+
+
+def lifted_duals(D, counts, duals, kept):
+    """HiGHS's duals (y, z) for D / max D over all n rows: the rows of a
+    class the LP left out take z_r = phi_r - h_c, with phi_r = min_j (D_rj -
+    y_j) and h_c the mean of phi over the class."""
+    m = D.shape[1]
+    row_class = np.repeat(np.arange(counts.size), counts)
+    y = duals[:m]
+    phi = (D / (float(D.max()) or 1.0) - y).min(axis=1)
+    z = phi - (np.bincount(row_class, weights=phi, minlength=counts.size) / counts)[row_class]
+    z[kept[row_class]] = duals[m:]
+    return np.concatenate([y, z])
 
 
 def reduced_cost_gap(D, counts, marginals, objective):
@@ -674,7 +742,8 @@ def test_c_transform_certificate_is_never_looser_than_the_reduced_cost_one(monke
                  + [make_instance(3, k=3, per_class=40, m=60)])  # 7,200 cells: restricted
     for D, counts in instances:
         sol = solve_class_weights(D, counts)
-        assert sol.plan.dual_gap <= reduced_cost_gap(D, counts, marginals[-1], sol.objective)
+        duals = lifted_duals(D, counts, *marginals[-1])
+        assert sol.plan.dual_gap <= reduced_cost_gap(D, counts, duals, sol.objective)
 
 
 def test_corrupted_lp_duals_raise(monkeypatch):
@@ -696,18 +765,58 @@ def test_an_infeasible_lp_raises_with_the_model_status():
         classlp._solve_on_cells(D, counts, cells)
 
 
-def test_import_loads_no_scipy_until_the_first_lp():
-    code = ("import sys, numpy as np, otselect\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-            "sol = otselect.solve_class_weights(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1, 1]))\n"
-            "print(sol.objective)\n")
+def fresh_interpreter(code):
+    """Run ``code`` in a new Python process with this source tree on its path;
+    return its output lines."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(classlp.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded, objective = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+FIRST_LP = ("import sys, numpy as np, otselect\n"
+            "def lp():\n"
+            "    D, counts = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1, 1])\n"
+            "    return otselect.solve_class_weights(D, counts).objective\n")
+CORE = "scipy.optimize._highspy._core"
+
+
+def test_import_loads_no_scipy_until_the_first_lp():
+    loaded, objective = fresh_interpreter(
+        FIRST_LP + "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print(lp())\n")
     assert loaded == "[]"
     assert float(objective) == 0.0
+
+
+def test_the_first_lp_loads_highs_by_file_and_scipy_optimize_reuses_it():
+    out = fresh_interpreter(
+        FIRST_LP + "print(lp(), 'scipy.optimize' in sys.modules, %r in sys.modules)\n"
+        "core = sys.modules[%r]\n"
+        "import scipy.optimize\n"
+        "from scipy.optimize._highspy import _core\n"
+        "print(_core is core)\n"
+        "res = scipy.optimize.linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])\n"
+        "print(res.status, res.fun)\n"
+        "print(lp())\n" % (CORE, CORE))
+    assert out == ["0.0 False True", "True", "0 1.0", "0.0"]
+
+
+def test_highs_falls_back_to_the_package_import_when_the_file_load_fails():
+    out = fresh_interpreter(
+        FIRST_LP + "import importlib.util\n"
+        "def fail(*args, **kwargs):\n"
+        "    raise OSError('no file load')\n"
+        "importlib.util.spec_from_file_location = fail\n"
+        "sys.modules['scipy.optimize'] = None  # the package import fails too\n"
+        "try:\n"
+        "    lp()\n"
+        "except ImportError as e:\n"
+        "    print('scipy>=1.17' in str(e), %r in sys.modules)\n"
+        "del sys.modules['scipy.optimize']\n"
+        "print(lp(), 'scipy.optimize' in sys.modules)\n" % CORE)
+    assert out == ["True False", "0.0 True"]
 
 
 @pytest.mark.parametrize("value", [0.0, 2.5])
