@@ -53,8 +53,9 @@ def verify_softmax_lipschitz(K: int, trials: int, seed: int) -> float:
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if K < 2:
-        raise InvalidK(f"need K >= 2, got {K!r}")
+    if int(K) != K or K < 2:
+        raise InvalidK(f"need an integer K >= 2, got {K!r}")
+    K = int(K)
     rng = np.random.default_rng(seed)
     scales = (0.1, 1.0, 10.0)
     best = 0.0

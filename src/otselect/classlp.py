@@ -23,8 +23,8 @@ the rows of the other classes. Once no cell enters, each class left out is
 priced whole by its Dantzig-Wolfe reduced cost h_c(y) (Luebbecke &
 Desrosiers 2005), and the classes with h_c < 0 enter, two at a time. The
 final row duals, lifted to the rows left out, are certified over every cell
-by the c-transform bound that the entropic solver uses too
-(``_certified_solution``).
+by the entropic solver's c-transform bound. ``sinkhorn``, the lower layer,
+holds it (``_certified_solution``), the input check and the class helpers.
 
 HiGHS is driven through its own bindings, the extension
 ``scipy.optimize._highspy._core``, with its dual simplex and presolve off
@@ -39,13 +39,15 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassWeights, TransportPlan, WEIGHT_CLAMP
-from .errors import DimensionMismatch, MalformedFile, SolverFailure, TooManyClasses
+from .data import ClassWeights
+from .errors import DimensionMismatch, SolverFailure, TooManyClasses
 from .ot import _dense_plan, _solve
+from .sinkhorn import (ClassWeightSolution, SinkhornConfig, _certified_solution, _check_inputs,
+                       _class_means, _logsumexp, _row_blocks, _row_classes, _sinkhorn_potentials,
+                       sinkhorn_class_weights)
 
 # Above this many cost entries the LP is solved on a candidate set of cells.
 # On gate-03-shaped instances (2-4 classes, 2-D; six per size, best of five)
@@ -59,48 +61,9 @@ _SEED_EPS = 1e-3  # the seed's target epsilon, in units of mean D
 _SEED_TOL = 1e-2  # column violation at which the seed stops
 _SEED_ITERS = 40  # most Sinkhorn iterations behind the candidate set
 _SLACK_WINDOW = 5.0  # candidate slack window, in units of the seed's epsilon
-_BLOCK_CELLS = 1 << 20  # cells per row block when scanning the cost matrix
 _CLASS_MASS_MIN = 1e-3  # share of the seed plan's mass a class needs to get cells
 _CLASSES_PER_ROUND = 2  # most classes priced back into the LP per round
 _HIGHS_CORE = "scipy.optimize._highspy._core"
-
-
-@dataclass(frozen=True)
-class ClassWeightSolution:
-    """Optimal or approximate (weights, plan) pair with its transport cost."""
-
-    weights: ClassWeights
-    plan: TransportPlan
-    objective: float
-    support_size: int
-    converged: bool = True
-    warning: str | None = None
-
-
-def _check_inputs(D: np.ndarray, class_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    D = np.ascontiguousarray(D, dtype=np.float64)
-    counts = np.asarray(class_counts, dtype=np.int64)
-    if D.ndim != 2 or D.shape[1] < 1:
-        raise DimensionMismatch(f"cost matrix must be 2-D with columns, got {D.shape}")
-    if counts.ndim != 1 or counts.size < 1 or counts.min() < 1:
-        raise DimensionMismatch("class_counts must be positive integers")
-    if counts.sum() != D.shape[0]:
-        raise DimensionMismatch(
-            f"class counts sum to {counts.sum()} but cost matrix has {D.shape[0]} rows"
-        )
-    if not np.isfinite(D).all() or D.min() < 0:
-        raise MalformedFile("cost matrix must be finite and nonnegative")
-    return D, counts
-
-
-def _row_classes(counts: np.ndarray) -> np.ndarray:
-    return np.repeat(np.arange(counts.size), counts)
-
-
-def _class_means(values: np.ndarray, row_class: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Mean of ``values`` over the rows of each class, in the dtype of ``values``."""
-    means = np.bincount(row_class, weights=values, minlength=counts.size) / counts
-    return means.astype(values.dtype, copy=False)
 
 
 def solve_class_weights(
@@ -131,8 +94,6 @@ def solve_class_weights(
     n, m = D.shape
 
     if sinkhorn_threshold is not None and n * m > sinkhorn_threshold:
-        from .sinkhorn import sinkhorn_class_weights
-
         return sinkhorn_class_weights(D, counts)
 
     if n * m > _RESTRICTED_MIN_CELLS:
@@ -140,17 +101,6 @@ def solve_class_weights(
     else:
         cells = np.ones((n, m), dtype=bool)
     return _solve_on_cells(D, counts, cells)[0]
-
-
-def _row_blocks(n: int, m: int, rows: np.ndarray | None = None):
-    """Row ranges of at most _BLOCK_CELLS cells over all n rows, or over only
-    the rows where the mask ``rows`` holds, run by run of consecutive ones."""
-    step = max(1, _BLOCK_CELLS // m)
-    runs = ([(0, n)] if rows is None else
-            np.flatnonzero(np.diff(rows, prepend=False, append=False)).reshape(-1, 2).tolist())
-    for start, stop in runs:
-        for lo in range(start, stop, step):
-            yield lo, min(stop, lo + step)
 
 
 def _staircases(counts: np.ndarray, m: int) -> np.ndarray:
@@ -183,8 +133,6 @@ def _candidate_cells(D: np.ndarray, counts: np.ndarray) -> np.ndarray:
     itself, that matrix fits float32 at any cost scale. The class masses are
     taken there too. Its g and epsilon are scaled back to D's units, and the
     window is tested in float64 on D."""
-    from .sinkhorn import SinkhornConfig, _logsumexp, _sinkhorn_potentials
-
     scale = float(D.max()) or 1.0
     Dn = (D / scale).astype(np.float32)
     row_class = _row_classes(counts)
@@ -358,37 +306,6 @@ def _run_highs(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, counts: np.
     solution = solver.getSolution()
     return (np.asarray(solution.col_value, dtype=np.float64)[:e],
             np.asarray(solution.row_dual, dtype=np.float64))
-
-
-def _certified_solution(D: np.ndarray, counts: np.ndarray, plan: np.ndarray, f: np.ndarray,
-                        source_marginal: np.ndarray | None = None, *, converged: bool = True,
-                        warning: str | None = None) -> ClassWeightSolution:
-    """The solution held by a class-tied plan, certified by row potentials f.
-
-    w_c is the plan's mass on class c's rows, renormalised only when the total
-    is more than 1e-12 from one. With f centred in each class, the c-transform
-    g_j = min_r (D_rj - f_r), taken in row blocks, is dual feasible: dual_gap =
-    objective - mean(g) (Peyre & Cuturi 2019, 3.1 and 4.1). Rows are checked
-    against ``source_marginal``, by default the class-tied rows w_c / n_c."""
-    n, m = D.shape
-    row_class = _row_classes(counts)
-    objective = float(np.sum(D * plan))
-    w = np.bincount(row_class, weights=plan.sum(axis=1), minlength=counts.size)
-    try:
-        weights = ClassWeights(w / w.sum() if abs(w.sum() - 1.0) > 1e-12 else w)
-    except MalformedFile as e:
-        raise SolverFailure(f"recovered weights violate simplex invariants: {e}") from e
-    f = f - _class_means(f, row_class, counts)[row_class]
-    g = np.full(m, np.inf)
-    for lo, hi in _row_blocks(n, m):
-        np.minimum(g, (D[lo:hi] - f[lo:hi, None]).min(axis=0), out=g)
-    if source_marginal is None:
-        source_marginal = np.repeat(weights.weights / counts, counts)
-    transport = TransportPlan(plan, source_marginal, np.full(m, 1.0 / m), objective,
-                              dual_gap=max(0.0, objective - float(g.mean())))
-    support_size = int((weights.weights > WEIGHT_CLAMP).sum())
-    return ClassWeightSolution(weights, transport, objective, support_size,
-                               converged=converged, warning=warning)
 
 
 # ============================================================

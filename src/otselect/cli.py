@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -287,8 +288,6 @@ def _cmd_verify(args, timings, warnings):
 
 
 def _cmd_synth(args, timings, warnings):
-    import os
-
     with _timed(timings, "generate"):
         sc = build_scenario(args.kind, args.k_source, args.k_target, args.overlap,
                             args.separation, args.seed, dim=args.dim,

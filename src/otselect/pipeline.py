@@ -44,10 +44,10 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 1:
+            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
+        if not isinstance(self.batch_size, (int, np.integer)) or self.batch_size < 1:
+            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
         if self.l2_penalty < 0:
             raise ValueError("l2_penalty must be nonnegative")
 

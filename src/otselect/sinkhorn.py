@@ -16,7 +16,9 @@ unconverged iterations at the target, a damped Newton method on the dual
 (Brauer et al. 2017) finishes in a few dense O((n+m)^3) steps, up to
 n + m = 2000, each free of the cost scale. The plan is rounded onto the
 polytope in one pass (Altschuler et al. 2017); the c-transform of the final
-potentials certifies the gap.
+potentials certifies the gap (``_certified_solution``). This module is the
+lower layer, importing only ``data`` and ``errors``: the exact LP (``classlp``)
+takes the certificate, the input check and the class helpers from it.
 """
 
 from __future__ import annotations
@@ -25,14 +27,95 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classlp import (ClassWeightSolution, _certified_solution, _check_inputs, _class_means,
-                      _row_classes)
+from .data import ClassWeights, TransportPlan, WEIGHT_CLAMP
+from .errors import DimensionMismatch, MalformedFile, SolverFailure
 
 _SCHEDULE_PERIOD = 100  # most iterations spent at one epsilon above the target
 _LEVEL_TOL = 1e-2  # column violation that ends an epsilon level early
 _NEWTON_AFTER = 10  # loop iterations at the target epsilon before the Newton finish
 _NEWTON_MAX_SIZE = 2000  # largest n + m for the dense Newton system
 _NEWTON_STEPS = 50  # most Newton steps in one finish
+_BLOCK_CELLS = 1 << 20  # cells per row block when scanning the cost matrix
+
+
+@dataclass(frozen=True)
+class ClassWeightSolution:
+    """Optimal or approximate (weights, plan) pair with its transport cost."""
+
+    weights: ClassWeights
+    plan: TransportPlan
+    objective: float
+    support_size: int
+    converged: bool = True
+    warning: str | None = None
+
+
+def _check_inputs(D: np.ndarray, class_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    D = np.ascontiguousarray(D, dtype=np.float64)
+    counts = np.asarray(class_counts, dtype=np.int64)
+    if D.ndim != 2 or D.shape[1] < 1:
+        raise DimensionMismatch(f"cost matrix must be 2-D with columns, got {D.shape}")
+    if counts.ndim != 1 or counts.size < 1 or counts.min() < 1:
+        raise DimensionMismatch("class_counts must be positive integers")
+    if counts.sum() != D.shape[0]:
+        raise DimensionMismatch(
+            f"class counts sum to {counts.sum()} but cost matrix has {D.shape[0]} rows"
+        )
+    if not np.isfinite(D).all() or D.min() < 0:
+        raise MalformedFile("cost matrix must be finite and nonnegative")
+    return D, counts
+
+
+def _row_classes(counts: np.ndarray) -> np.ndarray:
+    return np.repeat(np.arange(counts.size), counts)
+
+
+def _class_means(values: np.ndarray, row_class: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of ``values`` over the rows of each class, in the dtype of ``values``."""
+    means = np.bincount(row_class, weights=values, minlength=counts.size) / counts
+    return means.astype(values.dtype, copy=False)
+
+
+def _row_blocks(n: int, m: int, rows: np.ndarray | None = None):
+    """Row ranges of at most _BLOCK_CELLS cells over all n rows, or over only
+    the rows where the mask ``rows`` holds, run by run of consecutive ones."""
+    step = max(1, _BLOCK_CELLS // m)
+    runs = ([(0, n)] if rows is None else
+            np.flatnonzero(np.diff(rows, prepend=False, append=False)).reshape(-1, 2).tolist())
+    for start, stop in runs:
+        for lo in range(start, stop, step):
+            yield lo, min(stop, lo + step)
+
+
+def _certified_solution(D: np.ndarray, counts: np.ndarray, plan: np.ndarray, f: np.ndarray,
+                        source_marginal: np.ndarray | None = None, *, converged: bool = True,
+                        warning: str | None = None) -> ClassWeightSolution:
+    """The solution held by a class-tied plan, certified by row potentials f.
+
+    w_c is the plan's mass on class c's rows, renormalised only when the total
+    is more than 1e-12 from one. With f centred in each class, the c-transform
+    g_j = min_r (D_rj - f_r), taken in row blocks, is dual feasible: dual_gap =
+    objective - mean(g) (Peyre & Cuturi 2019, 3.1 and 4.1). Rows are checked
+    against ``source_marginal``, by default the class-tied rows w_c / n_c."""
+    n, m = D.shape
+    row_class = _row_classes(counts)
+    objective = float(np.sum(D * plan))
+    w = np.bincount(row_class, weights=plan.sum(axis=1), minlength=counts.size)
+    try:
+        weights = ClassWeights(w / w.sum() if abs(w.sum() - 1.0) > 1e-12 else w)
+    except MalformedFile as e:
+        raise SolverFailure(f"recovered weights violate simplex invariants: {e}") from e
+    f = f - _class_means(f, row_class, counts)[row_class]
+    g = np.full(m, np.inf)
+    for lo, hi in _row_blocks(n, m):
+        np.minimum(g, (D[lo:hi] - f[lo:hi, None]).min(axis=0), out=g)
+    if source_marginal is None:
+        source_marginal = np.repeat(weights.weights / counts, counts)
+    transport = TransportPlan(plan, source_marginal, np.full(m, 1.0 / m), objective,
+                              dual_gap=max(0.0, objective - float(g.mean())))
+    support_size = int((weights.weights > WEIGHT_CLAMP).sum())
+    return ClassWeightSolution(weights, transport, objective, support_size,
+                               converged=converged, warning=warning)
 
 
 @dataclass(frozen=True)
@@ -54,8 +137,8 @@ class SinkhornConfig:
     def __post_init__(self):
         if self.epsilon is not None and not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.epsilon_schedule is not None and not (0.0 < self.epsilon_schedule <= 1.0):

@@ -81,6 +81,17 @@ def test_observed_ratio_exceeds_the_per_class_formula():
     assert num / den == pytest.approx(1 / math.sqrt(2), rel=1e-6)
 
 
+def test_verify_softmax_lipschitz_checks_k_like_the_constant():
+    # both take K by the same rule: an integer of at least 2, in any numeric type
+    for bad in (2.5, 1, 1.0):
+        with pytest.raises(InvalidK):
+            softmax_lipschitz_constant(bad)
+        with pytest.raises(InvalidK):
+            verify_softmax_lipschitz(bad, 10, 0)
+    assert softmax_lipschitz_constant(3.0) == softmax_lipschitz_constant(3)
+    assert verify_softmax_lipschitz(3.0, 10, 0) == verify_softmax_lipschitz(3, 10, 0)
+
+
 def test_verify_is_deterministic_given_seed():
     assert verify_softmax_lipschitz(3, 500, seed=42) == verify_softmax_lipschitz(3, 500, seed=42)
 

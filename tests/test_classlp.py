@@ -19,12 +19,13 @@ from otselect import (
     build_scenario,
     default_dda_matrix,
     pairwise_distances,
+    sinkhorn_class_weights,
     solve_class_weights,
     solve_exact_ot,
     wasserstein_distance,
     weights_to_sample_probabilities,
 )
-from otselect import classlp, ot
+from otselect import classlp, ot, sinkhorn
 from otselect.classlp import brute_force_class_weights
 from otselect.errors import DimensionMismatch, SolverFailure, TooManyClasses
 from otselect.ot import _least_cost_start
@@ -374,7 +375,7 @@ def test_row_blocks_solve_as_one_block_bit_for_bit(monkeypatch, per_class, m):
     # in row blocks; blocks of two rows must give the one-block solve
     D, counts = make_instance(60, k=3, per_class=per_class, m=m)
     one = solve_class_weights(D, counts)
-    monkeypatch.setattr(classlp, "_BLOCK_CELLS", 2 * m)
+    monkeypatch.setattr(sinkhorn, "_BLOCK_CELLS", 2 * m)
     assert len(list(classlp._row_blocks(*D.shape))) == D.shape[0] // 2 + D.shape[0] % 2
     blocks = solve_class_weights(D, counts)
     assert blocks.weights.weights.tobytes() == one.weights.weights.tobytes()
@@ -481,6 +482,34 @@ def test_permuting_targets_and_rows_within_a_class_leaves_the_selection_unchange
             wp, obj_p = brute_force_class_weights(P, counts, 0.02)
             np.testing.assert_array_equal(wp.weights, w.weights)
             assert abs(obj_p - obj) <= 1e-12 * obj, (i, seed)
+
+
+def permute_classes(D, counts, perm):
+    """D with its class blocks of rows put in the order ``perm``, and its counts."""
+    starts = np.cumsum(counts) - counts
+    rows = np.concatenate([starts[c] + np.arange(counts[c]) for c in perm])
+    return D[rows], counts[perm]
+
+
+@pytest.mark.parametrize("full", [True, False])
+def test_permuting_the_classes_permutes_the_weights(full):
+    # the classes are an unordered set: gate 03's instances take the full LP,
+    # and 8 classes of 15 rows against 121 targets (14,520 cells) the restricted one
+    r = rng(27)
+    instances = ([gate03_instance(i) for i in range(20)] if full else
+                 [make_instance(270 + s, k=8, per_class=15, m=121) for s in range(4)])
+    for i, (D, counts) in enumerate(instances):
+        assert (D.size <= classlp._RESTRICTED_MIN_CELLS) == full
+        perm = r.permutation(counts.size)
+        while (perm == np.arange(counts.size)).all():
+            perm = r.permutation(counts.size)
+        P, permuted_counts = permute_classes(D, counts, perm)
+        for solve in (solve_class_weights, sinkhorn_class_weights):
+            sol, psol = solve(D, counts), solve(P, permuted_counts)
+            where = f"instance {i}, {solve.__name__}"
+            assert abs(psol.objective - sol.objective) <= 1e-12 * sol.objective, where
+            np.testing.assert_allclose(psol.weights.weights, sol.weights.weights[perm],
+                                       rtol=0, atol=1e-9, err_msg=where)
 
 
 @st.composite

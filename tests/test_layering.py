@@ -1,0 +1,38 @@
+"""The package's import graph: every module imports the package at its top,
+and the entropic solver is the lower layer under the exact class LP."""
+
+import ast
+import pathlib
+
+import otselect
+
+PACKAGE = pathlib.Path(otselect.__file__).parent
+
+
+def imported_modules(tree):
+    """Each module named by an import under ``tree``; relative ones keep their dots."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_no_function_imports_from_the_package():
+    # a deferred import inside a function hides a cycle in the import graph
+    lazy = [(path.name, node.name, module)
+            for path in sorted(PACKAGE.glob("*.py")) for node in ast.walk(parse(path))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for module in imported_modules(node) if module.startswith(".")]
+    assert lazy == []
+
+
+def test_sinkhorn_imports_only_data_and_errors():
+    # classlp imports sinkhorn, so sinkhorn must import neither classlp nor
+    # anything above data and errors
+    modules = set(imported_modules(parse(PACKAGE / "sinkhorn.py")))
+    assert {m for m in modules if m.startswith((".", "otselect"))} == {".data", ".errors"}

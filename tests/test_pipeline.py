@@ -140,6 +140,12 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    # epochs and batch_size feed range(): a float must fail here, not in training
+    for field in ("epochs", "batch_size"):
+        for bad in (2.5, 3.0):
+            with pytest.raises(ValueError, match=field):
+                TrainConfig(**{field: bad})
+    assert TrainConfig(epochs=np.int64(3), batch_size=np.int32(8)).epochs == 3
 
 
 # -------------------------------------------------------------- finetuning

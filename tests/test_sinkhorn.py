@@ -304,3 +304,8 @@ def test_config_validation():
         SinkhornConfig(max_iters=0)
     with pytest.raises(ValueError):
         SinkhornConfig(tol=0.0)
+    # the cap feeds range(): a float must fail here, not inside the solve
+    for bad in (2.5, 3.0, "10"):
+        with pytest.raises(ValueError, match="max_iters"):
+            SinkhornConfig(max_iters=bad)
+    assert SinkhornConfig(max_iters=np.int64(3)).max_iters == 3
