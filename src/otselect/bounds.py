@@ -51,8 +51,8 @@ def verify_softmax_lipschitz(K: int, trials: int, seed: int) -> float:
     Logits are drawn zero-centered at scales 0.1, 1 and 10 (cycled across
     trials); pairs closer than 1e-12 are skipped.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if int(K) != K or K < 2:
         raise InvalidK(f"need an integer K >= 2, got {K!r}")
     K = int(K)
@@ -666,8 +666,8 @@ def run_verification_suite(seed: int, trials: int) -> dict:
     ``trials`` controls the sampling effort of the Monte Carlo checks; the
     fixed-size inequality suites always run at their full instance counts.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     checks = [
         ("softmax_lipschitz", lambda: _check_softmax_lipschitz(seed, trials)),

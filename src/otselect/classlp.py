@@ -26,6 +26,10 @@ final row duals, lifted to the rows left out, are certified over every cell
 by the entropic solver's c-transform bound. ``sinkhorn``, the lower layer,
 holds it (``_certified_solution``), the input check and the class helpers.
 
+The grid oracle (``brute_force_class_weights``) takes one thing from ``ot``,
+its simplex (``_solve``), and ranks its points by the objective that each
+solve certifies, the one ``solve_exact_ot`` reports.
+
 HiGHS is driven through its own bindings, the extension
 ``scipy.optimize._highspy._core``, with its dual simplex and presolve off
 (``_run_highs``, the one place that touches it). scipy is needed only for
@@ -44,7 +48,7 @@ import numpy as np
 
 from .data import ClassWeights
 from .errors import DimensionMismatch, SolverFailure, TooManyClasses
-from .ot import _dense_plan, _solve
+from .ot import _solve
 from .sinkhorn import (ClassWeightSolution, SinkhornConfig, _certified_solution, _check_inputs,
                        _class_means, _logsumexp, _row_blocks, _row_classes, _sinkhorn_potentials,
                        sinkhorn_class_weights)
@@ -346,17 +350,10 @@ def brute_force_class_weights(
     simplex pivots repair it when it is not feasible at once. The tree also
     carries its reduced costs and dual violation: a point that needs no pivot
     reuses them instead of pricing every cell again. Each point is still
-    certified by its duality gap and the marginals of its plan, both taken
-    over its n + m - 1 basic cells alone.
-
-    The points are ranked by the dense objective ``np.sum(D * plan)`` that
-    ``solve_exact_ot`` reports (``ot._dense_plan``), but only the points whose
-    basic-cell objective is within 1e-12, relative, of the least one build
-    their dense plan, after the walk. Every term is nonnegative, so the
-    basic-cell sum, correctly rounded, is within one unit in the last place
-    of the exact sum and the dense one within about 20 + log2(nm) units, both
-    relative: a point further above cannot be the minimizer. A point that
-    makes no pivot is then O(n + m).
+    certified by its duality gap and the marginals of its plan, and ranked by
+    its objective, the correctly rounded sum that ``solve_exact_ot`` reports
+    too: all three are taken over its n + m - 1 basic cells alone, so a point
+    that makes no pivot is O(n + m).
     """
     D, counts = _check_inputs(D, class_counts)
     k = counts.size
@@ -368,20 +365,14 @@ def brute_force_class_weights(
 
     n, m = D.shape
     nu = np.full(m, 1.0 / m)
-    short, least, tree = [], np.inf, None  # the points that may be the minimizer
+    best, tree = (np.inf, ()), None
     for comp in _grid_walk(k, steps):
         mu = np.repeat(np.asarray(comp, dtype=np.float64) / steps / counts, counts)
         bi, bj, vals, objective, _, tree = _solve(D, mu, nu, tree)
         if max(np.abs(np.bincount(bi, vals, n) - mu).max(),
                np.abs(np.bincount(bj, vals, m) - nu).max()) > 1e-7:
             raise SolverFailure(f"grid point {comp}: plan marginals off by more than 1e-7")
-        if objective <= least + 1e-12 * least:
-            if objective < least:
-                least = objective
-                short = [p for p in short if p[0] <= least + 1e-12 * least]
-            short.append((objective, comp, bi, bj, vals))
-    # ties go to the first point in lexicographic order
-    best = min((_dense_plan(D, bi, bj, vals)[1], comp) for _, comp, bi, bj, vals in short)
+        best = min(best, (objective, comp))  # ties go to the first point in lexicographic order
     w = np.asarray(best[1], dtype=np.float64) / steps
     return ClassWeights(w / w.sum()), float(best[0])
 

@@ -46,10 +46,11 @@ a solve that makes no pivot prices no cell again and recomputes no
 certificate pass.
 
 ``_solve`` returns the optimal basis's n + m - 1 cells and values, with
-their objective summed over those cells alone, never a dense plan. So a
-solve that makes no pivot is O(n + m): it creates no n x m array and makes
-no pass over all n·m cells. ``solve_exact_ot`` builds the dense plan
-(``_dense_plan``).
+their objective summed over those cells alone and correctly rounded, and
+the duality gap it has certified against that objective; never a dense
+plan. So a solve that makes no pivot is O(n + m): it creates no n x m array
+and makes no pass over all n·m cells. ``solve_exact_ot`` writes the values
+into a dense plan and reports that objective and gap as they are.
 """
 
 from __future__ import annotations
@@ -393,35 +394,27 @@ def _dual_repair(tree: _Tree, C: np.ndarray, cap: int) -> tuple[_Tree | None, in
 def solve_exact_ot(problem: OtProblem, max_iters: int | None = None) -> TransportPlan:
     """Optimal coupling between the problem's marginals under its cost.
 
-    Returns a plan whose objective is the exact W1 value; optimality is
-    certified by the attached LP duality gap (primal minus a dual-feasible
-    objective built from the terminal potentials), and a gap above 1e-9 of
-    the largest cost raises ``SolverFailure``. ``max_iters`` caps the number
-    of pivots; a solve that needs more raises ``SolverFailure`` too.
+    Returns a plan whose objective is the exact W1 value, the correctly
+    rounded sum of cost times mass over its cells; optimality is certified
+    by the attached LP duality gap (that objective minus a dual-feasible one
+    built from the terminal potentials), and a gap above 1e-9 of the largest
+    cost raises ``SolverFailure``. ``max_iters`` caps the number of pivots;
+    a solve that needs more raises ``SolverFailure`` too.
     """
-    if max_iters is not None and max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
-    bi, bj, vals, _, dual_obj, _ = _solve(problem.cost, problem.mu, problem.nu,
-                                          max_iters=max_iters)
-    plan, objective = _dense_plan(problem.cost, bi, bj, vals)
-    return TransportPlan(plan, problem.mu, problem.nu, objective,
-                         dual_gap=max(objective - dual_obj, 0.0))
-
-
-def _dense_plan(C: np.ndarray, bi: np.ndarray, bj: np.ndarray, vals: np.ndarray
-                ) -> tuple[np.ndarray, float]:
-    """The n x m plan with ``vals`` on cells (bi, bj) and zero elsewhere, and
-    its objective ``np.sum(C * plan)``: the one ``solve_exact_ot`` reports."""
-    plan = np.zeros(C.shape)
+    if max_iters is not None and (not isinstance(max_iters, (int, np.integer)) or max_iters < 0):
+        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
+    bi, bj, vals, objective, gap, _ = _solve(problem.cost, problem.mu, problem.nu,
+                                             max_iters=max_iters)
+    plan = np.zeros(problem.cost.shape)
     plan[bi, bj] = vals
-    return plan, float(np.sum(C * plan))
+    return TransportPlan(plan, problem.mu, problem.nu, objective, dual_gap=gap)
 
 
 def _solve(C: np.ndarray, mu: np.ndarray, nu: np.ndarray, tree: _Tree | None = None,
            max_iters: int | None = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, _Tree]:
     """The optimal basis's cells (bi, bj) and their values, their objective,
-    a dual-feasible objective and the final tree.
+    its certified duality gap and the final tree.
 
     The plan is the values on cells (bi, bj) and zero elsewhere; no n x m
     array is built here. The objective is summed over the basic cells alone
@@ -486,7 +479,7 @@ def _solve(C: np.ndarray, mu: np.ndarray, nu: np.ndarray, tree: _Tree | None = N
     gap = max(objective - dual_obj, 0.0)
     if gap > 1e-9 * tree.c_max:
         raise SolverFailure(f"transportation simplex duality gap {gap:.3e} above 1e-9 * max C")
-    return bi, bj, vals, objective, dual_obj, tree
+    return bi, bj, vals, objective, gap, tree
 
 
 def wasserstein_distance(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:

@@ -116,11 +116,9 @@ def test_grid_ties_go_to_the_first_point_in_lexicographic_order(monkeypatch):
 
     def solve(C, mu, nu, tree):  # every cell basic, at the product plan
         bi, bj = np.indices(C.shape).reshape(2, -1)
-        return bi, bj, np.outer(mu, nu).ravel(), planted(mu), planted(mu), tree
+        return bi, bj, np.outer(mu, nu).ravel(), planted(mu), 0.0, tree
 
     monkeypatch.setattr(classlp, "_solve", solve)
-    monkeypatch.setattr(classlp, "_dense_plan",
-                        lambda C, bi, bj, vals: (None, planted(np.bincount(bi, vals))))
     w, obj = brute_force_class_weights(np.ones((3, 2)), np.ones(3, dtype=np.int64), 0.25)
     assert obj == 0.5
     np.testing.assert_array_equal(w.weights, [0.25, 0.0, 0.75])
@@ -139,10 +137,10 @@ def test_warm_four_class_grid_walk_matches_a_cold_walk():
     np.testing.assert_array_equal(bf_w.weights, best_w)
 
 
-def test_screened_walk_ranks_as_if_every_point_had_its_dense_objective():
-    # with integer costs over 3 many grid points tie up to rounding, and at
-    # rng(92) the point of least dense objective has a basic-cell objective
-    # above the least one: the screen must leave such points a margin
+def test_grid_walk_ranks_every_point_by_its_certified_objective():
+    # with integer costs over 3 many grid points tie up to rounding: the
+    # oracle must rank by the objective each solve certifies, the first of
+    # equal ones in lexicographic order winning
     for seed in range(88, 96):
         r = rng(seed)
         counts = r.integers(2, 12, size=3)
@@ -152,8 +150,8 @@ def test_screened_walk_ranks_as_if_every_point_had_its_dense_objective():
         best, tree = (np.inf, ()), None
         for comp in classlp._grid_walk(3, 20):
             mu = np.repeat(np.asarray(comp, dtype=np.float64) / 20 / counts, counts)
-            bi, bj, vals, _, _, tree = ot._solve(D, mu, nu, tree)
-            best = min(best, (ot._dense_plan(D, bi, bj, vals)[1], comp))
+            _, _, _, objective, _, tree = ot._solve(D, mu, nu, tree)
+            best = min(best, (objective, comp))
         w, obj = brute_force_class_weights(D, counts, 0.05)
         assert obj == best[0], seed
         want = np.asarray(best[1], dtype=np.float64) / 20
@@ -237,12 +235,12 @@ def test_each_set_of_potentials_is_priced_and_certified_once(monkeypatch):
 
 def test_a_grid_point_without_a_pivot_allocates_no_n_by_m_array(monkeypatch):
     # a 100 x 100 cost on a fine grid, where most points need no pivot: those
-    # that also stay off the dense objective must allocate less than one
-    # n x m array between the start of one point and the start of the next
+    # must allocate less than one n x m array between the start of one point
+    # and the start of the next
     r = rng(0)
     D = pairwise_distances(FeatureMatrix(r.normal(size=(100, 2))),
                            FeatureMatrix(r.normal(size=(100, 2)) + 0.3))
-    done = {"pivots": 0, "dense": 0}
+    done = {"pivots": 0}
     points = list(classlp._grid_walk(2, 500))
     peaks = []
 
@@ -262,7 +260,6 @@ def test_a_grid_point_without_a_pivot_allocates_no_n_by_m_array(monkeypatch):
                 peaks.append(tracemalloc.get_traced_memory()[1] - start)
 
     monkeypatch.setattr(ot._Tree, "pivot", counted("pivots", ot._Tree.pivot))
-    monkeypatch.setattr(classlp, "_dense_plan", counted("dense", classlp._dense_plan))
     monkeypatch.setattr(classlp, "_grid_walk", traced)
     tracemalloc.start()
     try:
@@ -443,28 +440,16 @@ def test_translating_the_features_leaves_the_selection_unchanged(seed):
         assert abs(sol.objective - base.objective) <= 1e-9 * base.objective
 
 
-def test_grid_oracle_is_exactly_equivariant_under_binary_scaling(monkeypatch):
+def test_grid_oracle_is_exactly_equivariant_under_binary_scaling():
     # D·2^k rounds nothing, so the walk must make the same choices: its
-    # tolerances follow the cost's own scale, and a point is screened out of
-    # the dense objective relative to the least one, never by an absolute bound
-    dense, dense_plan = [], classlp._dense_plan
-
-    def counted(*args):
-        dense.append(args)
-        return dense_plan(*args)
-
-    monkeypatch.setattr(classlp, "_dense_plan", counted)
+    # tolerances follow the cost's own scale, never an absolute bound
     for i in range(12):
         D, counts = gate01_instance(i)
         w, obj = brute_force_class_weights(D, counts, 0.05)
-        points = len(dense)
         for k in (-600, -40, 40, 600):
-            dense.clear()
             wk, obj_k = brute_force_class_weights(np.ldexp(D, k), counts, 0.05)
             assert obj_k == np.ldexp(obj, k), (i, k)
             assert wk.weights.tobytes() == w.weights.tobytes(), (i, k)
-            assert len(dense) == points, (i, k)
-        dense.clear()
 
 
 def test_permuting_targets_and_rows_within_a_class_leaves_the_selection_unchanged():

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -99,6 +100,39 @@ def test_ot_with_explicit_marginals(tmp_path, capsys):
                                "--mu", pm, "--nu", pn)
     assert code == 0
     assert payload["w1"] == pytest.approx(1.0)
+
+
+def test_ot_writes_a_csv_plan_that_prices_to_its_w1(tmp_path, capsys):
+    cost = rng(3).random((5, 7))
+    pc, plan_path = str(tmp_path / "c.csv"), str(tmp_path / "plan.csv")
+    save_feature_matrix(FeatureMatrix(cost), pc, format="csv")
+    code, payload, _ = run_cli(capsys, "ot", "--cost", pc, "--format", "csv",
+                               "--out-plan", plan_path)
+    assert code == 0
+    assert plan_path in payload["outputs"]
+    plan = load_feature_matrix(plan_path, format="csv").values
+    np.testing.assert_allclose(plan.sum(axis=1), 1 / 5, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(plan.sum(axis=0), 1 / 7, rtol=0, atol=1e-12)
+    # CSV keeps 17 significant digits, so the reloaded plan prices exactly
+    assert math.fsum((cost * plan).ravel()) == payload["w1"]
+
+
+def test_select_writes_a_csv_plan_with_the_weights_as_row_sums(tmp_path, capsys):
+    paths = write_scenario_files(tmp_path)
+    out_w, plan_path = str(tmp_path / "w.json"), str(tmp_path / "plan.csv")
+    code, payload, _ = run_cli(capsys, "select", "--source", paths["source"],
+                               "--source-labels", paths["source_labels"],
+                               "--target", paths["target_train"], "--format", "csv",
+                               "--out-weights", out_w, "--out-plan", plan_path)
+    assert code == 0
+    assert plan_path in payload["outputs"]
+    plan = load_feature_matrix(plan_path, format="csv").values
+    weights = load_class_weights(out_w)
+    # the source rows are grouped by class (ids 0, 5, 9), six rows each
+    rows = np.repeat([weights[c] / 6 for c in (0, 5, 9)], 6)
+    assert plan.shape == (18, 10)
+    np.testing.assert_allclose(plan.sum(axis=1), rows, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(plan.sum(axis=0), 1 / 10, rtol=0, atol=1e-9)
 
 
 def test_select_writes_valid_weights(tmp_path, capsys):

@@ -1,0 +1,133 @@
+"""Public entry points refuse malformed input up front, each with its own
+exception class and message."""
+
+import numpy as np
+import pytest
+
+from otselect import (
+    ClassWeights,
+    FeatureMatrix,
+    LabeledDataset,
+    OtProblem,
+    SinkhornConfig,
+    SoftmaxHead,
+    TransportPlan,
+    compute_bound_report,
+    conditional_wasserstein_term,
+    induced_error,
+    joint_wasserstein,
+    largest_singular_value,
+    resample_fixed_budget,
+    solve_class_weights,
+    solve_exact_ot,
+    weights_to_sample_probabilities,
+)
+from otselect.bounds import run_verification_suite, verify_softmax_lipschitz
+from otselect.errors import DimensionMismatch, MalformedFile, NonFiniteValue, RowNotSimplex
+
+from conftest import random_joint
+
+HALF = np.full((2, 2), 0.5)
+U2 = np.full(2, 0.5)
+
+
+def nan_cost():
+    D = np.ones((4, 3))
+    D[1, 2] = np.nan
+    return D
+
+
+def dataset():
+    return LabeledDataset(FeatureMatrix(np.arange(8.0).reshape(4, 2)), np.array([0, 0, 1, 1]))
+
+
+CASES = {
+    "class_lp_1d_cost": (lambda: solve_class_weights(np.ones(4), [4]),
+                         DimensionMismatch, "2-D"),
+    "class_lp_zero_count": (lambda: solve_class_weights(np.ones((4, 3)), [4, 0]),
+                            DimensionMismatch, "positive integers"),
+    "class_lp_nan_cost": (lambda: solve_class_weights(nan_cost(), [2, 2]),
+                          MalformedFile, "finite and nonnegative"),
+    "class_lp_negative_cost": (lambda: solve_class_weights(-np.ones((4, 3)), [2, 2]),
+                               MalformedFile, "finite and nonnegative"),
+    "ot_problem_shapes": (lambda: OtProblem(np.ones((2, 3)), U2, U2),
+                          DimensionMismatch, "incompatible"),
+    "ot_problem_negative_cost": (lambda: OtProblem(-np.ones((2, 2)), U2, U2),
+                                 MalformedFile, "finite and nonnegative"),
+    "plan_shapes": (lambda: TransportPlan(HALF / 2, U2, np.full(3, 1 / 3), 0.0),
+                    DimensionMismatch, "shapes disagree"),
+    "plan_negative_entry": (lambda: TransportPlan(np.array([[0.6, -0.1], [-0.1, 0.6]]),
+                                                  U2, U2, 0.0),
+                            MalformedFile, "negative"),
+    "induced_error_shapes": (lambda: induced_error(HALF, np.eye(3)),
+                             DimensionMismatch, "equal 2-d shapes"),
+    "induced_error_nan": (lambda: induced_error([[np.nan, 0.5], [0.5, 0.5]], np.eye(2)),
+                          NonFiniteValue, "finite"),
+    "induced_error_not_one_hot": (lambda: induced_error(HALF, [[1.0, 0.0], [0.5, 0.5]]),
+                                  DimensionMismatch, "one-hot"),
+    "induced_error_masses_misaligned": (lambda: induced_error(HALF, np.eye(2), [1.0]),
+                                        DimensionMismatch, "align"),
+    "induced_error_masses_not_simplex": (lambda: induced_error(HALF, np.eye(2), [0.7, 0.7]),
+                                         RowNotSimplex, "probability vector"),
+    "conditional_term_weighting": (
+        lambda: conditional_wasserstein_term(random_joint(1), random_joint(2), "both"),
+        ValueError, "weighting"),
+    "conditional_term_label_cost": (
+        lambda: conditional_wasserstein_term(random_joint(1), random_joint(2), label_cost=-1.0),
+        ValueError, "label_cost"),
+    "joint_wasserstein_label_cost": (
+        lambda: joint_wasserstein(random_joint(1), random_joint(2), label_cost=-1.0),
+        ValueError, "label_cost"),
+    "bound_report_head_shapes": (
+        lambda: compute_bound_report(SoftmaxHead(np.zeros((2, 2)), [0, 1]),
+                                     SoftmaxHead(np.zeros((2, 3)), [0, 1]),
+                                     random_joint(1), random_joint(2)),
+        DimensionMismatch, "weight-matrix shape"),
+    "sample_probabilities_empty_labels": (
+        lambda: weights_to_sample_probabilities(ClassWeights(U2), np.array([], dtype=np.int64)),
+        DimensionMismatch, "non-empty"),
+    "sample_probabilities_missing_class": (
+        lambda: weights_to_sample_probabilities(ClassWeights(U2), np.array([0, 0])),
+        DimensionMismatch, "every class"),
+    "resample_zero_budget": (lambda: resample_fixed_budget(dataset(), np.full(4, 0.25), 0, 0),
+                             ValueError, "budget"),
+    "resample_misaligned_probabilities": (
+        lambda: resample_fixed_budget(dataset(), np.full(3, 1 / 3), 5, 0),
+        DimensionMismatch, "align"),
+    "sinkhorn_schedule_above_one": (lambda: SinkhornConfig(epsilon_schedule=1.5),
+                                    ValueError, "epsilon_schedule"),
+    "singular_value_empty_matrix": (lambda: largest_singular_value(np.zeros((0, 3))),
+                                    DimensionMismatch, "non-empty"),
+}
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_malformed_input_raises_its_own_error(case):
+    call, error, message = case
+    with pytest.raises(error, match=message):
+        call()
+
+
+COUNTS = {
+    "solve_exact_ot": (lambda n: solve_exact_ot(OtProblem(np.ones((2, 2)), U2, U2), n),
+                       "max_iters must be an integer >= 0"),
+    "run_verification_suite": (lambda n: run_verification_suite(0, n),
+                               "trials must be an integer >= 1"),
+    "verify_softmax_lipschitz": (lambda n: verify_softmax_lipschitz(2, n, 0),
+                                 "trials must be an integer >= 1"),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0])
+@pytest.mark.parametrize("entry", COUNTS.values(), ids=COUNTS.keys())
+def test_a_count_that_is_not_an_integer_is_refused_up_front(entry, count):
+    call, message = entry
+    with pytest.raises(ValueError, match=message):
+        call(count)
+
+
+def test_numpy_integer_counts_are_accepted():
+    problem = OtProblem(np.array([[0.0, 1.0], [1.0, 0.0]]), U2, U2)
+    assert solve_exact_ot(problem, np.int64(0)).objective == 0.0
+    assert verify_softmax_lipschitz(2, np.int64(9), 0) == verify_softmax_lipschitz(2, 9, 0)
+    assert len(run_verification_suite(0, np.int64(1))["checks"]) == 12

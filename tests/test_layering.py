@@ -1,5 +1,6 @@
 """The package's import graph: every module imports the package at its top,
-and the entropic solver is the lower layer under the exact class LP."""
+the entropic solver is the lower layer under the exact class LP, and the
+class LP takes only the simplex from exact transport."""
 
 import ast
 import pathlib
@@ -36,3 +37,12 @@ def test_sinkhorn_imports_only_data_and_errors():
     # anything above data and errors
     modules = set(imported_modules(parse(PACKAGE / "sinkhorn.py")))
     assert {m for m in modules if m.startswith((".", "otselect"))} == {".data", ".errors"}
+
+
+def test_classlp_takes_only_the_simplex_from_ot():
+    # the grid oracle ranks by the objective each simplex solve certifies,
+    # so classlp needs nothing else from ot
+    names = {alias.name for node in ast.walk(parse(PACKAGE / "classlp.py"))
+             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "ot"
+             for alias in node.names}
+    assert names == {"_solve"}
