@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import DiscreteJointDistribution, FeatureMatrix, TransportPlan
+from .data import DiscreteJointDistribution, FeatureMatrix, TransportPlan, _check_count
 from .distance import pairwise_distances
 from .errors import (
     DimensionMismatch,
@@ -51,8 +51,7 @@ def verify_softmax_lipschitz(K: int, trials: int, seed: int) -> float:
     Logits are drawn zero-centered at scales 0.1, 1 and 10 (cycled across
     trials); pairs closer than 1e-12 are skipped.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    _check_count("trials", trials, 1)
     if int(K) != K or K < 2:
         raise InvalidK(f"need an integer K >= 2, got {K!r}")
     K = int(K)
@@ -608,9 +607,7 @@ def _check_ot_duality(rng: np.random.Generator, instances: int) -> tuple[bool, s
         mu = rng.dirichlet(np.ones(n))
         nu = rng.dirichlet(np.ones(m))
         plan = solve_exact_ot(OtProblem(C, mu, nu))
-        gap = plan.dual_gap if plan.dual_gap is not None else np.inf
-        rel = gap / (1.0 + abs(plan.objective))
-        worst = max(worst, rel)
+        worst = max(worst, plan.dual_gap / (1.0 + abs(plan.objective)))
     return bool(worst <= 1e-7), f"worst relative duality gap {worst:.3e}"
 
 
@@ -666,8 +663,7 @@ def run_verification_suite(seed: int, trials: int) -> dict:
     ``trials`` controls the sampling effort of the Monte Carlo checks; the
     fixed-size inequality suites always run at their full instance counts.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    _check_count("trials", trials, 1)
     rng = np.random.default_rng(seed)
     checks = [
         ("softmax_lipschitz", lambda: _check_softmax_lipschitz(seed, trials)),

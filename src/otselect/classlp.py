@@ -348,7 +348,7 @@ def brute_force_class_weights(
     potentials, is carried from each solve to the next (``ot._solve``). All
     points share the cost, so the tree stays dual-feasible, and a few dual
     simplex pivots repair it when it is not feasible at once. The tree also
-    carries its reduced costs and dual violation: a point that needs no pivot
+    carries its reduced costs and c-transform: a point that needs no pivot
     reuses them instead of pricing every cell again. Each point is still
     certified by its duality gap and the marginals of its plan, and ranked by
     its objective, the correctly rounded sum that ``solve_exact_ot`` reports

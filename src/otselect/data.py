@@ -41,6 +41,12 @@ def _check_finite(values: np.ndarray, what: str) -> None:
         raise NonFiniteValue(f"{what} has non-finite entry at index {int(idx[0])}", row=int(idx[0]))
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a count that is a bool, not an integer, or below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 # ============================================================
 # Core types
 # ============================================================

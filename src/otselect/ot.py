@@ -39,11 +39,11 @@ pivot step as the primal simplex. A few such pivots replace a cold restart.
 
 A carried tree also keeps what it has computed from its potentials: the
 reduced costs C - u - v with the place of the least of them, the
-certificate's dual violation and the order of its nodes by depth; and what
-it knows of its cost, the largest entry and the tolerance it sets. Only a
-pivot moves the potentials and the depths, and it drops the first three, so
-a solve that makes no pivot prices no cell again and recomputes no
-certificate pass.
+c-transform of its row potentials that certifies the gap, and the order of
+its nodes by depth; and what it knows of its cost, the largest entry and
+the tolerance it sets. Only a pivot moves the potentials and the depths,
+and it drops the first three, so a solve that makes no pivot prices no cell
+again and recomputes no certificate pass.
 
 ``_solve`` returns the optimal basis's n + m - 1 cells and values, with
 their objective summed over those cells alone and correctly rounded, and
@@ -60,9 +60,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DiscreteJointDistribution, FeatureMatrix, TransportPlan
+from .data import DiscreteJointDistribution, FeatureMatrix, TransportPlan, _check_count
 from .distance import pairwise_distances
 from .errors import DimensionMismatch, InfeasibleMarginals, MalformedFile, SolverFailure
+from .sinkhorn import _c_transform
 
 # Masses closer than this count as equal, and their epsilon counts order them.
 _TIE = 1e-14
@@ -80,9 +81,9 @@ class OtProblem:
         c = np.ascontiguousarray(self.cost, dtype=np.float64)
         mu = np.ascontiguousarray(self.mu, dtype=np.float64)
         nu = np.ascontiguousarray(self.nu, dtype=np.float64)
-        if c.ndim != 2 or mu.shape != (c.shape[0],) or nu.shape != (c.shape[1],):
+        if c.ndim != 2 or c.size == 0 or mu.shape != (c.shape[0],) or nu.shape != (c.shape[1],):
             raise DimensionMismatch(
-                f"cost {c.shape} incompatible with marginals {mu.shape}, {nu.shape}"
+                f"cost {c.shape} empty or incompatible with marginals {mu.shape}, {nu.shape}"
             )
         if not np.isfinite(c).all() or c.min() < 0:
             raise MalformedFile("cost matrix must be finite and nonnegative")
@@ -164,7 +165,7 @@ class _Tree:
     (``_basis_tree``). Four caches hold for the current potentials under that
     cost, and are None until computed: ``rc``, the reduced costs C - u - v,
     and ``low``, the flat position of the least of them (``_priced``);
-    ``viol``, the certificate's dual violation max(u + v - C, 0) (``_solve``);
+    ``g``, the certificate's c-transform min_i (C_ij - u_i) (``_solve``);
     and ``order``, the non-root nodes deepest first (``values``). ``pivot``,
     the only step that moves potentials and depths, clears all four. ``out``
     is where ``rc`` is priced, allocated on the first pricing and kept.
@@ -184,7 +185,7 @@ class _Tree:
     rc_tol: float
     rc: np.ndarray | None = None
     low: int | None = None
-    viol: float | None = None
+    g: np.ndarray | None = None
     order: list[int] | None = None
     out: np.ndarray | None = None
 
@@ -256,7 +257,7 @@ class _Tree:
         cell, and its potentials shift by the cell's reduced cost delta, which
         clears the tree's caches.
         """
-        self.rc = self.low = self.viol = self.order = None
+        self.rc = self.low = self.g = self.order = None
         n, adj, parent, pcell, depth, pot, vals, eps = (
             self.n, self.adj, self.parent, self.pcell, self.depth, self.pot,
             self.vals, self.eps)
@@ -336,14 +337,6 @@ def _priced(C: np.ndarray, tree: _Tree) -> tuple[np.ndarray, int]:
     return tree.rc, tree.low
 
 
-def _violation(C: np.ndarray, tree: _Tree) -> float:
-    """max(u_i + v_j - C_ij, 0) over every cell: how far the tree's potentials
-    are from dual feasible. It is taken from the potentials, never read off
-    the reduced costs, so the certificate also catches a faulty pricing."""
-    uv = np.array(tree.pot)
-    return max(0.0, float((uv[:tree.n, None] + uv[None, tree.n:] - C).max()))
-
-
 def _dual_repair(tree: _Tree, C: np.ndarray, cap: int) -> tuple[_Tree | None, int]:
     """Dual simplex pivots that make a dual-feasible basis primal-feasible.
 
@@ -401,8 +394,8 @@ def solve_exact_ot(problem: OtProblem, max_iters: int | None = None) -> Transpor
     cost raises ``SolverFailure``. ``max_iters`` caps the number of pivots;
     a solve that needs more raises ``SolverFailure`` too.
     """
-    if max_iters is not None and (not isinstance(max_iters, (int, np.integer)) or max_iters < 0):
-        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
+    if max_iters is not None:
+        _check_count("max_iters", max_iters, 0)
     bi, bj, vals, objective, gap, _ = _solve(problem.cost, problem.mu, problem.nu,
                                              max_iters=max_iters)
     plan = np.zeros(problem.cost.shape)
@@ -419,7 +412,8 @@ def _solve(C: np.ndarray, mu: np.ndarray, nu: np.ndarray, tree: _Tree | None = N
     The plan is the values on cells (bi, bj) and zero elsewhere; no n x m
     array is built here. The objective is summed over the basic cells alone
     and correctly rounded (``math.fsum``), so it does not depend on their
-    order. The certificate's gap is that objective minus the dual one.
+    order. The certificate's gap is that objective minus the dual one, u·mu +
+    g·nu, with g = ``_c_transform(C, u)`` making the row potentials u feasible.
 
     ``tree``, a basis tree of C (``_basis_tree``), is given its values for mu
     and nu here. It is used as it stands when it is feasible for the
@@ -430,11 +424,11 @@ def _solve(C: np.ndarray, mu: np.ndarray, nu: np.ndarray, tree: _Tree | None = N
     1e-11 of the largest cost, and the certificate's bound, 1e-9 of it, scale
     with C, so scaling C scales nothing else; the tree holds both for its cost.
 
-    The tree's cached pricing and dual violation are used as they stand: a
+    The tree's cached pricing and c-transform are used as they stand: a
     carried tree that needs no pivot is neither priced nor checked again over
-    its cells, and the solve is O(n + m). The violation is computed apart
-    from the pricing (``_violation``), so a certificate never rests on the
-    pricing that it checks.
+    its cells, and the solve is O(n + m). The c-transform is taken from C
+    and u, never read off the reduced costs, so a certificate never rests on
+    the pricing that it checks.
     """
     n, m = C.shape
     cap = max_iters if max_iters is not None else 20 * n * m + 50 * (n + m) + 200
@@ -471,11 +465,11 @@ def _solve(C: np.ndarray, mu: np.ndarray, nu: np.ndarray, tree: _Tree | None = N
     vals = np.maximum(tree.vals if pivots == 0 else tree.values(mu, nu), 0.0)
     objective = math.fsum((C[bi, bj] * vals).tolist())
 
-    # Rigorous certificate: shift u until (u, v) is dual feasible, then gap.
-    if tree.viol is None:
-        tree.viol = _violation(C, tree)
-    uv = np.array(tree.pot)
-    dual_obj = float(uv[:n] @ mu + uv[n:] @ nu) - tree.viol * float(mu.sum())
+    # Rigorous certificate: (u, the c-transform of u) is dual feasible.
+    u = np.array(tree.pot[:n])
+    if tree.g is None:
+        tree.g = _c_transform(C, u)
+    dual_obj = float(u @ mu + tree.g @ nu)
     gap = max(objective - dual_obj, 0.0)
     if gap > 1e-9 * tree.c_max:
         raise SolverFailure(f"transportation simplex duality gap {gap:.3e} above 1e-9 * max C")

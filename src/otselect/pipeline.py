@@ -17,7 +17,7 @@ import numpy as np
 
 from .classlp import (ClassWeightSolution, solve_class_weights,
                       weights_to_sample_probabilities)
-from .data import ClassWeights, FeatureMatrix, LabeledDataset, densify_labels
+from .data import ClassWeights, FeatureMatrix, LabeledDataset, _check_count, densify_labels
 from .distance import pairwise_distances
 from .errors import (
     AllZeroProbabilities,
@@ -42,14 +42,12 @@ class TrainConfig:
     early_stop_patience: int = 5
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 1:
-            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
-        if not isinstance(self.batch_size, (int, np.integer)) or self.batch_size < 1:
-            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
-        if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be nonnegative")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        _check_count("epochs", self.epochs, 1)
+        _check_count("batch_size", self.batch_size, 1)
+        if not 0 <= self.l2_penalty < np.inf:
+            raise ValueError(f"l2_penalty must be finite and >= 0, got {self.l2_penalty}")
 
 
 @dataclass(frozen=True)
@@ -269,8 +267,7 @@ def resample_fixed_budget(dataset: LabeledDataset, sample_probs: np.ndarray,
     Classes that receive no draws disappear, so labels are re-densified;
     the second return value maps each new dense id back to the original one.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    _check_count("budget", budget, 1)
     p = np.asarray(sample_probs, dtype=np.float64)
     if p.shape != (dataset.n,):
         raise DimensionMismatch("sample_probs must align with dataset rows")
@@ -344,6 +341,7 @@ def _select_and_train(source: LabeledDataset, target_train: LabeledDataset, meth
     not among them, instead of each scoring its own data's ids. Without
     ``finetune`` the pre-trained head stands in for the fine-tuned one.
     """
+    _check_count("budget", budget, 0)  # before the selection, which may take long
     cfg = cfg or TrainConfig()
     src_ids = (np.arange(source.k) if source_class_ids is None
                else np.asarray(source_class_ids, dtype=np.int64))

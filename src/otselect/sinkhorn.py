@@ -16,9 +16,9 @@ unconverged iterations at the target, a damped Newton method on the dual
 (Brauer et al. 2017) finishes in a few dense O((n+m)^3) steps, up to
 n + m = 2000, each free of the cost scale. The plan is rounded onto the
 polytope in one pass (Altschuler et al. 2017); the c-transform of the final
-potentials certifies the gap (``_certified_solution``). This module is the
-lower layer, importing only ``data`` and ``errors``: the exact LP (``classlp``)
-takes the certificate, the input check and the class helpers from it.
+potentials certifies the gap (``_c_transform``). This module is the lower
+layer, importing only ``data`` and ``errors``: the exact LP (``classlp``) takes
+the certificate, input check and class helpers from it, ``ot`` the c-transform.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassWeights, TransportPlan, WEIGHT_CLAMP
+from .data import ClassWeights, TransportPlan, WEIGHT_CLAMP, _check_count
 from .errors import DimensionMismatch, MalformedFile, SolverFailure
 
 _SCHEDULE_PERIOD = 100  # most iterations spent at one epsilon above the target
@@ -87,17 +87,27 @@ def _row_blocks(n: int, m: int, rows: np.ndarray | None = None):
             yield lo, min(stop, lo + step)
 
 
+def _c_transform(D: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """g_j = min_r (D_rj - f_r), taken in row blocks: the largest column
+    potentials that make row potentials f dual feasible (Peyre & Cuturi 2019,
+    3.1). Every solver certifies its duality gap with it."""
+    g = np.full(D.shape[1], np.inf)
+    for lo, hi in _row_blocks(*D.shape):
+        np.minimum(g, (D[lo:hi] - f[lo:hi, None]).min(axis=0), out=g)
+    return g
+
+
 def _certified_solution(D: np.ndarray, counts: np.ndarray, plan: np.ndarray, f: np.ndarray,
                         source_marginal: np.ndarray | None = None, *, converged: bool = True,
                         warning: str | None = None) -> ClassWeightSolution:
     """The solution held by a class-tied plan, certified by row potentials f.
 
     w_c is the plan's mass on class c's rows, renormalised only when the total
-    is more than 1e-12 from one. With f centred in each class, the c-transform
-    g_j = min_r (D_rj - f_r), taken in row blocks, is dual feasible: dual_gap =
-    objective - mean(g) (Peyre & Cuturi 2019, 3.1 and 4.1). Rows are checked
-    against ``source_marginal``, by default the class-tied rows w_c / n_c."""
-    n, m = D.shape
+    is more than 1e-12 from one. With f centred in each class, its c-transform
+    g (``_c_transform``) is dual feasible: dual_gap = objective - mean(g)
+    (Peyre & Cuturi 2019, 3.1 and 4.1). Rows are checked against
+    ``source_marginal``, by default the class-tied rows w_c / n_c."""
+    m = D.shape[1]
     row_class = _row_classes(counts)
     objective = float(np.sum(D * plan))
     w = np.bincount(row_class, weights=plan.sum(axis=1), minlength=counts.size)
@@ -105,10 +115,7 @@ def _certified_solution(D: np.ndarray, counts: np.ndarray, plan: np.ndarray, f: 
         weights = ClassWeights(w / w.sum() if abs(w.sum() - 1.0) > 1e-12 else w)
     except MalformedFile as e:
         raise SolverFailure(f"recovered weights violate simplex invariants: {e}") from e
-    f = f - _class_means(f, row_class, counts)[row_class]
-    g = np.full(m, np.inf)
-    for lo, hi in _row_blocks(n, m):
-        np.minimum(g, (D[lo:hi] - f[lo:hi, None]).min(axis=0), out=g)
+    g = _c_transform(D, f - _class_means(f, row_class, counts)[row_class])
     if source_marginal is None:
         source_marginal = np.repeat(weights.weights / counts, counts)
     transport = TransportPlan(plan, source_marginal, np.full(m, 1.0 / m), objective,
@@ -137,8 +144,7 @@ class SinkhornConfig:
     def __post_init__(self):
         if self.epsilon is not None and not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        _check_count("max_iters", self.max_iters, 1)
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.epsilon_schedule is not None and not (0.0 < self.epsilon_schedule <= 1.0):

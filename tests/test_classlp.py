@@ -212,10 +212,10 @@ def test_grid_walk_refuses_a_point_stopped_short_of_the_optimum(monkeypatch):
 
 def test_each_set_of_potentials_is_priced_and_certified_once(monkeypatch):
     # the walk makes no pivot at most grid points; those points must reuse
-    # the reduced costs and the dual violation that their tree already holds
+    # the reduced costs and the c-transform that their tree already holds
     D, counts = next(inst for inst in map(gate01_instance, itertools.count())
                      if inst[1].size == 3)
-    calls = {"priced": 0, "violation": 0, "pivots": 0, "points": 0}
+    calls = {"priced": 0, "c_transform": 0, "pivots": 0, "points": 0}
 
     def counted(name, f):
         def wrapped(*args):
@@ -224,13 +224,13 @@ def test_each_set_of_potentials_is_priced_and_certified_once(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(ot, "_reduced_costs", counted("priced", ot._reduced_costs))
-    monkeypatch.setattr(ot, "_violation", counted("violation", ot._violation))
+    monkeypatch.setattr(ot, "_c_transform", counted("c_transform", ot._c_transform))
     monkeypatch.setattr(ot._Tree, "pivot", counted("pivots", ot._Tree.pivot))
     monkeypatch.setattr(classlp, "_solve", counted("points", classlp._solve))
     brute_force_class_weights(D, counts, 0.02)
     assert calls["points"] == 1326 and calls["pivots"] < calls["points"]
     assert 1 <= calls["priced"] <= calls["pivots"] + 1, calls
-    assert 1 <= calls["violation"] <= calls["pivots"] + 1, calls
+    assert 1 <= calls["c_transform"] <= calls["pivots"] + 1, calls
 
 
 def test_a_grid_point_without_a_pivot_allocates_no_n_by_m_array(monkeypatch):
@@ -279,7 +279,7 @@ def test_cached_pricing_stays_coherent_over_random_walks(monkeypatch, seed):
     counts = r.integers(2, 6, size=k)
     D = pairwise_distances(FeatureMatrix(r.normal(size=(int(counts.sum()), 2))),
                            FeatureMatrix(r.normal(size=(int(r.integers(5, 13)), 2)) + 0.5))
-    solve, seen = classlp._solve, {"rc": 0, "viol": 0, "order": 0}
+    solve, seen = classlp._solve, {"rc": 0, "g": 0, "order": 0}
 
     def checked(C, mu, nu, tree):
         out = solve(C, mu, nu, tree)
@@ -289,9 +289,10 @@ def test_cached_pricing_stays_coherent_over_random_walks(monkeypatch, seed):
         if t.rc is not None:
             seen["rc"] += 1
             assert t.rc.tobytes() == (C - u[:, None] - v[None, :]).tobytes()
-        if t.viol is not None:
-            seen["viol"] += 1
-            assert t.viol == max(0.0, float((u[:, None] + v[None, :] - C).max()))
+        if t.g is not None:
+            seen["g"] += 1
+            assert t.g.tobytes() == ot._c_transform(C, u).tobytes()
+            assert t.g.tobytes() == (C - u[:, None]).min(axis=0).tobytes()
         if t.order is not None:
             seen["order"] += 1
             assert t.order == sorted(range(1, len(uv)), key=t.depth.__getitem__, reverse=True)

@@ -11,6 +11,7 @@ from otselect import (
     OtProblem,
     SinkhornConfig,
     SoftmaxHead,
+    TrainConfig,
     TransportPlan,
     compute_bound_report,
     conditional_wasserstein_term,
@@ -18,6 +19,7 @@ from otselect import (
     joint_wasserstein,
     largest_singular_value,
     resample_fixed_budget,
+    run_pipeline,
     solve_class_weights,
     solve_exact_ot,
     weights_to_sample_probabilities,
@@ -52,6 +54,8 @@ CASES = {
                                MalformedFile, "finite and nonnegative"),
     "ot_problem_shapes": (lambda: OtProblem(np.ones((2, 3)), U2, U2),
                           DimensionMismatch, "incompatible"),
+    "ot_problem_empty_side": (lambda: OtProblem(np.ones((0, 2)), np.ones(0), U2),
+                              DimensionMismatch, "empty"),
     "ot_problem_negative_cost": (lambda: OtProblem(-np.ones((2, 2)), U2, U2),
                                  MalformedFile, "finite and nonnegative"),
     "plan_shapes": (lambda: TransportPlan(HALF / 2, U2, np.full(3, 1 / 3), 0.0),
@@ -94,6 +98,10 @@ CASES = {
     "resample_misaligned_probabilities": (
         lambda: resample_fixed_budget(dataset(), np.full(3, 1 / 3), 5, 0),
         DimensionMismatch, "align"),
+    "train_config_infinite_learning_rate": (lambda: TrainConfig(learning_rate=np.inf),
+                                            ValueError, "learning_rate"),
+    "train_config_nan_l2_penalty": (lambda: TrainConfig(l2_penalty=np.nan),
+                                    ValueError, "l2_penalty"),
     "sinkhorn_schedule_above_one": (lambda: SinkhornConfig(epsilon_schedule=1.5),
                                     ValueError, "epsilon_schedule"),
     "singular_value_empty_matrix": (lambda: largest_singular_value(np.zeros((0, 3))),
@@ -115,10 +123,20 @@ COUNTS = {
                                "trials must be an integer >= 1"),
     "verify_softmax_lipschitz": (lambda n: verify_softmax_lipschitz(2, n, 0),
                                  "trials must be an integer >= 1"),
+    "sinkhorn_max_iters": (lambda n: SinkhornConfig(max_iters=n),
+                           "max_iters must be an integer >= 1"),
+    "train_epochs": (lambda n: TrainConfig(epochs=n), "epochs must be an integer >= 1"),
+    "train_batch_size": (lambda n: TrainConfig(batch_size=n),
+                         "batch_size must be an integer >= 1"),
+    "resample_fixed_budget": (lambda n: resample_fixed_budget(dataset(), np.full(4, 0.25), n, 0),
+                              "budget must be an integer >= 1"),
+    # refused before the class selection, which would run first otherwise
+    "run_pipeline_budget": (lambda n: run_pipeline(dataset(), dataset(), dataset(), budget=n),
+                            "budget must be an integer >= 0"),
 }
 
 
-@pytest.mark.parametrize("count", [2.5, 3.0])
+@pytest.mark.parametrize("count", [2.5, 3.0, True])
 @pytest.mark.parametrize("entry", COUNTS.values(), ids=COUNTS.keys())
 def test_a_count_that_is_not_an_integer_is_refused_up_front(entry, count):
     call, message = entry

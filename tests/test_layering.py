@@ -1,6 +1,7 @@
 """The package's import graph: every module imports the package at its top,
-the entropic solver is the lower layer under the exact class LP, and the
-class LP takes only the simplex from exact transport."""
+the entropic solver is the lower layer under the exact class LP and the
+transportation simplex, and the class LP takes only the simplex from exact
+transport."""
 
 import ast
 import pathlib
@@ -37,6 +38,15 @@ def test_sinkhorn_imports_only_data_and_errors():
     # anything above data and errors
     modules = set(imported_modules(parse(PACKAGE / "sinkhorn.py")))
     assert {m for m in modules if m.startswith((".", "otselect"))} == {".data", ".errors"}
+
+
+def test_ot_takes_only_the_c_transform_from_sinkhorn():
+    # the simplex certifies its gap with the lower layer's c-transform; that
+    # sinkhorn imports nothing back is checked above
+    names = {alias.name for node in ast.walk(parse(PACKAGE / "ot.py"))
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             and node.module == "sinkhorn" for alias in node.names}
+    assert names == {"_c_transform"}
 
 
 def test_classlp_takes_only_the_simplex_from_ot():

@@ -181,6 +181,34 @@ def test_duality_certificate_is_tight():
         assert sol.dual_gap <= 1e-7 * (1 + abs(sol.objective))
 
 
+def test_gap_is_the_objective_minus_the_c_transform_dual():
+    # the certificate is (u, min_i (C - u)): recomputed here from the final tree
+    for seed in range(40):
+        r = rng(700 + seed)
+        n, m = r.integers(1, 15, size=2)
+        C = r.random((n, m)) * 10.0 ** r.integers(-3, 4)
+        mu, nu = r.dirichlet(np.ones(n)), r.dirichlet(np.ones(m))
+        _, _, _, objective, gap, tree = ot._solve(C, mu, nu)
+        u = np.array(tree.pot[:n])
+        g = (C - u[:, None]).min(axis=0)
+        assert gap == max(0.0, objective - float(u @ mu + g @ nu)), seed
+        assert solve_exact_ot(OtProblem(C, mu, nu)).dual_gap == gap
+
+
+@pytest.mark.parametrize("k", [-40, 40])
+def test_gap_scales_exactly_with_the_cost(k):
+    # scaling by a power of two is exact, and so must be every step of the certificate
+    s = 2.0 ** k
+    for seed in range(20):
+        r = rng(800 + seed)
+        n, m = r.integers(2, 20, size=2)
+        cost, mu, nu = r.random((n, m)), r.dirichlet(np.ones(n)), r.dirichlet(np.ones(m))
+        base = solve_exact_ot(OtProblem(cost, mu, nu))
+        sol = solve_exact_ot(OtProblem(s * cost, mu, nu))
+        assert sol.dual_gap == s * base.dual_gap, seed
+        assert sol.objective == s * base.objective, seed
+
+
 def test_one_dimensional_sorted_oracle():
     # for equal-size uniform empirical measures on the line, the optimum
     # pairs sorted samples
