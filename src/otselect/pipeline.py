@@ -46,6 +46,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         _check_count("epochs", self.epochs, 1)
         _check_count("batch_size", self.batch_size, 1)
+        _check_count("seed", self.seed, 0)
+        _check_count("early_stop_patience", self.early_stop_patience, 0)
         if not 0 <= self.l2_penalty < np.inf:
             raise ValueError(f"l2_penalty must be finite and >= 0, got {self.l2_penalty}")
 
@@ -236,6 +238,7 @@ def baseline_weights(method: str, source: LabeledDataset, target: FeatureMatrix,
     """ALL: uniform. RND: uniform over a seeded random nonempty class subset.
     MN: uniform over the ``mn_top`` classes whose mean embedding is closest
     to the target's overall mean (all classes when k < mn_top)."""
+    _check_count("mn_top", mn_top, 1)
     k = source.k
     method = method.lower()
     if method == "all":
@@ -342,6 +345,7 @@ def _select_and_train(source: LabeledDataset, target_train: LabeledDataset, meth
     ``finetune`` the pre-trained head stands in for the fine-tuned one.
     """
     _check_count("budget", budget, 0)  # before the selection, which may take long
+    _check_count("mn_top", mn_top, 1)
     cfg = cfg or TrainConfig()
     src_ids = (np.arange(source.k) if source_class_ids is None
                else np.asarray(source_class_ids, dtype=np.int64))

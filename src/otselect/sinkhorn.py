@@ -18,7 +18,9 @@ n + m = 2000, each free of the cost scale. The plan is rounded onto the
 polytope in one pass (Altschuler et al. 2017); the c-transform of the final
 potentials certifies the gap (``_c_transform``). This module is the lower
 layer, importing only ``data`` and ``errors``: the exact LP (``classlp``) takes
-the certificate, input check and class helpers from it, ``ot`` the c-transform.
+the certificate, input check and class helpers from it, ``ot`` the c-transform
+and the loop, which it runs with fixed row and column marginals to order the
+cold start of its large transportation simplex solves.
 """
 
 from __future__ import annotations
@@ -216,17 +218,23 @@ def _newton_finish(D: np.ndarray, f: np.ndarray, g: np.ndarray, eps: float,
     return f, g, res, step
 
 
-def _sinkhorn_potentials(D: np.ndarray, counts: np.ndarray, row_class: np.ndarray,
-                         cfg: SinkhornConfig, newton: bool = False
+def _sinkhorn_potentials(D: np.ndarray, counts: np.ndarray | None, row_class: np.ndarray | None,
+                         cfg: SinkhornConfig, newton: bool = False,
+                         marginals: tuple[np.ndarray, np.ndarray] | None = None
                          ) -> tuple[np.ndarray, np.ndarray, float, bool, float, int]:
     """Run the log-domain loop; return the potentials (f, g), the epsilon they
     belong to, whether the target epsilon converged, the best residual met there
     (inf if the target was never reached) and the loop iterations plus Newton steps.
 
-    The plan is exp((f_r + g_j - D_rj) / eps). When the cap is hit
+    The plan is exp((f_r + g_j - D_rj) / eps). By default its rows are
+    class-tied (``counts``, ``row_class``) and its columns uniform.
+    ``marginals``, the logs (log mu, log nu) of two positive marginals, fixes
+    the rows at mu instead, f = eps (log mu - lse), and the columns at nu;
+    ``counts`` and ``row_class`` are then unused. When the cap is hit
     unconverged at the target epsilon, the best iterate there is returned.
-    ``newton`` enables the finish (each step counts against ``max_iters``);
-    the exact class LP seeds its candidate cells from the plain loop.
+    ``newton``, for class-tied rows only, enables the finish (each step
+    counts against ``max_iters``); the exact class LP seeds its candidate
+    cells from the plain loop, and the transportation simplex its cold start.
     The loop runs in D's dtype (the class LP's seed passes a float32 D): every
     scalar that meets an array is a Python float, since a numpy float64 scalar
     would promote the loop to float64.
@@ -242,9 +250,13 @@ def _sinkhorn_potentials(D: np.ndarray, counts: np.ndarray, row_class: np.ndarra
         eps = eps_target
     newton = newton and n + m <= _NEWTON_MAX_SIZE
 
-    log_counts = np.log(counts.astype(D.dtype))
-    target_col = 1.0 / m
-    log_m = float(np.log(m))
+    if marginals is None:
+        log_counts = np.log(counts.astype(D.dtype))
+        target_col = 1.0 / m
+        log_nu = -float(np.log(m))
+    else:
+        log_mu, log_nu = marginals
+        target_col = np.exp(log_nu)
 
     best_viol = np.inf
     best_state: tuple | None = None
@@ -269,12 +281,15 @@ def _sinkhorn_potentials(D: np.ndarray, counts: np.ndarray, row_class: np.ndarra
             if newton and it - level_start == _NEWTON_AFTER:
                 handoff = True
                 break
-        g = eps * (-log_m - lse_cols)
-        logr = f / eps + _logsumexp((g[None, :] - D) / eps, axis=1)
-        logt = _class_means(logr, row_class, counts)
-        f = f + eps * (logt[row_class] - logr)
-        # rows of class c now sum to exp(logt[c]); rescale to total mass 1
-        f -= eps * _logsumexp(log_counts + logt)
+        g = eps * (log_nu - lse_cols)
+        if marginals is not None:
+            f = eps * (log_mu - _logsumexp((g[None, :] - D) / eps, axis=1))
+        else:
+            logr = f / eps + _logsumexp((g[None, :] - D) / eps, axis=1)
+            logt = _class_means(logr, row_class, counts)
+            f = f + eps * (logt[row_class] - logr)
+            # rows of class c now sum to exp(logt[c]); rescale to total mass 1
+            f -= eps * _logsumexp(log_counts + logt)
     spent = it if converged or handoff else cfg.max_iters
     if handoff:
         fn, gn, res, steps = _newton_finish(D, f, g, eps, counts, row_class, cfg.tol,

@@ -13,6 +13,7 @@ from otselect import (
     SoftmaxHead,
     TrainConfig,
     TransportPlan,
+    baseline_weights,
     compute_bound_report,
     conditional_wasserstein_term,
     induced_error,
@@ -102,6 +103,18 @@ CASES = {
                                             ValueError, "learning_rate"),
     "train_config_nan_l2_penalty": (lambda: TrainConfig(l2_penalty=np.nan),
                                     ValueError, "l2_penalty"),
+    "train_config_negative_seed": (lambda: TrainConfig(seed=-1), ValueError, "seed"),
+    "train_config_negative_patience": (lambda: TrainConfig(early_stop_patience=-1),
+                                       ValueError, "early_stop_patience"),
+    # mn_top=0 divided by zero and -1 dropped the last ranked class
+    "baseline_mn_top_zero": (lambda: baseline_weights("mn", dataset(), dataset().features, 0, 0),
+                             ValueError, "mn_top"),
+    "run_pipeline_mn_top_zero": (
+        lambda: run_pipeline(dataset(), dataset(), dataset(), method="mn", mn_top=0),
+        ValueError, "mn_top"),
+    "run_pipeline_mn_top_negative": (
+        lambda: run_pipeline(dataset(), dataset(), dataset(), method="mn", mn_top=-1),
+        ValueError, "mn_top"),
     "sinkhorn_schedule_above_one": (lambda: SinkhornConfig(epsilon_schedule=1.5),
                                     ValueError, "epsilon_schedule"),
     "singular_value_empty_matrix": (lambda: largest_singular_value(np.zeros((0, 3))),
@@ -128,11 +141,20 @@ COUNTS = {
     "train_epochs": (lambda n: TrainConfig(epochs=n), "epochs must be an integer >= 1"),
     "train_batch_size": (lambda n: TrainConfig(batch_size=n),
                          "batch_size must be an integer >= 1"),
+    "train_seed": (lambda n: TrainConfig(seed=n), "seed must be an integer >= 0"),
+    "train_early_stop_patience": (lambda n: TrainConfig(early_stop_patience=n),
+                                  "early_stop_patience must be an integer >= 0"),
+    "baseline_weights_mn_top": (
+        lambda n: baseline_weights("mn", dataset(), dataset().features, 0, n),
+        "mn_top must be an integer >= 1"),
     "resample_fixed_budget": (lambda n: resample_fixed_budget(dataset(), np.full(4, 0.25), n, 0),
                               "budget must be an integer >= 1"),
     # refused before the class selection, which would run first otherwise
     "run_pipeline_budget": (lambda n: run_pipeline(dataset(), dataset(), dataset(), budget=n),
                             "budget must be an integer >= 0"),
+    "run_pipeline_mn_top": (
+        lambda n: run_pipeline(dataset(), dataset(), dataset(), method="mn", mn_top=n),
+        "mn_top must be an integer >= 1"),
 }
 
 

@@ -41,12 +41,14 @@ def test_sinkhorn_imports_only_data_and_errors():
 
 
 def test_ot_takes_only_the_c_transform_from_sinkhorn():
-    # the simplex certifies its gap with the lower layer's c-transform; that
-    # sinkhorn imports nothing back is checked above
+    # the simplex certifies its gap with the lower layer's c-transform, and
+    # seeds its large cold starts with the lower layer's one log-domain loop
+    # and that loop's config; that sinkhorn imports nothing back is checked
+    # above
     names = {alias.name for node in ast.walk(parse(PACKAGE / "ot.py"))
              if isinstance(node, ast.ImportFrom) and node.level == 1
              and node.module == "sinkhorn" for alias in node.names}
-    assert names == {"_c_transform"}
+    assert names == {"_c_transform", "_sinkhorn_potentials", "SinkhornConfig"}
 
 
 def test_classlp_takes_only_the_simplex_from_ot():

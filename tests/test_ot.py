@@ -16,8 +16,11 @@ from otselect import (
     FeatureMatrix,
     OtProblem,
     TransportPlan,
+    baseline_weights,
     brute_force_class_weights,
+    build_scenario,
     conditional_wasserstein_term,
+    default_dda_matrix,
     joint_wasserstein,
     pairwise_distances,
     solve_exact_ot,
@@ -26,6 +29,7 @@ from otselect import (
 from otselect import ot
 from otselect.bounds import random_joint_pair_shared_support
 from otselect.errors import InfeasibleMarginals, SolverFailure, SupportMismatch
+from otselect.pipeline import sort_by_class
 
 from conftest import random_joint, rng
 
@@ -445,6 +449,93 @@ def test_least_cost_start_spans_and_solves_as_the_northwest_corner(family):
         else:
             assert cold.objective == old.objective
             np.testing.assert_array_equal(cold.plan, old.plan)
+
+
+SEEDED_FAMILIES = ["random", "zero-rows", "zero-in-nu", "duplicates", "equal", "integer",
+                   "scaled"]
+
+
+def seeded_start_problems(family, count):
+    """Random problems of one family, each of at least ``ot._SEED_MIN_CELLS``
+    cells, so a cold solve starts from the Sinkhorn-seeded order: random
+    costs, 30-40% zero-mass rows, zero entries in a non-uniform nu,
+    duplicate rows and columns, all-equal costs, integer costs, or random
+    costs times 2^40 or 2^-40."""
+    for s in range(count):
+        r = rng(900 + 100 * SEEDED_FAMILIES.index(family) + s)
+        n, m = (int(x) for x in r.integers(60, 100, size=2))
+        assert n * m >= ot._SEED_MIN_CELLS
+        cost, mu, nu = r.random((n, m)), r.dirichlet(np.ones(n)), r.dirichlet(np.ones(m))
+        if family == "zero-rows":
+            mu[r.choice(n, size=round(r.uniform(0.3, 0.4) * n), replace=False)] = 0.0
+            mu /= mu.sum()
+        elif family == "zero-in-nu":
+            nu[r.choice(m, size=int(r.integers(1, 4)), replace=False)] = 0.0
+            nu /= nu.sum()
+        elif family == "duplicates":
+            cost = cost[r.integers(0, n, n)][:, r.integers(0, m, m)]
+        elif family == "equal":
+            cost = np.full((n, m), r.random())
+        elif family == "integer":
+            cost = r.integers(0, 10, size=(n, m)).astype(float)
+        elif family == "scaled":
+            cost = np.ldexp(cost, 40 if s % 2 else -40)
+        yield OtProblem(cost, mu, nu)
+
+
+@pytest.mark.parametrize("family", SEEDED_FAMILIES)
+def test_seeded_start_spans_and_solves_as_the_least_cost_start(family):
+    # above the size constant the cold start follows the reduced costs of a
+    # short Sinkhorn run; it is still a perturbed-feasible spanning tree, and
+    # its solve is certified and optimal like one from the plain least-cost
+    # start on C
+    for prob in seeded_start_problems(family, 6):
+        C, mu, nu = prob.cost, prob.mu, prob.nu
+        order = ot._start_costs(C, mu, nu)
+        assert order is not C
+        assert perturbed_feasible(*ot._least_cost_start(order, mu, nu), C, mu, nu)
+        cold, _ = warm_solve(prob)
+        assert cold.dual_gap <= 1e-9 * C.max()
+        plain, _ = warm_solve(prob, basis=ot._least_cost_start(C, mu, nu))
+        assert abs(cold.objective - plain.objective) <= 1e-12 * (1 + plain.objective)
+        for k in (-40, 40):
+            scaled = solve_exact_ot(OtProblem(np.ldexp(C, k), mu, nu))
+            np.testing.assert_array_equal(scaled.plan, cold.plan)
+            assert scaled.objective == math.ldexp(cold.objective, k)
+
+
+def default_matrix_cell(method, seed):
+    """The exact OT problem of a baseline cell of the default experiment
+    matrix's first scenario, as ``select_weights`` poses it."""
+    s = default_dda_matrix().scenarios[0]
+    sc = build_scenario(s.kind, s.k_source, s.k_target, s.overlap, s.separation,
+                        seed=s.seed * 1009 + seed, dim=s.dim, per_class=s.per_class,
+                        per_class_train=s.per_class_train, per_class_test=s.per_class_test,
+                        near=s.near)
+    source, target = sort_by_class(sc.source), sc.target_train.features
+    counts = source.class_counts
+    w = baseline_weights(method, source, target, seed).weights
+    return OtProblem(pairwise_distances(source.features, target),
+                     np.repeat(w / counts, counts), np.full(target.rows, 1.0 / target.rows))
+
+
+@pytest.mark.parametrize("method, seeded, least_cost", [("all", 218, 344), ("rnd", 198, 277)])
+def test_seeded_cold_start_saves_pivots_on_a_default_matrix_cell(monkeypatch, method, seeded,
+                                                                 least_cost):
+    # exact pivot counts of a 120 x 60 cell, seed 0; the rnd cell leaves one
+    # of four classes, 30 rows, without mass
+    prob = default_matrix_cell(method, 0)
+    assert prob.cost.size >= ot._SEED_MIN_CELLS
+    assert (method == "rnd") == (prob.mu == 0.0).any()
+    pivots = []
+    pivot = ot._Tree.pivot
+    monkeypatch.setattr(ot._Tree, "pivot", lambda *args: pivots.append(1) or pivot(*args))
+    cold, _ = warm_solve(prob)
+    n_cold = len(pivots)
+    pivots.clear()
+    plain, _ = warm_solve(prob, basis=ot._least_cost_start(prob.cost, prob.mu, prob.nu))
+    assert (n_cold, len(pivots)) == (seeded, least_cost)
+    assert abs(cold.objective - plain.objective) <= 1e-12 * (1 + plain.objective)
 
 
 @pytest.mark.parametrize("k", [-12, -9, -6, 0, 6, 12])
