@@ -47,6 +47,19 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_labels(labels) -> np.ndarray:
+    """Labels as int64, refusing non-finite and non-integral values before the cast."""
+    y = np.asarray(labels)
+    if y.dtype.kind not in "biu":
+        y = np.asarray(y, dtype=np.float64)
+        bad = np.flatnonzero(~(np.isfinite(y) & (y == np.floor(y)) & (np.abs(y) < 2.0**63)))
+        if bad.size:
+            i = int(bad[0])
+            raise MalformedFile(f"labels must be finite integers, got {float(y.flat[i])} "
+                                f"at flat index {i}")
+    return y.astype(np.int64, copy=False)
+
+
 # ============================================================
 # Core types
 # ============================================================
@@ -87,7 +100,7 @@ class LabeledDataset:
     class_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=np.int64)
+        lab = _check_labels(self.labels)
         if lab.ndim != 1 or lab.shape[0] != self.features.rows:
             raise DimensionMismatch(
                 f"labels length {lab.shape} does not match {self.features.rows} feature rows"
@@ -296,13 +309,7 @@ def densify_labels(raw: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
 
 def save_labels(labels: np.ndarray, path) -> None:
     """Write one nonnegative integer label per line."""
-    raw = np.asarray(labels)
-    y = raw.astype(np.int64, copy=False) if raw.dtype.kind in "iu" else None
-    if y is None:
-        cast = np.asarray(raw, dtype=np.float64)
-        if cast.ndim and not np.array_equal(cast, np.floor(cast)):
-            raise MalformedFile("labels must be integer-valued")
-        y = cast.astype(np.int64)
+    y = _check_labels(labels)
     if y.ndim != 1 or y.size == 0:
         raise DimensionMismatch("labels must be a non-empty vector")
     if y.min() < 0:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .classlp import (ClassWeightSolution, solve_class_weights,
                       weights_to_sample_probabilities)
-from .data import ClassWeights, FeatureMatrix, LabeledDataset, _check_count, densify_labels
+from .data import (ClassWeights, FeatureMatrix, LabeledDataset, _check_count, _check_labels,
+                   densify_labels)
 from .distance import pairwise_distances
 from .errors import (
     AllZeroProbabilities,
@@ -52,6 +53,14 @@ class TrainConfig:
             raise ValueError(f"l2_penalty must be finite and >= 0, got {self.l2_penalty}")
 
 
+def _check_class_list(cls: np.ndarray, rows: int) -> None:
+    """Refuse a class list that is not one distinct id per head row."""
+    if cls.shape != (rows,):
+        raise DimensionMismatch("weight matrix rows must match the class list")
+    if len(set(cls.tolist())) != cls.size:
+        raise MalformedFile("class list has duplicate ids")
+
+
 @dataclass(frozen=True)
 class SoftmaxHead:
     """Linear logits over a fixed class list; probabilities via row softmax."""
@@ -62,12 +71,11 @@ class SoftmaxHead:
     def __post_init__(self):
         V = np.ascontiguousarray(self.weight_matrix, dtype=np.float64)
         cls = np.asarray(self.class_list, dtype=np.int64)
-        if V.ndim != 2 or cls.shape != (V.shape[0],):
+        if V.ndim != 2:
             raise DimensionMismatch("weight matrix rows must match the class list")
+        _check_class_list(cls, V.shape[0])
         if not np.isfinite(V).all():
             raise MalformedFile("head weights must be finite")
-        if len(set(cls.tolist())) != cls.size:
-            raise MalformedFile("class list has duplicate ids")
         V.setflags(write=False)
         cls.setflags(write=False)
         object.__setattr__(self, "weight_matrix", V)
@@ -78,7 +86,11 @@ class SoftmaxHead:
         return self.weight_matrix.shape[0]
 
     def predict_logits(self, features: np.ndarray) -> np.ndarray:
-        return np.asarray(features, dtype=np.float64) @ self.weight_matrix.T
+        Z = np.asarray(features, dtype=np.float64)
+        if Z.ndim != 2 or Z.shape[1] != self.weight_matrix.shape[1]:
+            raise DimensionMismatch(f"features of shape {Z.shape} do not fit a head over "
+                                    f"{self.weight_matrix.shape[1]} feature columns")
+        return Z @ self.weight_matrix.T
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         return softmax(self.predict_logits(features))
@@ -119,12 +131,23 @@ def weighted_cross_entropy(V: np.ndarray, features: np.ndarray, label_idx: np.nd
                            ) -> tuple[float, np.ndarray]:
     """Loss sum_j p_j * CE_j + (l2/2)||V||_F^2 and its exact gradient in V."""
     log_p = _softmax(features @ V.T, log=True)
+    loss = _ce_loss(V, log_p, label_idx, sample_probs, l2_penalty)
+    return loss, _ce_grad(V, features, np.exp(log_p), label_idx, sample_probs, l2_penalty)
+
+
+def _ce_loss(V: np.ndarray, log_p: np.ndarray, label_idx: np.ndarray,
+             sample_probs: np.ndarray, l2_penalty: float) -> float:
+    """The loss half of :func:`weighted_cross_entropy`, from the log-softmax rows."""
     rows = np.arange(label_idx.size)
-    loss = -float(sample_probs @ log_p[rows, label_idx]) + 0.5 * l2_penalty * float(np.sum(V * V))
-    delta = np.exp(log_p)
-    delta[rows, label_idx] -= 1.0
-    grad = (delta * sample_probs[:, None]).T @ features + l2_penalty * V
-    return loss, grad
+    return -float(sample_probs @ log_p[rows, label_idx]) + 0.5 * l2_penalty * float(np.sum(V * V))
+
+
+def _ce_grad(V: np.ndarray, features: np.ndarray, delta: np.ndarray, label_idx: np.ndarray,
+             sample_probs: np.ndarray, l2_penalty: float) -> np.ndarray:
+    """The gradient half of :func:`weighted_cross_entropy`; ``delta`` holds the
+    softmax rows and is overwritten."""
+    delta[np.arange(label_idx.size), label_idx] -= 1.0
+    return (delta * sample_probs[:, None]).T @ features + l2_penalty * V
 
 
 def _validate_probs(sample_probs: np.ndarray, n: int) -> np.ndarray:
@@ -172,12 +195,18 @@ def _train(features: FeatureMatrix, labels: np.ndarray, sample_probs: np.ndarray
     epoch's updates sum to one pass of the full objective's gradient.
     Training stops early when the full loss has not improved for
     `early_stop_patience` consecutive epochs (patience 0 disables the check).
+    Each epoch gathers its shuffled rows once; a batch step takes a row slice
+    and computes only the gradient, and the epoch check only the full loss.
+    Both use the halves of :func:`weighted_cross_entropy`, so every head is
+    bitwise the one its full per-batch calls would give.
     """
-    y = np.asarray(labels, dtype=np.int64)
+    y = _check_labels(labels)
     if y.shape != (features.rows,):
         raise DimensionMismatch("labels must align with feature rows")
-    k_out = int(y.max()) + 1 if class_list is None else len(class_list)
-    cls = np.arange(k_out) if class_list is None else np.asarray(class_list, dtype=np.int64)
+    cls = (np.arange(int(y.max()) + 1) if class_list is None
+           else np.asarray(class_list, dtype=np.int64))
+    k_out = cls.size
+    _check_class_list(cls, k_out)  # before the first epoch, not in the returned head
     if y.min() < 0 or y.max() >= k_out:
         raise DimensionMismatch(f"labels must lie in [0, {k_out})")
     V = np.zeros((k_out, features.cols))
@@ -188,20 +217,19 @@ def _train(features: FeatureMatrix, labels: np.ndarray, sample_probs: np.ndarray
         V[shared] = base.weight_matrix[base.class_position(cls[shared])]
     p = _validate_probs(sample_probs, features.rows)
 
-    Z, n = features.values, y.size
+    Z, n, size = features.values, y.size, cfg.batch_size
     rng = np.random.default_rng(cfg.seed)
     best_loss = np.inf
     best_V = V.copy()
     stall = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            _, grad = weighted_cross_entropy(
-                V, Z[idx], y[idx], p[idx], cfg.l2_penalty * idx.size / n
-            )
+        Zo, yo, po = Z[order], y[order], p[order]
+        for start in range(0, n, size):
+            Zb, yb, pb = Zo[start:start + size], yo[start:start + size], po[start:start + size]
+            grad = _ce_grad(V, Zb, _softmax(Zb @ V.T), yb, pb, cfg.l2_penalty * yb.size / n)
             V -= cfg.learning_rate * grad
-        loss, _ = weighted_cross_entropy(V, Z, y, p, cfg.l2_penalty)
+        loss = _ce_loss(V, _softmax(Z @ V.T, log=True), y, p, cfg.l2_penalty)
         if loss < best_loss - 1e-12:
             best_loss = loss
             best_V = V.copy()
@@ -219,9 +247,10 @@ def evaluate(head: SoftmaxHead, features: FeatureMatrix, labels: np.ndarray) -> 
     ``labels`` are external class ids and must all be known to the head;
     argmax ties resolve toward the smallest class index.
     """
-    pos = head.class_position(np.asarray(labels))
-    if pos.size != features.rows:
-        raise DimensionMismatch("labels must align with feature rows")
+    y = _check_labels(labels)
+    if y.shape != (features.rows,):
+        raise DimensionMismatch("labels must be a vector aligned with feature rows")
+    pos = head.class_position(y)
     logits = head.predict_logits(features.values)
     pred = np.argmax(logits, axis=1)
     zero_one = float(np.mean(pred != pos))

@@ -260,6 +260,23 @@ def test_bound_subcommand(tmp_path, capsys):
     assert payload["bound_value"] >= payload["eps_source"]
 
 
+def test_bound_with_a_head_wider_than_the_features_exits_one(tmp_path, capsys):
+    paths = write_scenario_files(tmp_path)
+    wide = SoftmaxHead(np.zeros((5, 3)), np.array([0, 5, 9, 2, 4]))
+    head = str(tmp_path / "wide.json")
+    save_head(wide, head)
+    code, payload, err = run_cli(capsys, "bound", "--pretrained-head", head,
+                                 "--finetuned-head", head,
+                                 "--source", paths["source"],
+                                 "--source-labels", paths["source_labels"],
+                                 "--target", paths["target_test"],
+                                 "--target-labels", paths["target_test_labels"],
+                                 "--format", "csv")
+    assert code == 1 and payload is None
+    assert err.strip() == ("error: features of shape (18, 2) do not fit a head over "
+                           "3 feature columns")
+
+
 def test_verify_exits_nonzero_while_any_check_fails(capsys):
     code, payload, _ = run_cli(capsys, "verify", "--trials", "60", "--seed", "3")
     assert code == 1  # two checks measure claims that do not hold

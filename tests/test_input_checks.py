@@ -16,6 +16,7 @@ from otselect import (
     baseline_weights,
     compute_bound_report,
     conditional_wasserstein_term,
+    evaluate,
     induced_error,
     joint_wasserstein,
     largest_singular_value,
@@ -23,6 +24,7 @@ from otselect import (
     run_pipeline,
     solve_class_weights,
     solve_exact_ot,
+    train_head,
     weights_to_sample_probabilities,
 )
 from otselect.bounds import run_verification_suite, verify_softmax_lipschitz
@@ -42,6 +44,15 @@ def nan_cost():
 
 def dataset():
     return LabeledDataset(FeatureMatrix(np.arange(8.0).reshape(4, 2)), np.array([0, 0, 1, 1]))
+
+
+F3 = FeatureMatrix(np.arange(6.0).reshape(3, 2))
+HEAD = SoftmaxHead(np.eye(2), [0, 1])
+WIDE_HEAD = SoftmaxHead(np.zeros((2, 3)), [0, 1])
+
+
+def fit(labels):
+    return train_head(F3, labels, np.full(3, 1 / 3), TrainConfig(epochs=2))
 
 
 CASES = {
@@ -119,6 +130,31 @@ CASES = {
                                     ValueError, "epsilon_schedule"),
     "singular_value_empty_matrix": (lambda: largest_singular_value(np.zeros((0, 3))),
                                     DimensionMismatch, "non-empty"),
+    # non-integral labels were truncated toward zero
+    "dataset_fractional_labels": (lambda: LabeledDataset(F3, [0.7, 1.2, 0.0]),
+                                  MalformedFile, "finite integers, got 0.7 at flat index 0"),
+    "dataset_infinite_label": (lambda: LabeledDataset(F3, [0.0, np.inf, 1.0]),
+                               MalformedFile, "got inf at flat index 1"),
+    "train_head_fractional_labels": (lambda: fit(np.array([0, 1, 0]) + 0.5),
+                                     MalformedFile, "finite integers"),
+    # a NaN label warned in the int cast, then failed the [0, k) range check
+    "train_head_nan_label": (lambda: fit([0.0, np.nan, 1.0]), MalformedFile, "got nan"),
+    "evaluate_fractional_labels": (lambda: evaluate(HEAD, F3, [0.5, 1.0, 0.0]),
+                                   MalformedFile, "finite integers"),
+    # 2-D labels failed in int() with a TypeError
+    "evaluate_2d_labels": (lambda: evaluate(HEAD, F3, [[0], [1], [0]]),
+                           DimensionMismatch, "vector aligned"),
+    # a head of the wrong width failed in numpy's matmul
+    "evaluate_head_too_wide": (lambda: evaluate(WIDE_HEAD, F3, [0, 1, 0]),
+                               DimensionMismatch, r"shape \(3, 2\) do not fit .* 3 feature"),
+    "predict_proba_head_too_wide": (lambda: WIDE_HEAD.predict_proba(F3.values),
+                                    DimensionMismatch, "do not fit"),
+    "predict_logits_one_row_vector": (lambda: HEAD.predict_logits(np.ones(2)),
+                                      DimensionMismatch, "do not fit"),
+    "bound_report_heads_too_wide": (
+        lambda: compute_bound_report(*[SoftmaxHead(np.zeros((3, 3)), [0, 1, 2])] * 2,
+                                     random_joint(1), random_joint(2)),
+        DimensionMismatch, "do not fit"),
 }
 
 
@@ -171,3 +207,14 @@ def test_numpy_integer_counts_are_accepted():
     assert solve_exact_ot(problem, np.int64(0)).objective == 0.0
     assert verify_softmax_lipschitz(2, np.int64(9), 0) == verify_softmax_lipschitz(2, 9, 0)
     assert len(run_verification_suite(0, np.int64(1))["checks"]) == 12
+
+
+def test_integral_float_labels_are_accepted():
+    ds = LabeledDataset(F3, [1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(ds.labels, [1, 0, 1])
+    assert ds.labels.dtype == np.int64
+    np.testing.assert_array_equal(fit([1.0, 0.0, 1.0]).weight_matrix,
+                                  fit([1, 0, 1]).weight_matrix)
+    as_float, as_int = evaluate(HEAD, F3, [1.0, 0.0, 1.0]), evaluate(HEAD, F3, [1, 0, 1])
+    assert as_float.zero_one_error == as_int.zero_one_error
+    assert as_float.cross_entropy == as_int.cross_entropy

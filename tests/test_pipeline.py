@@ -192,6 +192,92 @@ def test_training_rejects_labels_and_base_heads_that_do_not_fit(fit):
             run(ds.labels, base=wide)
 
 
+def test_a_bad_class_list_is_refused_before_the_first_epoch():
+    ds = random_dataset(7, [5, 5])
+    p = np.full(ds.n, 1 / ds.n)
+    endless = TrainConfig(epochs=10**9, early_stop_patience=0)
+    with pytest.raises(MalformedFile, match="duplicate ids"):
+        train_head(ds.features, ds.labels, p, endless, class_list=np.array([3, 3]))
+    with pytest.raises(DimensionMismatch, match="class list"):
+        finetune_head(ds.features, ds.labels, None, endless, class_list=np.array([[3], [4]]))
+
+
+# ------------------------------------------------------- bitwise training pin
+
+
+def reference_train(features, labels, sample_probs, cfg, class_list=None, base=None):
+    """The training loop with a full ``weighted_cross_entropy`` call per batch
+    and per epoch check; returns the best weights and the epochs run."""
+    y = np.asarray(labels, dtype=np.int64)
+    k_out = int(y.max()) + 1 if class_list is None else len(class_list)
+    cls = np.arange(k_out) if class_list is None else np.asarray(class_list, dtype=np.int64)
+    V = np.zeros((k_out, features.cols))
+    if base is not None:
+        shared = np.isin(cls, base.class_list)
+        V[shared] = base.weight_matrix[base.class_position(cls[shared])]
+    p = np.asarray(sample_probs, dtype=np.float64)
+
+    Z, n = features.values, y.size
+    rng = np.random.default_rng(cfg.seed)
+    best_loss = np.inf
+    best_V = V.copy()
+    stall = 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            _, grad = weighted_cross_entropy(
+                V, Z[idx], y[idx], p[idx], cfg.l2_penalty * idx.size / n
+            )
+            V -= cfg.learning_rate * grad
+        loss, _ = weighted_cross_entropy(V, Z, y, p, cfg.l2_penalty)
+        if loss < best_loss - 1e-12:
+            best_loss = loss
+            best_V = V.copy()
+            stall = 0
+        else:
+            stall += 1
+            if cfg.early_stop_patience > 0 and stall > cfg.early_stop_patience:
+                break
+    return best_V, epoch + 1
+
+
+SHARED_BASE = SoftmaxHead(rng(12).normal(size=(3, 4)), np.array([7, 9, 20]))
+PINS = {  # (finetune?, config, zero-probability rows?, class list, base)
+    "l2_0_ragged_batches": (False, TrainConfig(epochs=40, batch_size=10, seed=1), False,
+                            None, None),
+    "l2_half_ragged_batches": (False, TrainConfig(epochs=40, batch_size=10, seed=2,
+                                                  l2_penalty=0.5), False, None, None),
+    "batch_above_n_no_patience": (False, TrainConfig(epochs=30, batch_size=64,
+                                                     early_stop_patience=0), False, None, None),
+    "stops_early": (False, TrainConfig(epochs=500, batch_size=8), False, None, None),
+    "zero_probability_rows": (False, TrainConfig(epochs=40, batch_size=6, seed=3), True,
+                              None, None),
+    "absent_class": (False, TrainConfig(epochs=40, seed=4), False, [4, 7, 9, 11], None),
+    "finetune_shared_base": (True, TrainConfig(epochs=40, batch_size=10, seed=5, l2_penalty=0.5),
+                             False, [4, 7, 9, 11], SHARED_BASE),
+    "finetune_no_base": (True, TrainConfig(epochs=40, batch_size=64, seed=6), False, None, None),
+}
+
+
+@pytest.mark.parametrize("name", PINS)
+def test_training_is_bitwise_the_full_objective_loop(name):
+    finetune, cfg, zero_rows, class_list, base = PINS[name]
+    r = rng(11)
+    Z, y = FeatureMatrix(r.normal(size=(37, 4))), r.integers(0, 3, size=37)
+    p = np.full(37, 1 / 37)
+    if zero_rows:
+        p = r.dirichlet(np.ones(37)) * (np.arange(37) % 3 != 0)
+        p /= p.sum()
+    cls = None if class_list is None else np.array(class_list)
+    head = (finetune_head(Z, y, base, cfg, class_list=cls) if finetune
+            else train_head(Z, y, p, cfg, class_list=cls))
+    want, epochs_run = reference_train(Z, y, p, cfg, cls, base)
+    np.testing.assert_array_equal(head.weight_matrix, want)
+    if name in ("stops_early", "batch_above_n_no_patience"):
+        assert (epochs_run < cfg.epochs) == (name == "stops_early")
+
+
 # -------------------------------------------------------------- evaluation
 
 
