@@ -22,7 +22,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import DiscreteJointDistribution, FeatureMatrix, TransportPlan, _check_count
+from .data import (DiscreteJointDistribution, FeatureMatrix, TransportPlan, _check_count,
+                   _check_finite)
 from .distance import pairwise_distances
 from .errors import (
     DimensionMismatch,
@@ -107,6 +108,7 @@ def induced_error(probs: np.ndarray, labels_onehot: np.ndarray,
     m = np.asarray(masses, dtype=np.float64)
     if m.shape != (P.shape[0],):
         raise DimensionMismatch("masses must align with probability rows")
+    _check_finite(m, "masses")
     if m.min() < 0 or abs(m.sum() - 1.0) > 1e-8:
         raise RowNotSimplex("masses must be a probability vector")
     return float(m @ per_row)

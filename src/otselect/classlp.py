@@ -46,7 +46,7 @@ import sys
 
 import numpy as np
 
-from .data import ClassWeights
+from .data import ClassWeights, _check_labels
 from .errors import DimensionMismatch, SolverFailure, TooManyClasses
 from .ot import _solve
 from .sinkhorn import (ClassWeightSolution, SinkhornConfig, _certified_solution, _check_inputs,
@@ -379,7 +379,7 @@ def brute_force_class_weights(
 
 def weights_to_sample_probabilities(w: ClassWeights, labels: np.ndarray) -> np.ndarray:
     """Per-sample probabilities: a sample of class i gets w_i / n_i."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _check_labels(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise DimensionMismatch("labels must be a non-empty vector")
     if labels.min() < 0 or labels.max() >= w.k:

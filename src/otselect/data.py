@@ -47,17 +47,37 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_labels(labels) -> np.ndarray:
-    """Labels as int64, refusing non-finite and non-integral values before the cast."""
-    y = np.asarray(labels)
+def _check_labels(values, what: str = "labels") -> np.ndarray:
+    """Labels, class ids or class counts as int64, refusing non-integral values before the cast."""
+    y = np.asarray(values)
     if y.dtype.kind not in "biu":
         y = np.asarray(y, dtype=np.float64)
         bad = np.flatnonzero(~(np.isfinite(y) & (y == np.floor(y)) & (np.abs(y) < 2.0**63)))
         if bad.size:
             i = int(bad[0])
-            raise MalformedFile(f"labels must be finite integers, got {float(y.flat[i])} "
+            raise MalformedFile(f"{what} must be finite integers, got {float(y.flat[i])} "
                                 f"at flat index {i}")
     return y.astype(np.int64, copy=False)
+
+
+def _check_class_ids(ids, k: int, what: str) -> np.ndarray:
+    """A class list: one distinct integer id for each of ``k`` classes."""
+    ids = _check_labels(ids, what)
+    if ids.shape != (k,):
+        raise DimensionMismatch(f"{what} has shape {ids.shape}, expected ({k},) for {k} classes")
+    if np.unique(ids).size != k:
+        raise MalformedFile(f"{what} has duplicate ids")
+    return ids
+
+
+def _check_cost(cost) -> np.ndarray:
+    """A transport cost matrix: contiguous float64, 2-D, non-empty, finite and nonnegative."""
+    c = np.ascontiguousarray(cost, dtype=np.float64)
+    if c.ndim != 2 or c.size == 0:
+        raise DimensionMismatch(f"cost matrix must be 2-D and non-empty, got shape {c.shape}")
+    if not np.isfinite(c).all() or c.min() < 0:
+        raise MalformedFile("cost matrix must be finite and nonnegative")
+    return c
 
 
 # ============================================================
@@ -194,7 +214,7 @@ class DiscreteJointDistribution:
 
     def __post_init__(self):
         z = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
+        y = _check_labels(self.labels, "joint distribution labels")
         m = np.asarray(self.masses, dtype=np.float64)
         if z.ndim != 2 or y.shape != (z.shape[0],) or m.shape != (z.shape[0],):
             raise DimensionMismatch("joint distribution arrays disagree on atom count")
@@ -297,7 +317,7 @@ def densify_labels(raw: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
     Returns the dense labels and the original-id -> dense-id mapping.
     Idempotent on already-dense labels.
     """
-    raw = np.asarray(raw, dtype=np.int64)
+    raw = _check_labels(raw)
     mapping: dict[int, int] = {}
     dense = np.empty_like(raw)
     for i, v in enumerate(raw.tolist()):
@@ -334,8 +354,8 @@ def load_labels(path) -> tuple[np.ndarray, dict[int, int]]:
                 v = int(line)
             except ValueError as e:
                 raise MalformedFile(f"{path}:{lineno}: not an integer: {line!r}") from e
-            if v < 0:
-                raise MalformedFile(f"{path}:{lineno}: negative label {v}")
+            if not 0 <= v < 2**63:
+                raise MalformedFile(f"{path}:{lineno}: label {v} is not in [0, 2^63)")
             raw.append(v)
     if not raw:
         raise EmptyFile(f"{path}: no labels")

@@ -75,9 +75,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DiscreteJointDistribution, FeatureMatrix, TransportPlan, _check_count
+from .data import DiscreteJointDistribution, FeatureMatrix, TransportPlan, _check_cost, _check_count
 from .distance import pairwise_distances
-from .errors import DimensionMismatch, InfeasibleMarginals, MalformedFile, SolverFailure
+from .errors import DimensionMismatch, InfeasibleMarginals, SolverFailure
 from .sinkhorn import SinkhornConfig, _c_transform, _sinkhorn_potentials
 
 # Masses closer than this count as equal, and their epsilon counts order them.
@@ -97,15 +97,12 @@ class OtProblem:
     nu: np.ndarray
 
     def __post_init__(self):
-        c = np.ascontiguousarray(self.cost, dtype=np.float64)
+        c = _check_cost(self.cost)
         mu = np.ascontiguousarray(self.mu, dtype=np.float64)
         nu = np.ascontiguousarray(self.nu, dtype=np.float64)
-        if c.ndim != 2 or c.size == 0 or mu.shape != (c.shape[0],) or nu.shape != (c.shape[1],):
-            raise DimensionMismatch(
-                f"cost {c.shape} empty or incompatible with marginals {mu.shape}, {nu.shape}"
-            )
-        if not np.isfinite(c).all() or c.min() < 0:
-            raise MalformedFile("cost matrix must be finite and nonnegative")
+        if mu.shape != (c.shape[0],) or nu.shape != (c.shape[1],):
+            raise DimensionMismatch(f"cost {c.shape} incompatible with marginals "
+                                    f"{mu.shape}, {nu.shape}")
         if not (np.isfinite(mu).all() and np.isfinite(nu).all()) or mu.min() < 0 or nu.min() < 0:
             raise InfeasibleMarginals("marginals must be finite and nonnegative")
         if abs(mu.sum() - 1.0) > 1e-8 or abs(nu.sum() - 1.0) > 1e-8:

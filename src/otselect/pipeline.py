@@ -17,8 +17,8 @@ import numpy as np
 
 from .classlp import (ClassWeightSolution, solve_class_weights,
                       weights_to_sample_probabilities)
-from .data import (ClassWeights, FeatureMatrix, LabeledDataset, _check_count, _check_labels,
-                   densify_labels)
+from .data import (ClassWeights, FeatureMatrix, LabeledDataset, _check_class_ids, _check_count,
+                   _check_labels, densify_labels)
 from .distance import pairwise_distances
 from .errors import (
     AllZeroProbabilities,
@@ -53,14 +53,6 @@ class TrainConfig:
             raise ValueError(f"l2_penalty must be finite and >= 0, got {self.l2_penalty}")
 
 
-def _check_class_list(cls: np.ndarray, rows: int) -> None:
-    """Refuse a class list that is not one distinct id per head row."""
-    if cls.shape != (rows,):
-        raise DimensionMismatch("weight matrix rows must match the class list")
-    if len(set(cls.tolist())) != cls.size:
-        raise MalformedFile("class list has duplicate ids")
-
-
 @dataclass(frozen=True)
 class SoftmaxHead:
     """Linear logits over a fixed class list; probabilities via row softmax."""
@@ -70,10 +62,9 @@ class SoftmaxHead:
 
     def __post_init__(self):
         V = np.ascontiguousarray(self.weight_matrix, dtype=np.float64)
-        cls = np.asarray(self.class_list, dtype=np.int64)
         if V.ndim != 2:
             raise DimensionMismatch("weight matrix rows must match the class list")
-        _check_class_list(cls, V.shape[0])
+        cls = _check_class_ids(self.class_list, V.shape[0], "class list")
         if not np.isfinite(V).all():
             raise MalformedFile("head weights must be finite")
         V.setflags(write=False)
@@ -97,9 +88,10 @@ class SoftmaxHead:
 
     def class_position(self, class_ids: np.ndarray) -> np.ndarray:
         """Indices of the given external ids within this head's output axis."""
-        lookup = {int(c): i for i, c in enumerate(self.class_list)}
+        lookup = {c: i for i, c in enumerate(self.class_list.tolist())}
+        ids = np.atleast_1d(_check_labels(class_ids, "class_ids")).tolist()
         try:
-            return np.array([lookup[int(c)] for c in np.atleast_1d(class_ids)], dtype=np.int64)
+            return np.array([lookup[c] for c in ids], dtype=np.int64)
         except KeyError as e:
             raise UnknownLabel(f"label {e.args[0]} not among head classes") from e
 
@@ -203,10 +195,9 @@ def _train(features: FeatureMatrix, labels: np.ndarray, sample_probs: np.ndarray
     y = _check_labels(labels)
     if y.shape != (features.rows,):
         raise DimensionMismatch("labels must align with feature rows")
-    cls = (np.arange(int(y.max()) + 1) if class_list is None
-           else np.asarray(class_list, dtype=np.int64))
+    cls = (np.arange(int(y.max()) + 1) if class_list is None  # refused before the first epoch
+           else _check_class_ids(class_list, np.size(class_list), "class list"))
     k_out = cls.size
-    _check_class_list(cls, k_out)  # before the first epoch, not in the returned head
     if y.min() < 0 or y.max() >= k_out:
         raise DimensionMismatch(f"labels must lie in [0, {k_out})")
     V = np.zeros((k_out, features.cols))
@@ -377,15 +368,9 @@ def _select_and_train(source: LabeledDataset, target_train: LabeledDataset, meth
     _check_count("mn_top", mn_top, 1)
     cfg = cfg or TrainConfig()
     src_ids = (np.arange(source.k) if source_class_ids is None
-               else np.asarray(source_class_ids, dtype=np.int64))
+               else _check_class_ids(source_class_ids, source.k, "source_class_ids"))
     tgt_ids = (source.k + np.arange(target_train.k) if target_class_ids is None
-               else np.asarray(target_class_ids, dtype=np.int64))
-    for name, ids, k in (("source", src_ids, source.k), ("target", tgt_ids, target_train.k)):
-        if ids.shape != (k,):
-            raise DimensionMismatch(f"{name}_class_ids has shape {ids.shape}, "
-                                    f"but the dataset has {k} classes")
-        if np.unique(ids).size != k:
-            raise MalformedFile(f"{name}_class_ids has duplicate ids")
+               else _check_class_ids(target_class_ids, target_train.k, "target_class_ids"))
     pre_ids, fine_ids, tgt_labels = src_ids, tgt_ids, target_train.labels
     if union:  # the source ids come first, so source labels keep their positions
         known = set(src_ids.tolist())
@@ -451,7 +436,6 @@ def load_head(path) -> SoftmaxHead:
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     try:
-        return SoftmaxHead(np.array(doc["matrix"], dtype=np.float64),
-                           np.array(doc["classes"], dtype=np.int64))
+        return SoftmaxHead(np.array(doc["matrix"], dtype=np.float64), doc["classes"])
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedFile(f"{path}: not a head document: {e}") from e

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassWeights, TransportPlan, WEIGHT_CLAMP, _check_count
+from .data import (ClassWeights, TransportPlan, WEIGHT_CLAMP, _check_cost, _check_count,
+                   _check_labels)
 from .errors import DimensionMismatch, MalformedFile, SolverFailure
 
 _SCHEDULE_PERIOD = 100  # most iterations spent at one epsilon above the target
@@ -53,18 +54,13 @@ class ClassWeightSolution:
 
 
 def _check_inputs(D: np.ndarray, class_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    D = np.ascontiguousarray(D, dtype=np.float64)
-    counts = np.asarray(class_counts, dtype=np.int64)
-    if D.ndim != 2 or D.shape[1] < 1:
-        raise DimensionMismatch(f"cost matrix must be 2-D with columns, got {D.shape}")
+    D = _check_cost(D)
+    counts = _check_labels(class_counts, "class_counts")
     if counts.ndim != 1 or counts.size < 1 or counts.min() < 1:
         raise DimensionMismatch("class_counts must be positive integers")
     if counts.sum() != D.shape[0]:
-        raise DimensionMismatch(
-            f"class counts sum to {counts.sum()} but cost matrix has {D.shape[0]} rows"
-        )
-    if not np.isfinite(D).all() or D.min() < 0:
-        raise MalformedFile("cost matrix must be finite and nonnegative")
+        raise DimensionMismatch(f"class counts sum to {counts.sum()} but cost matrix has "
+                                f"{D.shape[0]} rows")
     return D, counts
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, LabeledDataset
+from .data import FeatureMatrix, LabeledDataset, _check_count
 from .errors import DegenerateInput, InvalidOverlap
 
 _REJECTION_CAP = 10_000
@@ -29,8 +29,7 @@ class SynthSpec:
     seed: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
+        _check_count("dim", self.dim, 1)
         if not self.classes:
             raise ValueError("need at least one class")
         frozen = []
@@ -40,8 +39,7 @@ class SynthSpec:
                 raise ValueError(f"class mean shape {mu.shape} does not match dim {self.dim}")
             if not stddev > 0:
                 raise ValueError("stddev must be positive")
-            if count < 1:
-                raise ValueError("sample counts must be at least 1")
+            _check_count("class sample count", count, 1)
             mu.setflags(write=False)
             frozen.append((mu, float(stddev), int(count)))
         object.__setattr__(self, "classes", tuple(frozen))
@@ -121,8 +119,11 @@ def build_scenario(kind: str, k_source: int, k_target: int, overlap: int,
     kind = kind.lower()
     if kind not in ("dda", "oda"):
         raise ValueError(f"kind must be 'dda' or 'oda', got {kind!r}")
-    if k_source < 1 or k_target < 1:
-        raise ValueError("need at least one class per domain")
+    for name, value, least in (("k_source", k_source, 1), ("k_target", k_target, 1),
+                               ("overlap", overlap, 0), ("near", near, 0), ("dim", dim, 1),
+                               ("per_class", per_class, 1), ("per_class_train", per_class_train, 1),
+                               ("per_class_test", per_class_test, 1)):
+        _check_count(name, value, least)
     if kind == "dda":
         if overlap != 0:
             raise InvalidOverlap("disjoint-label scenarios require overlap = 0")
@@ -133,7 +134,7 @@ def build_scenario(kind: str, k_source: int, k_target: int, overlap: int,
     if separation <= 0:
         raise ValueError("separation must be positive")
     sd = separation / 20.0 if stddev is None else float(stddev)
-    near = int(min(max(near, 0), k_target - overlap, k_source - overlap))
+    near = min(near, k_target - overlap, k_source - overlap)
 
     rng = np.random.default_rng(seed)
     source_means = _place_separated(rng, k_source, dim, separation, [])

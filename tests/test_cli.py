@@ -277,6 +277,21 @@ def test_bound_with_a_head_wider_than_the_features_exits_one(tmp_path, capsys):
                            "3 feature columns")
 
 
+def test_select_refuses_a_label_beyond_int64(tmp_path, capsys):
+    # the label used to escape as numpy's OverflowError, with a traceback
+    paths = write_scenario_files(tmp_path)
+    path = paths["source_labels"]
+    lines = open(path, encoding="utf-8").read().splitlines()
+    lines[-1] = str(2**63)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+    code, payload, err = run_cli(capsys, "select", "--source", paths["source"],
+                                 "--source-labels", path, "--target", paths["target_train"],
+                                 "--format", "csv", "--out-weights", str(tmp_path / "w.json"))
+    assert code == 1 and payload is None
+    assert err.strip() == f"error: {path}:{len(lines)}: label {2**63} is not in [0, 2^63)"
+
+
 def test_verify_exits_nonzero_while_any_check_fails(capsys):
     code, payload, _ = run_cli(capsys, "verify", "--trials", "60", "--seed", "3")
     assert code == 1  # two checks measure claims that do not hold

@@ -1,25 +1,34 @@
 """Public entry points refuse malformed input up front, each with its own
 exception class and message."""
 
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 from otselect import (
     ClassWeights,
+    DiscreteJointDistribution,
     FeatureMatrix,
     LabeledDataset,
     OtProblem,
     SinkhornConfig,
     SoftmaxHead,
+    SynthSpec,
     TrainConfig,
     TransportPlan,
     baseline_weights,
+    build_scenario,
     compute_bound_report,
     conditional_wasserstein_term,
+    densify_labels,
     evaluate,
     induced_error,
     joint_wasserstein,
     largest_singular_value,
+    load_head,
     resample_fixed_budget,
     run_pipeline,
     solve_class_weights,
@@ -51,8 +60,21 @@ HEAD = SoftmaxHead(np.eye(2), [0, 1])
 WIDE_HEAD = SoftmaxHead(np.zeros((2, 3)), [0, 1])
 
 
-def fit(labels):
-    return train_head(F3, labels, np.full(3, 1 / 3), TrainConfig(epochs=2))
+def fit(labels, class_list=None):
+    return train_head(F3, labels, np.full(3, 1 / 3), TrainConfig(epochs=2), class_list)
+
+
+def load_head_with_classes(classes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "head.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump({"classes": classes, "matrix": [[1.0, 0.0], [0.0, 1.0]]}, f)
+        return load_head(path)
+
+
+def pipeline_with_ids(source_ids=None, target_ids=None):
+    return run_pipeline(dataset(), dataset(), dataset(), cfg=TrainConfig(epochs=2),
+                        source_class_ids=source_ids, target_class_ids=target_ids)
 
 
 CASES = {
@@ -85,6 +107,9 @@ CASES = {
                                         DimensionMismatch, "align"),
     "induced_error_masses_not_simplex": (lambda: induced_error(HALF, np.eye(2), [0.7, 0.7]),
                                          RowNotSimplex, "probability vector"),
+    # a NaN mass passed both the sign and the sum test, and the error came out NaN
+    "induced_error_nan_mass": (lambda: induced_error(HALF, np.eye(2), [np.nan, 1.0]),
+                               NonFiniteValue, "masses has non-finite entry at index 0"),
     "conditional_term_weighting": (
         lambda: conditional_wasserstein_term(random_joint(1), random_joint(2), "both"),
         ValueError, "weighting"),
@@ -155,6 +180,35 @@ CASES = {
         lambda: compute_bound_report(*[SoftmaxHead(np.zeros((3, 3)), [0, 1, 2])] * 2,
                                      random_joint(1), random_joint(2)),
         DimensionMismatch, "do not fit"),
+    # every reader of a label, class-id or class-count array below truncated 0.5 to 0
+    "joint_fractional_labels": (
+        lambda: DiscreteJointDistribution(np.zeros((2, 1)), [0.5, 1.0], U2),
+        MalformedFile, "joint distribution labels must be finite integers, got 0.5"),
+    "joint_from_dataset_fractional_label_ids": (
+        lambda: DiscreteJointDistribution.from_dataset(dataset(), label_ids=[4.0, 7.5]),
+        MalformedFile, "joint distribution labels must be finite integers, got 7.5"),
+    "densify_fractional_labels": (lambda: densify_labels([0.7, 1.2, 2.9]),
+                                  MalformedFile, "labels must be finite integers, got 0.7"),
+    "head_fractional_class_list": (lambda: SoftmaxHead(np.eye(2), [0.5, 1.5]),
+                                   MalformedFile, "class list must be finite integers"),
+    "load_head_fractional_classes": (lambda: load_head_with_classes([0, 2.5]),
+                                     MalformedFile, "class list must be finite integers"),
+    "class_position_fractional_id": (lambda: HEAD.class_position([1.5]),
+                                     MalformedFile, "class_ids must be finite integers"),
+    "train_head_fractional_class_list": (lambda: fit([0, 1, 0], class_list=[0.5, 1.5]),
+                                         MalformedFile, "class list must be finite integers"),
+    "run_pipeline_fractional_source_ids": (
+        lambda: pipeline_with_ids(source_ids=[0.5, 1.0]),
+        MalformedFile, "source_class_ids must be finite integers"),
+    "run_pipeline_fractional_target_ids": (
+        lambda: pipeline_with_ids(target_ids=[2.0, 3.5]),
+        MalformedFile, "target_class_ids must be finite integers"),
+    "sample_probabilities_fractional_labels": (
+        lambda: weights_to_sample_probabilities(ClassWeights(U2), [0.0, 1.5]),
+        MalformedFile, "labels must be finite integers"),
+    # [2.7, 2.2] solved as [2, 2]
+    "class_lp_fractional_counts": (lambda: solve_class_weights(np.ones((4, 3)), [2.7, 2.2]),
+                                   MalformedFile, "class_counts must be finite integers"),
 }
 
 
@@ -163,6 +217,11 @@ def test_malformed_input_raises_its_own_error(case):
     call, error, message = case
     with pytest.raises(error, match=message):
         call()
+
+
+def scenario(kind="dda", k_source=3, k_target=2, overlap=None, **counts):
+    overlap = (0 if kind == "dda" else 1) if overlap is None else overlap
+    return build_scenario(kind, k_source, k_target, overlap, 9.0, 0, **counts)
 
 
 COUNTS = {
@@ -191,6 +250,22 @@ COUNTS = {
     "run_pipeline_mn_top": (
         lambda n: run_pipeline(dataset(), dataset(), dataset(), method="mn", mn_top=n),
         "mn_top must be an integer >= 1"),
+    # k_source=2.5 built 3 classes, per_class=2.5 two rows each and per_class=True one row
+    "scenario_k_source": (lambda n: scenario(k_source=n), "k_source must be an integer >= 1"),
+    "scenario_k_target": (lambda n: scenario(k_target=n), "k_target must be an integer >= 1"),
+    "scenario_overlap": (lambda n: scenario(kind="oda", overlap=n),
+                         "overlap must be an integer >= 0"),
+    "scenario_near": (lambda n: scenario(near=n), "near must be an integer >= 0"),
+    "scenario_dim": (lambda n: scenario(dim=n), "dim must be an integer >= 1"),
+    "scenario_per_class": (lambda n: scenario(per_class=n), "per_class must be an integer >= 1"),
+    "scenario_per_class_train": (lambda n: scenario(per_class_train=n),
+                                 "per_class_train must be an integer >= 1"),
+    "scenario_per_class_test": (lambda n: scenario(per_class_test=n),
+                                "per_class_test must be an integer >= 1"),
+    "synth_spec_dim": (lambda n: SynthSpec(n, (((0.0, 0.0), 1.0, 3),), 0),
+                       "dim must be an integer >= 1"),
+    "synth_spec_count": (lambda n: SynthSpec(2, (((0.0, 0.0), 1.0, n),), 0),
+                         "class sample count must be an integer >= 1"),
 }
 
 

@@ -1,7 +1,7 @@
 """The package's import graph: every module imports the package at its top,
 the entropic solver is the lower layer under the exact class LP and the
-transportation simplex, and the class LP takes only the simplex from exact
-transport."""
+transportation simplex, the class LP takes only the simplex from exact
+transport, and only `data` calls `np.asarray(..., dtype=np.int64)`."""
 
 import ast
 import pathlib
@@ -49,6 +49,22 @@ def test_ot_takes_only_the_c_transform_from_sinkhorn():
              if isinstance(node, ast.ImportFrom) and node.level == 1
              and node.module == "sinkhorn" for alias in node.names}
     assert names == {"_c_transform", "_sinkhorn_potentials", "SinkhornConfig"}
+
+
+def test_integer_arrays_are_read_only_in_data():
+    # data._check_labels refuses the 0.5 that np.asarray(..., dtype=np.int64)
+    # truncates to 0, so no other module reads an id or count array itself
+    def is_int64(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "int64"
+                and isinstance(node.value, ast.Name) and node.value.id == "np")
+
+    casts = [(path.name, node.lineno)
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "data.py"
+             for node in ast.walk(parse(path))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "asarray"
+             and any(map(is_int64, node.args[1:] + [k.value for k in node.keywords]))]
+    assert casts == []
 
 
 def test_classlp_takes_only_the_simplex_from_ot():

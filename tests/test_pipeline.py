@@ -479,6 +479,8 @@ def test_class_id_arrays_are_checked_before_any_solve(entry, monkeypatch):
         (DimensionMismatch, src.reshape(2, 2), tgt),
         (MalformedFile, np.array([src[0], src[0], src[2], src[3]]), tgt),
         (MalformedFile, src, np.array([tgt[0], tgt[0]])),
+        (MalformedFile, src + 0.5, tgt),
+        (MalformedFile, src, tgt - 0.5),
     ]
     for error, source_ids, target_ids in bad:
         with pytest.raises(error):
