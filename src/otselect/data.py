@@ -1,7 +1,9 @@
 """Domain types and file ingestion for embeddings, labels, weights, and plans.
 
-All numeric payloads are numpy arrays in float64; types are frozen after
-construction and safe to share across threads.
+All numeric payloads are numpy arrays in float64 (int64 for labels); types are
+frozen after construction and safe to share across threads. Each type holds
+its own read-only copies (``_freeze``), so the caller's arrays stay writable
+and later writes to them do not reach the type.
 """
 
 from __future__ import annotations
@@ -25,16 +27,20 @@ _MAGIC = b"WSF1"
 WEIGHT_CLAMP = 1e-9
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _freeze(values, dtype=np.float64, check=None) -> np.ndarray:
+    """A type's own read-only C-contiguous ``dtype`` copy of ``values``, converted in that
+    one copy; ``check`` runs on the copy before it is locked and may repair it in place."""
+    a = np.array(values, dtype=dtype, order="C")
+    if check is not None:
+        check(a)
     a.setflags(write=False)
     return a
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = np.argwhere(bad)[0]
+    # min and max carry a NaN or inf without an n x m temporary beside a type's own copy
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        idx = np.argwhere(~np.isfinite(values))[0]
         if values.ndim == 2:
             r, c = int(idx[0]), int(idx[1])
             raise NonFiniteValue(f"{what} has non-finite entry at row {r}, col {c}", row=r, col=c)
@@ -70,6 +76,17 @@ def _check_class_ids(ids, k: int, what: str) -> np.ndarray:
     return ids
 
 
+def _check_probs(values, n: int) -> np.ndarray:
+    """Per-sample probabilities as float64: ``n`` finite, nonnegative entries, any total."""
+    p = np.asarray(values, dtype=np.float64)
+    if p.shape != (n,):
+        raise DimensionMismatch(f"sample_probs has shape {p.shape}; it must align with {n} rows")
+    _check_finite(p, "sample_probs")
+    if p.min() < 0:
+        raise MalformedFile(f"sample_probs has negative entry {p.min():.3e}")
+    return p
+
+
 def _check_cost(cost) -> np.ndarray:
     """A transport cost matrix: contiguous float64, 2-D, non-empty, finite and nonnegative."""
     c = np.ascontiguousarray(cost, dtype=np.float64)
@@ -92,11 +109,11 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = _freeze(self.values)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise MalformedFile(f"feature matrix must be 2-D and non-empty, got shape {v.shape}")
         _check_finite(v, "feature matrix")
-        object.__setattr__(self, "values", _freeze(v))
+        object.__setattr__(self, "values", v)
 
     @property
     def rows(self) -> int:
@@ -120,7 +137,7 @@ class LabeledDataset:
     class_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        lab = _check_labels(self.labels)
+        lab = _freeze(_check_labels(self.labels), np.int64)
         if lab.ndim != 1 or lab.shape[0] != self.features.rows:
             raise DimensionMismatch(
                 f"labels length {lab.shape} does not match {self.features.rows} feature rows"
@@ -132,8 +149,8 @@ class LabeledDataset:
         if (counts == 0).any():
             missing = int(np.argwhere(counts == 0)[0][0])
             raise MalformedFile(f"class {missing} in [0, {k}) has no samples; labels must be dense")
-        object.__setattr__(self, "labels", _freeze(lab))
-        object.__setattr__(self, "class_counts", _freeze(counts))
+        object.__setattr__(self, "labels", lab)
+        object.__setattr__(self, "class_counts", _freeze(counts, np.int64))
 
     @property
     def n(self) -> int:
@@ -151,7 +168,7 @@ class ClassWeights:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = _freeze(self.weights)
         if w.ndim != 1 or w.size < 1:
             raise DimensionMismatch("weights must be a non-empty vector")
         _check_finite(w, "class weights")
@@ -159,7 +176,7 @@ class ClassWeights:
             raise MalformedFile(f"negative class weight {w.min():.3e} below tolerance")
         if abs(w.sum() - 1.0) > 1e-8:
             raise MalformedFile(f"class weights sum to {w.sum():.12g}, expected 1")
-        object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "weights", w)
 
     @property
     def k(self) -> int:
@@ -174,8 +191,9 @@ class ClassWeights:
 class TransportPlan:
     """Nonnegative coupling matrix with its marginals and transport cost.
 
-    ``dual_gap`` is the certified LP duality gap when the plan came from the
-    exact solver, else None.
+    ``dual_gap`` is the plan's certified duality gap for the unregularized
+    transport LP, which every solver attaches (the exact simplex, the class
+    LP and Sinkhorn alike); None for a plan built by hand.
     """
 
     plan: np.ndarray
@@ -185,23 +203,23 @@ class TransportPlan:
     dual_gap: float | None = None
 
     def __post_init__(self):
-        p = np.asarray(self.plan, dtype=np.float64)
-        mu = np.asarray(self.source_marginal, dtype=np.float64)
-        nu = np.asarray(self.target_marginal, dtype=np.float64)
-        if p.ndim != 2 or mu.shape != (p.shape[0],) or nu.shape != (p.shape[1],):
-            raise DimensionMismatch("plan and marginal shapes disagree")
-        _check_finite(p, "transport plan")
-        if p.min() < -1e-12:
-            raise MalformedFile(f"plan entry {p.min():.3e} is negative")
-        row_err = np.abs(p.sum(axis=1) - mu).max()
-        col_err = np.abs(p.sum(axis=0) - nu).max()
-        if row_err > 1e-7 or col_err > 1e-7:
-            raise MalformedFile(
-                f"plan marginals violated: row err {row_err:.3e}, col err {col_err:.3e}"
-            )
-        object.__setattr__(self, "plan", _freeze(np.maximum(p, 0.0)))
-        object.__setattr__(self, "source_marginal", _freeze(mu))
-        object.__setattr__(self, "target_marginal", _freeze(nu))
+        mu, nu = _freeze(self.source_marginal), _freeze(self.target_marginal)
+        def check_and_clip(p):
+            if p.ndim != 2 or mu.shape != (p.shape[0],) or nu.shape != (p.shape[1],):
+                raise DimensionMismatch("plan and marginal shapes disagree")
+            _check_finite(p, "transport plan")
+            if p.min() < -1e-12:
+                raise MalformedFile(f"plan entry {p.min():.3e} is negative")
+            row_err = np.abs(p.sum(axis=1) - mu).max()
+            col_err = np.abs(p.sum(axis=0) - nu).max()
+            if row_err > 1e-7 or col_err > 1e-7:
+                raise MalformedFile(f"plan marginals violated: row err {row_err:.3e}, "
+                                    f"col err {col_err:.3e}")
+            np.maximum(p, 0.0, out=p)
+
+        object.__setattr__(self, "plan", _freeze(self.plan, check=check_and_clip))
+        object.__setattr__(self, "source_marginal", mu)
+        object.__setattr__(self, "target_marginal", nu)
 
 
 @dataclass(frozen=True)
@@ -213,9 +231,9 @@ class DiscreteJointDistribution:
     masses: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.features, dtype=np.float64)
-        y = _check_labels(self.labels, "joint distribution labels")
-        m = np.asarray(self.masses, dtype=np.float64)
+        z = _freeze(self.features)
+        y = _freeze(_check_labels(self.labels, "joint distribution labels"), np.int64)
+        m = _freeze(self.masses)
         if z.ndim != 2 or y.shape != (z.shape[0],) or m.shape != (z.shape[0],):
             raise DimensionMismatch("joint distribution arrays disagree on atom count")
         if z.shape[1] < 1:
@@ -226,9 +244,9 @@ class DiscreteJointDistribution:
             raise MalformedFile(f"negative atom mass {m.min():.3e}")
         if abs(m.sum() - 1.0) > 1e-8:
             raise MalformedFile(f"atom masses sum to {m.sum():.12g}, expected 1")
-        object.__setattr__(self, "features", _freeze(z))
-        object.__setattr__(self, "labels", _freeze(y))
-        object.__setattr__(self, "masses", _freeze(m))
+        object.__setattr__(self, "features", z)
+        object.__setattr__(self, "labels", y)
+        object.__setattr__(self, "masses", m)
 
     @property
     def atoms(self) -> list[tuple[np.ndarray, int, float]]:
@@ -245,8 +263,9 @@ class DiscreteJointDistribution:
         ``label_ids`` maps dense labels back to external class ids so joints
         from different domains can share one label vocabulary.
         """
-        m = (np.full(ds.n, 1.0 / ds.n) if sample_probs is None
-             else np.asarray(sample_probs, dtype=np.float64))
+        m = np.full(ds.n, 1.0 / ds.n) if sample_probs is None else _check_probs(sample_probs, ds.n)
+        if m.sum() <= 0:
+            raise MalformedFile("sample_probs sum to zero")
         y = ds.labels if label_ids is None else np.asarray(label_ids)[ds.labels]
         keep = m > 0
         mk = m[keep]
@@ -394,11 +413,12 @@ def save_class_weights(w: ClassWeights, mapping: dict[int, int], path) -> None:
 def load_class_weights(path) -> dict[int, float]:
     """Read a weights JSON document back as original-id -> weight."""
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    try:
-        return {int(cid): float(val) for cid, val in doc["weights"].items()}
-    except (KeyError, TypeError, ValueError) as e:
-        raise MalformedFile(f"{path}: not a weights document: {e}") from e
+        try:
+            weights = {int(cid): float(val) for cid, val in json.load(f)["weights"].items()}
+            _check_finite(np.array(list(weights.values())), "weights")
+        except (AttributeError, KeyError, TypeError, ValueError, NonFiniteValue) as e:
+            raise MalformedFile(f"{path}: not a weights document: {e}") from e
+    return weights
 
 
 def load_vector_csv(path) -> np.ndarray:

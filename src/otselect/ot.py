@@ -75,7 +75,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DiscreteJointDistribution, FeatureMatrix, TransportPlan, _check_cost, _check_count
+from .data import (DiscreteJointDistribution, FeatureMatrix, TransportPlan, _check_cost,
+                   _check_count, _freeze)
 from .distance import pairwise_distances
 from .errors import DimensionMismatch, InfeasibleMarginals, SolverFailure
 from .sinkhorn import SinkhornConfig, _c_transform, _sinkhorn_potentials
@@ -97,9 +98,7 @@ class OtProblem:
     nu: np.ndarray
 
     def __post_init__(self):
-        c = _check_cost(self.cost)
-        mu = np.ascontiguousarray(self.mu, dtype=np.float64)
-        nu = np.ascontiguousarray(self.nu, dtype=np.float64)
+        c, mu, nu = _check_cost(_freeze(self.cost)), _freeze(self.mu), _freeze(self.nu)
         if mu.shape != (c.shape[0],) or nu.shape != (c.shape[1],):
             raise DimensionMismatch(f"cost {c.shape} incompatible with marginals "
                                     f"{mu.shape}, {nu.shape}")

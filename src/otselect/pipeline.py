@@ -18,7 +18,7 @@ import numpy as np
 from .classlp import (ClassWeightSolution, solve_class_weights,
                       weights_to_sample_probabilities)
 from .data import (ClassWeights, FeatureMatrix, LabeledDataset, _check_class_ids, _check_count,
-                   _check_labels, densify_labels)
+                   _check_labels, _check_probs, _freeze, densify_labels)
 from .distance import pairwise_distances
 from .errors import (
     AllZeroProbabilities,
@@ -61,14 +61,12 @@ class SoftmaxHead:
     class_list: np.ndarray
 
     def __post_init__(self):
-        V = np.ascontiguousarray(self.weight_matrix, dtype=np.float64)
+        V = _freeze(self.weight_matrix)
         if V.ndim != 2:
             raise DimensionMismatch("weight matrix rows must match the class list")
-        cls = _check_class_ids(self.class_list, V.shape[0], "class list")
+        cls = _freeze(_check_class_ids(self.class_list, V.shape[0], "class list"), np.int64)
         if not np.isfinite(V).all():
             raise MalformedFile("head weights must be finite")
-        V.setflags(write=False)
-        cls.setflags(write=False)
         object.__setattr__(self, "weight_matrix", V)
         object.__setattr__(self, "class_list", cls)
 
@@ -143,11 +141,7 @@ def _ce_grad(V: np.ndarray, features: np.ndarray, delta: np.ndarray, label_idx: 
 
 
 def _validate_probs(sample_probs: np.ndarray, n: int) -> np.ndarray:
-    p = np.asarray(sample_probs, dtype=np.float64)
-    if p.shape != (n,):
-        raise DimensionMismatch(f"sample_probs shape {p.shape} does not match {n} rows")
-    if not np.isfinite(p).all() or p.min() < 0:
-        raise MalformedFile("sample_probs must be finite and nonnegative")
+    p = _check_probs(sample_probs, n)
     total = p.sum()
     if total == 0.0:
         raise DegenerateInput("all sample probabilities are zero")
@@ -291,9 +285,7 @@ def resample_fixed_budget(dataset: LabeledDataset, sample_probs: np.ndarray,
     the second return value maps each new dense id back to the original one.
     """
     _check_count("budget", budget, 1)
-    p = np.asarray(sample_probs, dtype=np.float64)
-    if p.shape != (dataset.n,):
-        raise DimensionMismatch("sample_probs must align with dataset rows")
+    p = _check_probs(sample_probs, dataset.n)
     total = p.sum()
     if total <= 0:
         raise AllZeroProbabilities("no sample has positive probability")
@@ -434,8 +426,8 @@ def save_head(head: SoftmaxHead, path) -> None:
 
 def load_head(path) -> SoftmaxHead:
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    try:
-        return SoftmaxHead(np.array(doc["matrix"], dtype=np.float64), doc["classes"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise MalformedFile(f"{path}: not a head document: {e}") from e
+        try:
+            doc = json.load(f)
+            return SoftmaxHead(doc["matrix"], doc["classes"])
+        except (KeyError, TypeError, ValueError, DimensionMismatch, MalformedFile) as e:
+            raise MalformedFile(f"{path}: not a head document: {e}") from e

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, LabeledDataset, _check_count
+from .data import FeatureMatrix, LabeledDataset, _check_count, _freeze
 from .errors import DegenerateInput, InvalidOverlap
 
 _REJECTION_CAP = 10_000
@@ -34,13 +34,12 @@ class SynthSpec:
             raise ValueError("need at least one class")
         frozen = []
         for mean, stddev, count in self.classes:
-            mu = np.asarray(mean, dtype=np.float64)
+            mu = _freeze(mean)
             if mu.shape != (self.dim,):
                 raise ValueError(f"class mean shape {mu.shape} does not match dim {self.dim}")
             if not stddev > 0:
                 raise ValueError("stddev must be positive")
             _check_count("class sample count", count, 1)
-            mu.setflags(write=False)
             frozen.append((mu, float(stddev), int(count)))
         object.__setattr__(self, "classes", tuple(frozen))
 

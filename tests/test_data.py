@@ -1,5 +1,7 @@
 """File formats, label densification, and the core container invariants."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,9 @@ from otselect import (
     DiscreteJointDistribution,
     FeatureMatrix,
     LabeledDataset,
+    OtProblem,
+    SoftmaxHead,
+    SynthSpec,
     TransportPlan,
     densify_labels,
     load_class_weights,
@@ -19,6 +24,7 @@ from otselect import (
     save_class_weights,
     save_feature_matrix,
     save_labels,
+    solve_exact_ot,
 )
 from otselect.data import clamp_weights, load_vector_csv
 from otselect.errors import (
@@ -197,6 +203,16 @@ def test_weights_json_roundtrip_clamps_dust(tmp_file):
     assert abs(sum(loaded.values()) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("text", ["not json", '{"weights": [0.5, 0.5]}',
+                                  '{"weights": {"0": NaN, "1": 0.5}}'])
+def test_a_malformed_weights_file_is_named_in_the_error(tmp_file, text):
+    path = tmp_file("w.json")
+    with open(path, "w") as f:
+        f.write(text)
+    with pytest.raises(MalformedFile, match=f"^{re.escape(path)}: not a weights document: "):
+        load_class_weights(path)
+
+
 def test_weights_mapping_size_mismatch_rejected(tmp_file):
     with pytest.raises(DimensionMismatch):
         save_class_weights(ClassWeights(np.array([1.0])), {0: 0, 1: 1}, tmp_file("w.json"))
@@ -254,3 +270,53 @@ def test_transport_plan_checks_marginals():
     TransportPlan(plan, np.array([0.5, 0.5]), np.array([0.5, 0.5]), 1.0, 0.0)
     with pytest.raises(MalformedFile):
         TransportPlan(plan, np.array([0.6, 0.4]), np.array([0.5, 0.5]), 1.0, 0.0)
+
+
+# ---------------------------------------------------------- array ownership
+
+
+def solved(cost, mu, nu):
+    # solve_exact_ot builds a TransportPlan from the problem's marginals
+    problem = OtProblem(cost, mu, nu)
+    solve_exact_ot(problem)
+    return problem
+
+
+U = (0.5, 0.5)
+# each type: its constructor, the caller's arrays it takes (made afresh per
+# run) and the arrays it then holds in their place
+HOLDERS = {
+    "FeatureMatrix": (FeatureMatrix, lambda: [np.arange(6.0).reshape(3, 2)],
+                      lambda o: [o.values]),
+    "LabeledDataset": (lambda y: LabeledDataset(FeatureMatrix(np.ones((3, 1))), y),
+                       lambda: [np.array([0, 1, 0])], lambda o: [o.labels]),
+    "ClassWeights": (ClassWeights, lambda: [np.array([0.25, 0.75])], lambda o: [o.weights]),
+    "TransportPlan": (lambda p, mu, nu: TransportPlan(p, mu, nu, 0.0),
+                      lambda: [np.array([[0.25, 0.25], [0.0, 0.5]]), np.array(U),
+                               np.array([0.25, 0.75])],
+                      lambda o: [o.plan, o.source_marginal, o.target_marginal]),
+    "DiscreteJointDistribution": (DiscreteJointDistribution,
+                                  lambda: [np.arange(4.0).reshape(2, 2), np.array([3, 7]),
+                                           np.array(U)],
+                                  lambda o: [o.features, o.labels, o.masses]),
+    "OtProblem": (solved, lambda: [np.array([[0.0, 1.0], [1.0, 0.0]]), np.array(U), np.array(U)],
+                  lambda o: [o.cost, o.mu, o.nu]),
+    "SoftmaxHead": (SoftmaxHead, lambda: [np.eye(2), np.array([3, 7])],
+                    lambda o: [o.weight_matrix, o.class_list]),
+    "SynthSpec": (lambda mean: SynthSpec(2, ((mean, 1.0, 3),), 0), lambda: [np.array([1.0, 2.0])],
+                  lambda o: [o.classes[0][0]]),
+}
+
+
+@pytest.mark.parametrize("build, arrays, held", HOLDERS.values(), ids=HOLDERS.keys())
+def test_each_type_holds_read_only_copies_of_the_callers_arrays(build, arrays, held):
+    mine = arrays()
+    assert all(a.flags.c_contiguous and a.dtype in (np.float64, np.int64) for a in mine)
+    obj = build(*mine)
+    before = [a.copy() for a in held(obj)]
+    assert all(a.flags.writeable for a in mine)
+    assert not any(a.flags.writeable for a in held(obj))
+    for a in mine:
+        a += 1
+    for a, b in zip(held(obj), before):
+        np.testing.assert_array_equal(a, b)

@@ -135,6 +135,16 @@ CASES = {
     "resample_misaligned_probabilities": (
         lambda: resample_fixed_budget(dataset(), np.full(3, 1 / 3), 5, 0),
         DimensionMismatch, "align"),
+    # negative and non-finite probabilities reached rng.choice, and inf warned first
+    "resample_negative_probability": (
+        lambda: resample_fixed_budget(dataset(), [-0.5, 0.5, 0.5, 0.5], 5, 0),
+        MalformedFile, "negative entry"),
+    "resample_nan_probability": (
+        lambda: resample_fixed_budget(dataset(), [np.nan, 0.5, 0.5, 0.5], 5, 0),
+        NonFiniteValue, "sample_probs has non-finite entry at index 0"),
+    "resample_infinite_probability": (
+        lambda: resample_fixed_budget(dataset(), [0.5, np.inf, 0.5, 0.5], 5, 0),
+        NonFiniteValue, "sample_probs has non-finite entry at index 1"),
     "train_config_infinite_learning_rate": (lambda: TrainConfig(learning_rate=np.inf),
                                             ValueError, "learning_rate"),
     "train_config_nan_l2_penalty": (lambda: TrainConfig(l2_penalty=np.nan),
@@ -187,6 +197,20 @@ CASES = {
     "joint_from_dataset_fractional_label_ids": (
         lambda: DiscreteJointDistribution.from_dataset(dataset(), label_ids=[4.0, 7.5]),
         MalformedFile, "joint distribution labels must be finite integers, got 7.5"),
+    # a negative or NaN probability was dropped with the zero rows and the
+    # rest renormalised; all zeros and a wrong length failed inside numpy
+    "joint_from_dataset_probabilities_misaligned": (
+        lambda: DiscreteJointDistribution.from_dataset(dataset(), sample_probs=[0.5, 0.5]),
+        DimensionMismatch, "align"),
+    "joint_from_dataset_nan_probability": (
+        lambda: DiscreteJointDistribution.from_dataset(dataset(), [np.nan, 0.5, 0.5, 0.0]),
+        NonFiniteValue, "sample_probs has non-finite entry at index 0"),
+    "joint_from_dataset_negative_probability": (
+        lambda: DiscreteJointDistribution.from_dataset(dataset(), [-0.5, 0.5, 1.0, 0.0]),
+        MalformedFile, "negative entry"),
+    "joint_from_dataset_zero_probabilities": (
+        lambda: DiscreteJointDistribution.from_dataset(dataset(), np.zeros(4)),
+        MalformedFile, "sum to zero"),
     "densify_fractional_labels": (lambda: densify_labels([0.7, 1.2, 2.9]),
                                   MalformedFile, "labels must be finite integers, got 0.7"),
     "head_fractional_class_list": (lambda: SoftmaxHead(np.eye(2), [0.5, 1.5]),

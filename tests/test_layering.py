@@ -1,7 +1,8 @@
 """The package's import graph: every module imports the package at its top,
 the entropic solver is the lower layer under the exact class LP and the
 transportation simplex, the class LP takes only the simplex from exact
-transport, and only `data` calls `np.asarray(..., dtype=np.int64)`."""
+transport, and only `data` calls `np.asarray(..., dtype=np.int64)` or locks
+an array."""
 
 import ast
 import pathlib
@@ -74,3 +75,14 @@ def test_classlp_takes_only_the_simplex_from_ot():
              if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "ot"
              for alias in node.names}
     assert names == {"_solve"}
+
+
+def test_only_data_locks_arrays():
+    # data._freeze copies an array before it locks it; a lock anywhere else
+    # would freeze whatever array it is handed, the caller's own included
+    locks = [(path.name, node.lineno)
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "data.py"
+             for node in ast.walk(parse(path))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "setflags"]
+    assert locks == []

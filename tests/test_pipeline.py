@@ -1,6 +1,7 @@
 """Head training, evaluation, baselines, resampling, and the full pipeline."""
 
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -498,6 +499,21 @@ def test_head_roundtrip_is_exact(tmp_file):
     back = load_head(path)
     np.testing.assert_array_equal(back.weight_matrix, head.weight_matrix)
     np.testing.assert_array_equal(back.class_list, head.class_list)
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    '{"classes": [0], "matrix": [[1, 0], [0, 1]]}',
+    '{"classes": [3, 3], "matrix": [[1, 0], [0, 1]]}',
+    '{"classes": [0, 1], "matrix": [[NaN, 0], [0, 1]]}',
+])
+def test_a_malformed_head_file_is_named_in_the_error(tmp_file, text):
+    # SoftmaxHead's own DimensionMismatch and MalformedFile named no file
+    path = tmp_file("head.json")
+    with open(path, "w") as f:
+        f.write(text)
+    with pytest.raises(MalformedFile, match=f"^{re.escape(path)}: not a head document: "):
+        load_head(path)
 
 
 def test_head_file_rejects_garbage(tmp_file):
