@@ -363,8 +363,7 @@ def compute_bound_report(pretrained: SoftmaxHead, finetuned: SoftmaxHead,
 
 def end_to_end_bound_report(source, target_train, target_test, *, cfg=None,
                             source_class_ids=None, target_class_ids=None,
-                            skip_finetune: bool = False,
-                            label_cost: float = 1.0) -> BoundReport:
+                            skip_finetune: bool = False) -> BoundReport:
     """Select weights, train both heads over the union class space, and report.
 
     The bound compares one fixed output space before and after fine-tuning,
@@ -383,8 +382,7 @@ def end_to_end_bound_report(source, target_train, target_test, *, cfg=None,
         t.source_sorted, sample_probs=t.sample_probs, label_ids=t.source_ids
     )
     target_joint = DiscreteJointDistribution.from_dataset(target_test, label_ids=t.target_ids)
-    return compute_bound_report(t.pretrained, t.finetuned, source_joint, target_joint,
-                                label_cost=label_cost)
+    return compute_bound_report(t.pretrained, t.finetuned, source_joint, target_joint)
 
 
 # ============================================================
@@ -392,20 +390,20 @@ def end_to_end_bound_report(source, target_train, target_test, *, cfg=None,
 # ============================================================
 
 
-def random_joint_pair_shared_support(rng: np.random.Generator, max_support: int = 6,
-                                     dim: int = 2, max_labels: int = 4,
-                                     equal_marginals: bool = False
+def random_joint_pair_shared_support(rng: np.random.Generator, equal_marginals: bool = False
                                      ) -> tuple[DiscreteJointDistribution,
                                                 DiscreteJointDistribution]:
     """Two joints over one feature support with Dirichlet masses and conditionals.
 
-    With ``equal_marginals`` both joints also share the feature marginal,
-    the regime where the marginal-plus-conditional decomposition provably
-    holds; otherwise each side draws its own marginal masses.
+    The support is 2-6 points drawn uniformly in the unit square, each
+    carrying 2-4 labels. With ``equal_marginals`` both joints also share the
+    feature marginal, the regime where the marginal-plus-conditional
+    decomposition provably holds; otherwise each side draws its own marginal
+    masses.
     """
-    s = int(rng.integers(2, max_support + 1))
-    L = int(rng.integers(2, max_labels + 1))
-    z = rng.random((s, dim))
+    s = int(rng.integers(2, 7))
+    L = int(rng.integers(2, 5))
+    z = rng.random((s, 2))
     shared_mz = rng.dirichlet(np.ones(s)) if equal_marginals else None
 
     def draw() -> DiscreteJointDistribution:

@@ -225,8 +225,8 @@ def _solve_on_cells(D: np.ndarray, counts: np.ndarray, cells: np.ndarray
                              | (D[lo:hi] - (y + z[lo:hi, None]) < 0.0))
 
     plan = np.zeros((n, m))
-    plan[rows, cols] = x
-    sol = _certified_solution(D, counts, np.maximum(plan, 0.0), z)
+    plan[rows, cols] = np.maximum(x, 0.0)
+    sol = _certified_solution(D, counts, plan, z)
     if sol.plan.dual_gap > 1e-9 * scale:
         raise SolverFailure(f"class LP duality gap {sol.plan.dual_gap:.3e} above 1e-9 * max D")
     return sol, rounds

@@ -182,9 +182,9 @@ class ClassWeights:
     def k(self) -> int:
         return self.weights.shape[0]
 
-    def support(self, threshold: float = WEIGHT_CLAMP) -> np.ndarray:
-        """Dense indices of classes carrying weight above the threshold."""
-        return np.flatnonzero(self.weights > threshold)
+    def support(self) -> np.ndarray:
+        """Dense indices of classes carrying weight above ``WEIGHT_CLAMP``."""
+        return np.flatnonzero(self.weights > WEIGHT_CLAMP)
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,14 @@ class TransportPlan:
     dual_gap: float | None = None
 
     def __post_init__(self):
-        mu, nu = _freeze(self.source_marginal), _freeze(self.target_marginal)
+        # a NaN marginal would pass the row and column error test below, which compares false
+        mu = _freeze(self.source_marginal, check=lambda a: _check_finite(a, "source marginal"))
+        nu = _freeze(self.target_marginal, check=lambda a: _check_finite(a, "target marginal"))
+        if not np.isfinite(self.objective):
+            raise NonFiniteValue(f"plan objective {self.objective} is not finite")
+        if self.dual_gap is not None and not 0.0 <= self.dual_gap < np.inf:
+            raise MalformedFile(f"dual gap {self.dual_gap} must be finite and >= 0")
+
         def check_and_clip(p):
             if p.ndim != 2 or mu.shape != (p.shape[0],) or nu.shape != (p.shape[1],):
                 raise DimensionMismatch("plan and marginal shapes disagree")
@@ -248,13 +255,6 @@ class DiscreteJointDistribution:
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "masses", m)
 
-    @property
-    def atoms(self) -> list[tuple[np.ndarray, int, float]]:
-        return [
-            (self.features[i], int(self.labels[i]), float(self.masses[i]))
-            for i in range(self.masses.shape[0])
-        ]
-
     @classmethod
     def from_dataset(cls, ds: LabeledDataset, sample_probs: np.ndarray | None = None,
                      label_ids: np.ndarray | None = None) -> "DiscreteJointDistribution":
@@ -266,7 +266,8 @@ class DiscreteJointDistribution:
         m = np.full(ds.n, 1.0 / ds.n) if sample_probs is None else _check_probs(sample_probs, ds.n)
         if m.sum() <= 0:
             raise MalformedFile("sample_probs sum to zero")
-        y = ds.labels if label_ids is None else np.asarray(label_ids)[ds.labels]
+        y = (ds.labels if label_ids is None
+             else _check_class_ids(label_ids, ds.k, "label_ids")[ds.labels])
         keep = m > 0
         mk = m[keep]
         return cls(ds.features.values[keep], y[keep], mk / mk.sum())
@@ -381,9 +382,9 @@ def load_labels(path) -> tuple[np.ndarray, dict[int, int]]:
     return densify_labels(np.array(raw, dtype=np.int64))
 
 
-def clamp_weights(w: np.ndarray, threshold: float = WEIGHT_CLAMP) -> np.ndarray:
-    """Zero out weights below the threshold and renormalize to sum 1."""
-    w = np.where(np.asarray(w, dtype=np.float64) > threshold, w, 0.0)
+def clamp_weights(w: np.ndarray) -> np.ndarray:
+    """Zero out weights at or below ``WEIGHT_CLAMP`` and renormalize to sum 1."""
+    w = np.where(np.asarray(w, dtype=np.float64) > WEIGHT_CLAMP, w, 0.0)
     total = w.sum()
     if total <= 0:
         raise MalformedFile("all class weights clamped to zero")

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_count
 from .errors import MalformedFile, OtselectError
 from .pipeline import PIPELINE_METHODS, TrainConfig, run_pipeline
 from .synth import build_scenario
@@ -64,6 +65,7 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in PIPELINE_METHODS:
                 raise MalformedFile(f"unknown method {m!r} in experiment config")
+        _check_count("threads", self.threads, 0)
 
 
 def default_dda_matrix() -> ExperimentConfig:
@@ -180,6 +182,7 @@ def run_experiment_matrix(config: ExperimentConfig, threads: int | None = None) 
     and 1 runs them inline. The CLI passes None for its ``--threads 0``.
     """
     threads = config.threads if threads is None else threads
+    _check_count("threads", threads, 0)
     if threads == 0:
         threads = os.cpu_count() or 1
     train_kw = {"epochs": config.epochs, "learning_rate": config.learning_rate,

@@ -320,8 +320,8 @@ def sort_by_class(dataset: LabeledDataset) -> LabeledDataset:
 
 
 def select_weights(method: str, source_sorted: LabeledDataset, target: FeatureMatrix,
-                   seed: int, mn_top: int = 3,
-                   sinkhorn_cfg: SinkhornConfig | None = None) -> ClassWeightSolution:
+                   seed: int, sinkhorn_cfg: SinkhornConfig | None = None
+                   ) -> ClassWeightSolution:
     """Class weights for any method, with the plan and transport cost they achieve.
 
     ``wass`` and ``wass-sinkhorn`` return their solver's solution. For the
@@ -334,7 +334,7 @@ def select_weights(method: str, source_sorted: LabeledDataset, target: FeatureMa
         return solve_class_weights(D, counts)
     if method == "wass-sinkhorn":
         return sinkhorn_class_weights(D, counts, sinkhorn_cfg)
-    w = baseline_weights(method, source_sorted, target, seed, mn_top)
+    w = baseline_weights(method, source_sorted, target, seed)
     plan = solve_exact_ot(OtProblem(D, np.repeat(w.weights / counts, counts),
                                     np.full(target.rows, 1.0 / target.rows)))
     return ClassWeightSolution(w, plan, plan.objective, int(w.support().size))
@@ -345,8 +345,7 @@ _Trained = namedtuple("_Trained", "source_sorted sample_probs solution source_id
 
 
 def _select_and_train(source: LabeledDataset, target_train: LabeledDataset, method: str,
-                      cfg: TrainConfig | None, *, budget: int = 0, mn_top: int = 3,
-                      sinkhorn_cfg: SinkhornConfig | None = None,
+                      cfg: TrainConfig | None, *, budget: int = 0,
                       source_class_ids: np.ndarray | None = None,
                       target_class_ids: np.ndarray | None = None,
                       union: bool = False, finetune: bool = True) -> _Trained:
@@ -357,7 +356,6 @@ def _select_and_train(source: LabeledDataset, target_train: LabeledDataset, meth
     ``finetune`` the pre-trained head stands in for the fine-tuned one.
     """
     _check_count("budget", budget, 0)  # before the selection, which may take long
-    _check_count("mn_top", mn_top, 1)
     cfg = cfg or TrainConfig()
     src_ids = (np.arange(source.k) if source_class_ids is None
                else _check_class_ids(source_class_ids, source.k, "source_class_ids"))
@@ -372,8 +370,7 @@ def _select_and_train(source: LabeledDataset, target_train: LabeledDataset, meth
         tgt_labels = np.array([at[c] for c in tgt_ids.tolist()], dtype=np.int64)[tgt_labels]
 
     source_sorted = sort_by_class(source)
-    sol = select_weights(method, source_sorted, target_train.features, cfg.seed, mn_top,
-                         sinkhorn_cfg)
+    sol = select_weights(method, source_sorted, target_train.features, cfg.seed)
     probs = weights_to_sample_probabilities(sol.weights, source_sorted.labels)
     pre, pre_probs = source_sorted, probs
     if budget > 0:
@@ -389,8 +386,7 @@ def _select_and_train(source: LabeledDataset, target_train: LabeledDataset, meth
 
 def run_pipeline(source: LabeledDataset, target_train: LabeledDataset,
                  target_test: LabeledDataset, *, method: str = "wass",
-                 cfg: TrainConfig | None = None, budget: int = 0, mn_top: int = 3,
-                 sinkhorn_cfg: SinkhornConfig | None = None,
+                 cfg: TrainConfig | None = None, budget: int = 0,
                  source_class_ids: np.ndarray | None = None,
                  target_class_ids: np.ndarray | None = None) -> PipelineResult:
     """Select source classes, pre-train on them, fine-tune on target, evaluate.
@@ -399,13 +395,15 @@ def run_pipeline(source: LabeledDataset, target_train: LabeledDataset,
     default treats target classes as disjoint from source classes. With a
     positive ``budget`` the source set is resampled to that many rows before
     pre-training; otherwise importance weights enter the loss directly.
-    Each phase derives its own seed from the config seed.
+    Each phase derives its own seed from the config seed. ``wass-sinkhorn``
+    solves with the default :class:`SinkhornConfig` and ``mn`` keeps the
+    three classes :func:`baseline_weights` ranks nearest by default; other
+    settings go through :func:`select_weights` or ``baseline_weights``.
     """
     if method not in PIPELINE_METHODS:
         raise ValueError(f"method must be one of {PIPELINE_METHODS}, got {method!r}")
-    t = _select_and_train(source, target_train, method, cfg, budget=budget, mn_top=mn_top,
-                          sinkhorn_cfg=sinkhorn_cfg, source_class_ids=source_class_ids,
-                          target_class_ids=target_class_ids)
+    t = _select_and_train(source, target_train, method, cfg, budget=budget,
+                          source_class_ids=source_class_ids, target_class_ids=target_class_ids)
     report = evaluate(t.finetuned, target_test.features, t.target_ids[target_test.labels])
     sol = t.solution
     return PipelineResult(method, sol.weights, sol.support_size, sol.objective, report,

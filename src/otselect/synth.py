@@ -106,13 +106,13 @@ class Scenario:
 def build_scenario(kind: str, k_source: int, k_target: int, overlap: int,
                    separation: float, seed: int, *, dim: int = 5,
                    per_class: int = 30, per_class_train: int = 20,
-                   per_class_test: int = 40, stddev: float | None = None,
-                   near: int = 1) -> Scenario:
+                   per_class_test: int = 40, near: int = 1) -> Scenario:
     """Construct one scenario with full metadata.
 
     ``near`` non-overlapping target classes are planted a quarter separation
     from distinct non-overlapping source classes; the rest keep the full
-    separation from every other mean. Disjoint-label scenarios give target
+    separation from every other mean. Every class spreads with standard
+    deviation ``separation / 20``. Disjoint-label scenarios give target
     classes fresh external ids; overlapping classes reuse the source ids.
     """
     kind = kind.lower()
@@ -132,7 +132,7 @@ def build_scenario(kind: str, k_source: int, k_target: int, overlap: int,
         )
     if separation <= 0:
         raise ValueError("separation must be positive")
-    sd = separation / 20.0 if stddev is None else float(stddev)
+    sd = separation / 20.0
     near = min(near, k_target - overlap, k_source - overlap)
 
     rng = np.random.default_rng(seed)

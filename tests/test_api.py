@@ -100,8 +100,7 @@ SIGNATURES = {
     "densify_labels": "(raw: 'np.ndarray') -> 'tuple[np.ndarray, dict[int, int]]'",
     "end_to_end_bound_report": (
         "(source, target_train, target_test, *, cfg=None, source_class_ids=None, "
-        "target_class_ids=None, skip_finetune: 'bool' = False, "
-        "label_cost: 'float' = 1.0) -> 'BoundReport'"),
+        "target_class_ids=None, skip_finetune: 'bool' = False) -> 'BoundReport'"),
     "estimate_rho": "(head: 'SoftmaxHead', features: 'FeatureMatrix') -> 'tuple[float, float]'",
     "evaluate": (
         "(head: 'SoftmaxHead', features: 'FeatureMatrix', labels: 'np.ndarray') -> 'EvalReport'"),
@@ -134,8 +133,7 @@ SIGNATURES = {
     "run_pipeline": (
         "(source: 'LabeledDataset', target_train: 'LabeledDataset', "
         "target_test: 'LabeledDataset', *, method: 'str' = 'wass', "
-        "cfg: 'TrainConfig | None' = None, budget: 'int' = 0, mn_top: 'int' = 3, "
-        "sinkhorn_cfg: 'SinkhornConfig | None' = None, "
+        "cfg: 'TrainConfig | None' = None, budget: 'int' = 0, "
         "source_class_ids: 'np.ndarray | None' = None, "
         "target_class_ids: 'np.ndarray | None' = None) -> 'PipelineResult'"),
     "run_verification_suite": "(seed: 'int', trials: 'int') -> 'dict'",

@@ -362,6 +362,18 @@ def test_experiment_cells_that_fail_become_error_rows(tmp_path, capsys):
     assert summary["accuracy_mean"] == "" and summary["accuracy_std"] == ""
 
 
+def test_a_negative_thread_count_exits_one(tmp_path, capsys):
+    # it ran the cells inline and wrote an ok CSV
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nmethods = all\nseeds = 0\nepochs = 2\n\n[scenario t]\n")
+    out = tmp_path / "r.csv"
+    code, payload, err = run_cli(capsys, "--threads", "-2", "experiment", "--config", str(ini),
+                                 "--out", str(out))
+    assert (code, payload) == (1, None)
+    assert "threads must be an integer >= 0, got -2" in err
+    assert not out.exists()
+
+
 def test_payload_carries_version_config_and_timings(tmp_path, capsys):
     cost = str(tmp_path / "c.csv")
     save_feature_matrix(FeatureMatrix(np.eye(2)), cost, format="csv")

@@ -241,14 +241,14 @@ def test_labeled_dataset_counts_and_validation():
 def test_joint_from_dataset_uniform_masses():
     ds = LabeledDataset(FeatureMatrix(np.arange(8.0).reshape(4, 2)), np.array([0, 0, 1, 1]))
     d = DiscreteJointDistribution.from_dataset(ds)
-    assert len(d.atoms) == 4
+    assert d.masses.size == 4
     np.testing.assert_allclose(d.masses, 0.25)
 
 
 def test_joint_from_dataset_drops_zero_mass_atoms_and_remaps_labels():
     ds = LabeledDataset(FeatureMatrix(np.arange(8.0).reshape(4, 2)), np.array([0, 0, 1, 1]))
     d = DiscreteJointDistribution.from_dataset(ds, sample_probs=np.array([0.5, 0.5, 0.0, 0.0]))
-    assert len(d.atoms) == 2
+    assert d.masses.size == 2
     np.testing.assert_allclose(d.masses, 0.5)
     d2 = DiscreteJointDistribution.from_dataset(ds, label_ids=np.array([10, 20]))
     np.testing.assert_array_equal(d2.labels, [10, 10, 20, 20])

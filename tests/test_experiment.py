@@ -63,6 +63,7 @@ def test_ini_parsing_matches_programmatic_config(tmp_file):
     "[experiment]\nseeds = a, b\n",
     "[experiment]\nmethods = wass\n",  # no scenario section
     "[scenario x]\nkind = dda\n",  # missing required keys
+    "[experiment]\nthreads = -1\n\n[scenario x]\n",  # ran the cells inline
 ])
 def test_bad_configs_rejected(tmp_file, text):
     path = tmp_file("bad.ini")

@@ -11,9 +11,11 @@ import pytest
 from otselect import (
     ClassWeights,
     DiscreteJointDistribution,
+    ExperimentConfig,
     FeatureMatrix,
     LabeledDataset,
     OtProblem,
+    ScenarioConfig,
     SinkhornConfig,
     SoftmaxHead,
     SynthSpec,
@@ -30,6 +32,7 @@ from otselect import (
     largest_singular_value,
     load_head,
     resample_fixed_budget,
+    run_experiment_matrix,
     run_pipeline,
     solve_class_weights,
     solve_exact_ot,
@@ -97,6 +100,19 @@ CASES = {
     "plan_negative_entry": (lambda: TransportPlan(np.array([[0.6, -0.1], [-0.1, 0.6]]),
                                                   U2, U2, 0.0),
                             MalformedFile, "negative"),
+    # a NaN marginal passed the marginal test, whose comparisons came out false, and
+    # the objective and gap were not checked at all
+    "plan_nan_source_marginal": (lambda: TransportPlan(HALF / 2, [np.nan, 0.5], U2, 0.0),
+                                 NonFiniteValue, "source marginal has non-finite entry at index 0"),
+    "plan_infinite_target_marginal": (lambda: TransportPlan(HALF / 2, U2, [0.5, np.inf], 0.0),
+                                      NonFiniteValue,
+                                      "target marginal has non-finite entry at index 1"),
+    "plan_nan_objective": (lambda: TransportPlan(HALF / 2, U2, U2, np.nan),
+                           NonFiniteValue, "objective nan is not finite"),
+    "plan_negative_dual_gap": (lambda: TransportPlan(HALF / 2, U2, U2, 0.0, dual_gap=-1.0),
+                               MalformedFile, "dual gap -1.0 must be finite and >= 0"),
+    "plan_nan_dual_gap": (lambda: TransportPlan(HALF / 2, U2, U2, 0.0, dual_gap=np.nan),
+                          MalformedFile, "dual gap nan must be finite and >= 0"),
     "induced_error_shapes": (lambda: induced_error(HALF, np.eye(3)),
                              DimensionMismatch, "equal 2-d shapes"),
     "induced_error_nan": (lambda: induced_error([[np.nan, 0.5], [0.5, 0.5]], np.eye(2)),
@@ -155,12 +171,13 @@ CASES = {
     # mn_top=0 divided by zero and -1 dropped the last ranked class
     "baseline_mn_top_zero": (lambda: baseline_weights("mn", dataset(), dataset().features, 0, 0),
                              ValueError, "mn_top"),
-    "run_pipeline_mn_top_zero": (
-        lambda: run_pipeline(dataset(), dataset(), dataset(), method="mn", mn_top=0),
-        ValueError, "mn_top"),
-    "run_pipeline_mn_top_negative": (
-        lambda: run_pipeline(dataset(), dataset(), dataset(), method="mn", mn_top=-1),
-        ValueError, "mn_top"),
+    # a negative worker count ran the cells inline
+    "experiment_negative_threads": (
+        lambda: ExperimentConfig((ScenarioConfig("x"),), threads=-3),
+        ValueError, "threads must be an integer >= 0"),
+    "matrix_negative_threads": (
+        lambda: run_experiment_matrix(ExperimentConfig((ScenarioConfig("x"),)), threads=-2),
+        ValueError, "threads must be an integer >= 0"),
     "sinkhorn_schedule_above_one": (lambda: SinkhornConfig(epsilon_schedule=1.5),
                                     ValueError, "epsilon_schedule"),
     "singular_value_empty_matrix": (lambda: largest_singular_value(np.zeros((0, 3))),
@@ -196,7 +213,14 @@ CASES = {
         MalformedFile, "joint distribution labels must be finite integers, got 0.5"),
     "joint_from_dataset_fractional_label_ids": (
         lambda: DiscreteJointDistribution.from_dataset(dataset(), label_ids=[4.0, 7.5]),
-        MalformedFile, "joint distribution labels must be finite integers, got 7.5"),
+        MalformedFile, "label_ids must be finite integers, got 7.5"),
+    # one id raised numpy's IndexError, and two equal ids merged both classes
+    "joint_from_dataset_too_few_label_ids": (
+        lambda: DiscreteJointDistribution.from_dataset(dataset(), label_ids=[4]),
+        DimensionMismatch, r"label_ids has shape \(1,\), expected \(2,\)"),
+    "joint_from_dataset_duplicate_label_ids": (
+        lambda: DiscreteJointDistribution.from_dataset(dataset(), label_ids=[4, 4]),
+        MalformedFile, "label_ids has duplicate ids"),
     # a negative or NaN probability was dropped with the zero rows and the
     # rest renormalised; all zeros and a wrong length failed inside numpy
     "joint_from_dataset_probabilities_misaligned": (
@@ -266,14 +290,13 @@ COUNTS = {
     "baseline_weights_mn_top": (
         lambda n: baseline_weights("mn", dataset(), dataset().features, 0, n),
         "mn_top must be an integer >= 1"),
+    "experiment_threads": (lambda n: ExperimentConfig((ScenarioConfig("x"),), threads=n),
+                           "threads must be an integer >= 0"),
     "resample_fixed_budget": (lambda n: resample_fixed_budget(dataset(), np.full(4, 0.25), n, 0),
                               "budget must be an integer >= 1"),
     # refused before the class selection, which would run first otherwise
     "run_pipeline_budget": (lambda n: run_pipeline(dataset(), dataset(), dataset(), budget=n),
                             "budget must be an integer >= 0"),
-    "run_pipeline_mn_top": (
-        lambda n: run_pipeline(dataset(), dataset(), dataset(), method="mn", mn_top=n),
-        "mn_top must be an integer >= 1"),
     # k_source=2.5 built 3 classes, per_class=2.5 two rows each and per_class=True one row
     "scenario_k_source": (lambda n: scenario(k_source=n), "k_source must be an integer >= 1"),
     "scenario_k_target": (lambda n: scenario(k_target=n), "k_target must be an integer >= 1"),

@@ -394,7 +394,7 @@ def test_select_weights_covers_every_method():
     tgt = FeatureMatrix(sc.target_train.features.values)
     objectives = {}
     for method in PIPELINE_METHODS:
-        sol = select_weights(method, src, tgt, seed=0, mn_top=2, sinkhorn_cfg=None)
+        sol = select_weights(method, src, tgt, seed=0, sinkhorn_cfg=None)
         assert abs(sol.weights.weights.sum() - 1) < 1e-9
         assert sol.support_size == sol.weights.support().size
         # each plan spreads the reported weight of a class evenly over its rows
@@ -407,13 +407,15 @@ def test_select_weights_covers_every_method():
         assert objectives["wass"] <= objectives[method] + 1e-7
 
 
-def test_an_unreached_sinkhorn_target_is_a_pipeline_warning():
+def test_an_unreached_sinkhorn_target_is_a_pipeline_warning(monkeypatch):
     sc = build_scenario("dda", k_source=3, k_target=2, overlap=0,
                         separation=8.0, seed=4, per_class=10,
                         per_class_train=8, per_class_test=8)
+    solve = pipeline_module.sinkhorn_class_weights
+    monkeypatch.setattr(pipeline_module, "sinkhorn_class_weights",
+                        lambda D, counts, cfg: solve(D, counts, SinkhornConfig(max_iters=1)))
     res = run_pipeline(sc.source, sc.target_train, sc.target_test, method="wass-sinkhorn",
-                       cfg=TrainConfig(epochs=3), sinkhorn_cfg=SinkhornConfig(max_iters=1),
-                       source_class_ids=sc.source_class_ids,
+                       cfg=TrainConfig(epochs=3), source_class_ids=sc.source_class_ids,
                        target_class_ids=sc.target_class_ids)
     assert len(res.warnings) == 1
     assert res.warnings[0].startswith("target epsilon not reached after 1 iterations")
