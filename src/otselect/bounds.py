@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import (DiscreteJointDistribution, FeatureMatrix, TransportPlan, _check_count,
-                   _check_finite)
+                   _check_simplex)
 from .distance import pairwise_distances
 from .errors import (
     DimensionMismatch,
@@ -105,13 +105,7 @@ def induced_error(probs: np.ndarray, labels_onehot: np.ndarray,
     per_row = 0.5 * np.abs(P - Y).sum(axis=1)
     if masses is None:
         return float(per_row.mean())
-    m = np.asarray(masses, dtype=np.float64)
-    if m.shape != (P.shape[0],):
-        raise DimensionMismatch("masses must align with probability rows")
-    _check_finite(m, "masses")
-    if m.min() < 0 or abs(m.sum() - 1.0) > 1e-8:
-        raise RowNotSimplex("masses must be a probability vector")
-    return float(m @ per_row)
+    return float(_check_simplex(masses, P.shape[0], "masses") @ per_row)
 
 
 def estimate_rho(head: SoftmaxHead, features: FeatureMatrix) -> tuple[float, float]:

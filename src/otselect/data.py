@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DegenerateInput,
     DimensionMismatch,
     EmptyFile,
     MalformedFile,
@@ -76,14 +77,25 @@ def _check_class_ids(ids, k: int, what: str) -> np.ndarray:
     return ids
 
 
-def _check_probs(values, n: int) -> np.ndarray:
-    """Per-sample probabilities as float64: ``n`` finite, nonnegative entries, any total."""
+def _check_probs(values, n: int, what: str) -> np.ndarray:
+    """A probability vector of any positive total as float64: ``n`` finite,
+    nonnegative entries, not all zero."""
     p = np.asarray(values, dtype=np.float64)
     if p.shape != (n,):
-        raise DimensionMismatch(f"sample_probs has shape {p.shape}; it must align with {n} rows")
-    _check_finite(p, "sample_probs")
+        raise DimensionMismatch(f"{what} has shape {p.shape}; it must align with {n} entries")
+    _check_finite(p, what)
     if p.min() < 0:
-        raise MalformedFile(f"sample_probs has negative entry {p.min():.3e}")
+        raise MalformedFile(f"{what} has negative entry {p.min():.3e}")
+    if not p.any():
+        raise DegenerateInput(f"{what} has no positive entry")
+    return p
+
+
+def _check_simplex(values, n: int, what: str) -> np.ndarray:
+    """:func:`_check_probs` plus a total within 1e-8 of one."""
+    p = _check_probs(values, n, what)
+    if abs(p.sum() - 1.0) > 1e-8:
+        raise MalformedFile(f"{what} has total {p.sum():.12g}, expected 1")
     return p
 
 
@@ -171,11 +183,7 @@ class ClassWeights:
         w = _freeze(self.weights)
         if w.ndim != 1 or w.size < 1:
             raise DimensionMismatch("weights must be a non-empty vector")
-        _check_finite(w, "class weights")
-        if w.min() < -WEIGHT_CLAMP:
-            raise MalformedFile(f"negative class weight {w.min():.3e} below tolerance")
-        if abs(w.sum() - 1.0) > 1e-8:
-            raise MalformedFile(f"class weights sum to {w.sum():.12g}, expected 1")
+        _check_simplex(w, w.size, "class weights")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -240,17 +248,13 @@ class DiscreteJointDistribution:
     def __post_init__(self):
         z = _freeze(self.features)
         y = _freeze(_check_labels(self.labels, "joint distribution labels"), np.int64)
-        m = _freeze(self.masses)
-        if z.ndim != 2 or y.shape != (z.shape[0],) or m.shape != (z.shape[0],):
+        if z.ndim != 2 or y.shape != (z.shape[0],):
             raise DimensionMismatch("joint distribution arrays disagree on atom count")
         if z.shape[1] < 1:
             raise MalformedFile("joint distribution needs at least one feature column")
         _check_finite(z, "joint distribution features")
-        _check_finite(m, "joint distribution masses")
-        if m.min() < 0:
-            raise MalformedFile(f"negative atom mass {m.min():.3e}")
-        if abs(m.sum() - 1.0) > 1e-8:
-            raise MalformedFile(f"atom masses sum to {m.sum():.12g}, expected 1")
+        m = _freeze(self.masses,
+                    check=lambda a: _check_simplex(a, z.shape[0], "joint distribution masses"))
         object.__setattr__(self, "features", z)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "masses", m)
@@ -263,9 +267,8 @@ class DiscreteJointDistribution:
         ``label_ids`` maps dense labels back to external class ids so joints
         from different domains can share one label vocabulary.
         """
-        m = np.full(ds.n, 1.0 / ds.n) if sample_probs is None else _check_probs(sample_probs, ds.n)
-        if m.sum() <= 0:
-            raise MalformedFile("sample_probs sum to zero")
+        m = (np.full(ds.n, 1.0 / ds.n) if sample_probs is None
+             else _check_probs(sample_probs, ds.n, "sample_probs"))
         y = (ds.labels if label_ids is None
              else _check_class_ids(label_ids, ds.k, "label_ids")[ds.labels])
         keep = m > 0

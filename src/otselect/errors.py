@@ -26,10 +26,6 @@ class DimensionMismatch(OtselectError):
     """Two objects that must agree on a dimension do not."""
 
 
-class InfeasibleMarginals(OtselectError):
-    """Source and target marginals carry different total mass."""
-
-
 class SolverFailure(OtselectError):
     """An exact solver hit its iteration cap or returned an invalid status."""
 
@@ -43,15 +39,12 @@ class SupportMismatch(OtselectError):
 
 
 class DegenerateInput(OtselectError):
-    """Training input carries no usable signal (e.g. all sample weights zero)."""
+    """Input carries no usable signal: any all-zero probability vector (class
+    weights, joint masses, transport marginals or sample probabilities)."""
 
 
 class UnknownLabel(OtselectError):
     """An evaluation label is not among the classifier's output classes."""
-
-
-class AllZeroProbabilities(OtselectError):
-    """A sampling probability vector has no positive entry."""
 
 
 class InvalidK(OtselectError):

@@ -65,7 +65,17 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in PIPELINE_METHODS:
                 raise MalformedFile(f"unknown method {m!r} in experiment config")
+        for seed in self.seeds:
+            _check_count("seed", seed, 0)
+        _check_count("budget", self.budget, 0)
         _check_count("threads", self.threads, 0)
+        _train_config(self)
+
+
+def _train_config(config: ExperimentConfig) -> TrainConfig:
+    """The training fields of ``config`` as one checked ``TrainConfig`` at seed 0."""
+    return TrainConfig(epochs=config.epochs, learning_rate=config.learning_rate,
+                       batch_size=config.batch_size, l2_penalty=config.l2_penalty)
 
 
 def default_dda_matrix() -> ExperimentConfig:
@@ -145,8 +155,9 @@ def parse_experiment_config(path) -> ExperimentConfig:
         raise MalformedFile(f"{path}: bad experiment config value: {e}") from e
 
 
-def _run_cell(payload: tuple[ScenarioConfig, str, int, dict]) -> dict:
-    scenario, method, seed, train_kw = payload
+def _run_cell(payload: tuple[ScenarioConfig, str, TrainConfig, int]) -> dict:
+    scenario, method, cfg, budget = payload
+    seed = cfg.seed
     row = {"scenario": scenario.name, "method": method, "seed": seed,
            "status": "ok", "accuracy": None, "w1_objective": None,
            "support_size": None}
@@ -157,8 +168,6 @@ def _run_cell(payload: tuple[ScenarioConfig, str, int, dict]) -> dict:
             per_class=scenario.per_class, per_class_train=scenario.per_class_train,
             per_class_test=scenario.per_class_test, near=scenario.near,
         )
-        budget = train_kw.pop("budget")
-        cfg = TrainConfig(seed=seed, **train_kw)
         result = run_pipeline(
             sc.source, sc.target_train, sc.target_test, method=method, cfg=cfg,
             budget=budget, source_class_ids=sc.source_class_ids,
@@ -185,11 +194,9 @@ def run_experiment_matrix(config: ExperimentConfig, threads: int | None = None) 
     _check_count("threads", threads, 0)
     if threads == 0:
         threads = os.cpu_count() or 1
-    train_kw = {"epochs": config.epochs, "learning_rate": config.learning_rate,
-                "batch_size": config.batch_size, "l2_penalty": config.l2_penalty,
-                "budget": config.budget}
+    cfg = _train_config(config)
     payloads = [
-        (scenario, method, seed, dict(train_kw))
+        (scenario, method, dataclasses.replace(cfg, seed=seed), config.budget)
         for scenario in config.scenarios
         for method in config.methods
         for seed in config.seeds

@@ -76,9 +76,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (DiscreteJointDistribution, FeatureMatrix, TransportPlan, _check_cost,
-                   _check_count, _freeze)
+                   _check_count, _check_simplex, _freeze)
 from .distance import pairwise_distances
-from .errors import DimensionMismatch, InfeasibleMarginals, SolverFailure
+from .errors import SolverFailure
 from .sinkhorn import SinkhornConfig, _c_transform, _sinkhorn_potentials
 
 # Masses closer than this count as equal, and their epsilon counts order them.
@@ -91,23 +91,16 @@ _SEED = SinkhornConfig(epsilon=1e-3, max_iters=20)
 
 @dataclass(frozen=True)
 class OtProblem:
-    """Cost matrix plus source/target marginals of equal total mass."""
+    """Cost matrix plus source and target marginals, each a probability vector."""
 
     cost: np.ndarray
     mu: np.ndarray
     nu: np.ndarray
 
     def __post_init__(self):
-        c, mu, nu = _check_cost(_freeze(self.cost)), _freeze(self.mu), _freeze(self.nu)
-        if mu.shape != (c.shape[0],) or nu.shape != (c.shape[1],):
-            raise DimensionMismatch(f"cost {c.shape} incompatible with marginals "
-                                    f"{mu.shape}, {nu.shape}")
-        if not (np.isfinite(mu).all() and np.isfinite(nu).all()) or mu.min() < 0 or nu.min() < 0:
-            raise InfeasibleMarginals("marginals must be finite and nonnegative")
-        if abs(mu.sum() - 1.0) > 1e-8 or abs(nu.sum() - 1.0) > 1e-8:
-            raise InfeasibleMarginals(
-                f"marginals must each sum to 1: {mu.sum():.12g} vs {nu.sum():.12g}"
-            )
+        c = _check_cost(_freeze(self.cost))
+        mu = _freeze(self.mu, check=lambda a: _check_simplex(a, c.shape[0], "mu"))
+        nu = _freeze(self.nu, check=lambda a: _check_simplex(a, c.shape[1], "nu"))
         object.__setattr__(self, "cost", c)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nu", nu)

@@ -18,15 +18,9 @@ import numpy as np
 from .classlp import (ClassWeightSolution, solve_class_weights,
                       weights_to_sample_probabilities)
 from .data import (ClassWeights, FeatureMatrix, LabeledDataset, _check_class_ids, _check_count,
-                   _check_labels, _check_probs, _freeze, densify_labels)
+                   _check_labels, _check_probs, _check_simplex, _freeze, densify_labels)
 from .distance import pairwise_distances
-from .errors import (
-    AllZeroProbabilities,
-    DegenerateInput,
-    DimensionMismatch,
-    MalformedFile,
-    UnknownLabel,
-)
+from .errors import DimensionMismatch, MalformedFile, UnknownLabel
 from .ot import OtProblem, solve_exact_ot
 from .sinkhorn import SinkhornConfig, _logsumexp, sinkhorn_class_weights
 
@@ -140,16 +134,6 @@ def _ce_grad(V: np.ndarray, features: np.ndarray, delta: np.ndarray, label_idx: 
     return (delta * sample_probs[:, None]).T @ features + l2_penalty * V
 
 
-def _validate_probs(sample_probs: np.ndarray, n: int) -> np.ndarray:
-    p = _check_probs(sample_probs, n)
-    total = p.sum()
-    if total == 0.0:
-        raise DegenerateInput("all sample probabilities are zero")
-    if abs(total - 1.0) > 1e-8:
-        raise MalformedFile(f"sample probabilities sum to {total:.12g}, expected 1")
-    return p
-
-
 def train_head(features: FeatureMatrix, labels: np.ndarray, sample_probs: np.ndarray,
                cfg: TrainConfig, class_list: np.ndarray | None = None) -> SoftmaxHead:
     """Train a softmax head from zeros on importance-weighted cross-entropy.
@@ -200,7 +184,7 @@ def _train(features: FeatureMatrix, labels: np.ndarray, sample_probs: np.ndarray
             raise DimensionMismatch("base head feature dimension does not match")
         shared = np.isin(cls, base.class_list)
         V[shared] = base.weight_matrix[base.class_position(cls[shared])]
-    p = _validate_probs(sample_probs, features.rows)
+    p = _check_simplex(sample_probs, features.rows, "sample_probs")
 
     Z, n, size = features.values, y.size, cfg.batch_size
     rng = np.random.default_rng(cfg.seed)
@@ -285,12 +269,9 @@ def resample_fixed_budget(dataset: LabeledDataset, sample_probs: np.ndarray,
     the second return value maps each new dense id back to the original one.
     """
     _check_count("budget", budget, 1)
-    p = _check_probs(sample_probs, dataset.n)
-    total = p.sum()
-    if total <= 0:
-        raise AllZeroProbabilities("no sample has positive probability")
+    p = _check_probs(sample_probs, dataset.n, "sample_probs")
     rng = np.random.default_rng(seed)
-    idx = rng.choice(dataset.n, size=budget, replace=True, p=p / total)
+    idx = rng.choice(dataset.n, size=budget, replace=True, p=p / p.sum())
     dense, remap = densify_labels(dataset.labels[idx])
     ds = LabeledDataset(FeatureMatrix(dataset.features.values[idx]), dense)
     return ds, np.array(list(remap), dtype=np.int64)

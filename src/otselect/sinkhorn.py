@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (ClassWeights, TransportPlan, WEIGHT_CLAMP, _check_cost, _check_count,
-                   _check_labels)
+from .data import ClassWeights, TransportPlan, _check_cost, _check_count, _check_labels
 from .errors import DimensionMismatch, MalformedFile, SolverFailure
 
 _SCHEDULE_PERIOD = 100  # most iterations spent at one epsilon above the target
@@ -118,7 +117,7 @@ def _certified_solution(D: np.ndarray, counts: np.ndarray, plan: np.ndarray, f: 
         source_marginal = np.repeat(weights.weights / counts, counts)
     transport = TransportPlan(plan, source_marginal, np.full(m, 1.0 / m), objective,
                               dual_gap=max(0.0, objective - float(g.mean())))
-    support_size = int((weights.weights > WEIGHT_CLAMP).sum())
+    support_size = weights.support().size
     return ClassWeightSolution(weights, transport, objective, support_size,
                                converged=converged, warning=warning)
 
@@ -127,17 +126,15 @@ def _certified_solution(D: np.ndarray, counts: np.ndarray, plan: np.ndarray, f: 
 class SinkhornConfig:
     """Regularization and stopping controls.
 
-    ``epsilon`` defaults (None) to 0.01 * mean(D) at solve time. With an
-    ``epsilon_schedule`` below 1 (default 0.5), iteration starts at a larger
-    epsilon and multiplies it by that factor, until the target is hit, once
-    the column marginal violation at the current level is at most 1e-2, and
-    at the latest after 100 iterations there. None or 1.0 start at the target.
+    ``epsilon`` defaults (None) to 0.01 * mean(D) at solve time. Iteration
+    starts at epsilon max(target, 0.1 * max D) and halves it, until the
+    target is hit, once the column marginal violation at the current level
+    is at most 1e-2, and at the latest after 100 iterations there.
     """
 
     epsilon: float | None = None
     max_iters: int = 10000
     tol: float = 1e-7
-    epsilon_schedule: float | None = 0.5
 
     def __post_init__(self):
         if self.epsilon is not None and not self.epsilon > 0:
@@ -145,8 +142,6 @@ class SinkhornConfig:
         _check_count("max_iters", self.max_iters, 1)
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.epsilon_schedule is not None and not (0.0 < self.epsilon_schedule <= 1.0):
-            raise ValueError("epsilon_schedule must lie in (0, 1]")
 
 
 def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -236,14 +231,10 @@ def _sinkhorn_potentials(D: np.ndarray, counts: np.ndarray | None, row_class: np
     would promote the loop to float64.
     """
     n, m = D.shape
-    d_max = float(D.max())
     eps_target = cfg.epsilon if cfg.epsilon is not None else 0.01 * float(D.mean())
     if eps_target <= 0:
         eps_target = 1e-3  # all-zero cost matrix: any epsilon gives the same plan
-    if cfg.epsilon_schedule is not None and cfg.epsilon_schedule < 1.0:
-        eps = max(eps_target, 0.1 * d_max)
-    else:
-        eps = eps_target
+    eps = max(eps_target, 0.1 * float(D.max()))
     newton = newton and n + m <= _NEWTON_MAX_SIZE
 
     if marginals is None:
@@ -262,7 +253,7 @@ def _sinkhorn_potentials(D: np.ndarray, counts: np.ndarray | None, row_class: np
     viol, level_start = np.inf, 0
     for it in range(cfg.max_iters):
         if eps > eps_target and (viol <= _LEVEL_TOL or it - level_start == _SCHEDULE_PERIOD):
-            eps = max(eps_target, eps * cfg.epsilon_schedule)
+            eps = max(eps_target, eps * 0.5)
             level_start = it
         lse_cols = _logsumexp((f[:, None] - D) / eps, axis=0)
         col = np.exp(g / eps + lse_cols)

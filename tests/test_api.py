@@ -188,7 +188,7 @@ FIELDS = {
         "name", "kind", "k_source", "k_target", "overlap", "separation", "dim", "per_class",
         "per_class_train", "per_class_test", "near", "seed",
     ),
-    "SinkhornConfig": ("epsilon", "max_iters", "tol", "epsilon_schedule"),
+    "SinkhornConfig": ("epsilon", "max_iters", "tol"),
     "SoftmaxHead": ("weight_matrix", "class_list"),
     "SynthSpec": ("dim", "classes", "seed"),
     "TrainConfig": (

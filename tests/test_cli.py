@@ -102,6 +102,16 @@ def test_ot_with_explicit_marginals(tmp_path, capsys):
     assert payload["w1"] == pytest.approx(1.0)
 
 
+def test_ot_with_an_all_zero_marginal_exits_one(tmp_path, capsys):
+    pc, pm = str(tmp_path / "c.csv"), str(tmp_path / "mu.csv")
+    save_feature_matrix(FeatureMatrix(np.ones((2, 2))), pc, format="csv")
+    with open(pm, "w") as f:
+        f.write("0\n0\n")
+    code, payload, err = run_cli(capsys, "ot", "--cost", pc, "--format", "csv", "--mu", pm)
+    assert (code, payload) == (1, None)
+    assert "error: mu has no positive entry" in err
+
+
 def test_ot_writes_a_csv_plan_that_prices_to_its_w1(tmp_path, capsys):
     cost = rng(3).random((5, 7))
     pc, plan_path = str(tmp_path / "c.csv"), str(tmp_path / "plan.csv")
@@ -371,6 +381,18 @@ def test_a_negative_thread_count_exits_one(tmp_path, capsys):
                                  "--out", str(out))
     assert (code, payload) == (1, None)
     assert "threads must be an integer >= 0, got -2" in err
+    assert not out.exists()
+
+
+def test_an_experiment_config_that_every_cell_refuses_exits_one(tmp_path, capsys):
+    # it wrote one error row per cell and exited 0
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nmethods = all\nseeds = 0\nepochs = 0\n\n[scenario t]\n")
+    out = tmp_path / "r.csv"
+    code, payload, err = run_cli(capsys, "--threads", "1", "experiment", "--config", str(ini),
+                                 "--out", str(out))
+    assert (code, payload) == (1, None)
+    assert "epochs must be an integer >= 1, got 0" in err
     assert not out.exists()
 
 

@@ -64,6 +64,11 @@ def test_ini_parsing_matches_programmatic_config(tmp_file):
     "[experiment]\nmethods = wass\n",  # no scenario section
     "[scenario x]\nkind = dda\n",  # missing required keys
     "[experiment]\nthreads = -1\n\n[scenario x]\n",  # ran the cells inline
+    # each of these wrote one error row per cell
+    "[experiment]\nepochs = 0\n\n[scenario x]\n",
+    "[experiment]\nlearning_rate = -1\n\n[scenario x]\n",
+    "[experiment]\nseeds = -1 0\n\n[scenario x]\n",
+    "[experiment]\nbudget = -2\n\n[scenario x]\n",
 ])
 def test_bad_configs_rejected(tmp_file, text):
     path = tmp_file("bad.ini")

@@ -1,8 +1,13 @@
-"""Public entry points refuse malformed input up front, each with its own
-exception class and message."""
+"""Public entry points refuse malformed input up front with a message naming
+the fault. Each kind of fault raises one exception class wherever it
+arrives: a probability vector of the wrong shape raises
+``DimensionMismatch``, a NaN or inf ``NonFiniteValue``, a negative entry or
+a total off one ``MalformedFile``, and an all-zero vector
+``DegenerateInput``, whichever entry point reads it."""
 
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -40,7 +45,7 @@ from otselect import (
     weights_to_sample_probabilities,
 )
 from otselect.bounds import run_verification_suite, verify_softmax_lipschitz
-from otselect.errors import DimensionMismatch, MalformedFile, NonFiniteValue, RowNotSimplex
+from otselect.errors import DegenerateInput, DimensionMismatch, MalformedFile, NonFiniteValue
 
 from conftest import random_joint
 
@@ -67,6 +72,10 @@ def fit(labels, class_list=None):
     return train_head(F3, labels, np.full(3, 1 / 3), TrainConfig(epochs=2), class_list)
 
 
+def experiment(**fields):
+    return ExperimentConfig((ScenarioConfig("x"),), **fields)
+
+
 def load_head_with_classes(classes):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "head.json")
@@ -90,7 +99,7 @@ CASES = {
     "class_lp_negative_cost": (lambda: solve_class_weights(-np.ones((4, 3)), [2, 2]),
                                MalformedFile, "finite and nonnegative"),
     "ot_problem_shapes": (lambda: OtProblem(np.ones((2, 3)), U2, U2),
-                          DimensionMismatch, "incompatible"),
+                          DimensionMismatch, r"nu has shape \(2,\); it must align with 3 entries"),
     "ot_problem_empty_side": (lambda: OtProblem(np.ones((0, 2)), np.ones(0), U2),
                               DimensionMismatch, "empty"),
     "ot_problem_negative_cost": (lambda: OtProblem(-np.ones((2, 2)), U2, U2),
@@ -122,7 +131,7 @@ CASES = {
     "induced_error_masses_misaligned": (lambda: induced_error(HALF, np.eye(2), [1.0]),
                                         DimensionMismatch, "align"),
     "induced_error_masses_not_simplex": (lambda: induced_error(HALF, np.eye(2), [0.7, 0.7]),
-                                         RowNotSimplex, "probability vector"),
+                                         MalformedFile, "masses has total 1.4, expected 1"),
     # a NaN mass passed both the sign and the sum test, and the error came out NaN
     "induced_error_nan_mass": (lambda: induced_error(HALF, np.eye(2), [np.nan, 1.0]),
                                NonFiniteValue, "masses has non-finite entry at index 0"),
@@ -172,14 +181,25 @@ CASES = {
     "baseline_mn_top_zero": (lambda: baseline_weights("mn", dataset(), dataset().features, 0, 0),
                              ValueError, "mn_top"),
     # a negative worker count ran the cells inline
-    "experiment_negative_threads": (
-        lambda: ExperimentConfig((ScenarioConfig("x"),), threads=-3),
-        ValueError, "threads must be an integer >= 0"),
-    "matrix_negative_threads": (
-        lambda: run_experiment_matrix(ExperimentConfig((ScenarioConfig("x"),)), threads=-2),
-        ValueError, "threads must be an integer >= 0"),
-    "sinkhorn_schedule_above_one": (lambda: SinkhornConfig(epsilon_schedule=1.5),
-                                    ValueError, "epsilon_schedule"),
+    "experiment_negative_threads": (lambda: experiment(threads=-3),
+                                    ValueError, "threads must be an integer >= 0"),
+    "matrix_negative_threads": (lambda: run_experiment_matrix(experiment(), threads=-2),
+                                ValueError, "threads must be an integer >= 0"),
+    # each of these wrote one error row per cell and an exit code of 0
+    "experiment_zero_epochs": (lambda: experiment(epochs=0),
+                               ValueError, "epochs must be an integer >= 1, got 0"),
+    "experiment_negative_learning_rate": (lambda: experiment(learning_rate=-1.0),
+                                          ValueError, "learning_rate must be finite and > 0"),
+    "experiment_zero_batch_size": (lambda: experiment(batch_size=0),
+                                   ValueError, "batch_size must be an integer >= 1, got 0"),
+    "experiment_nan_l2_penalty": (lambda: experiment(l2_penalty=np.nan),
+                                  ValueError, "l2_penalty must be finite and >= 0, got nan"),
+    "experiment_negative_budget": (lambda: experiment(budget=-1),
+                                   ValueError, "budget must be an integer >= 0, got -1"),
+    "experiment_negative_seed": (lambda: experiment(seeds=(0, -1)),
+                                 ValueError, "seed must be an integer >= 0, got -1"),
+    "experiment_fractional_seed": (lambda: experiment(seeds=(1.5,)),
+                                   ValueError, "seed must be an integer >= 0, got 1.5"),
     "singular_value_empty_matrix": (lambda: largest_singular_value(np.zeros((0, 3))),
                                     DimensionMismatch, "non-empty"),
     # non-integral labels were truncated toward zero
@@ -234,7 +254,7 @@ CASES = {
         MalformedFile, "negative entry"),
     "joint_from_dataset_zero_probabilities": (
         lambda: DiscreteJointDistribution.from_dataset(dataset(), np.zeros(4)),
-        MalformedFile, "sum to zero"),
+        DegenerateInput, "sample_probs has no positive entry"),
     "densify_fractional_labels": (lambda: densify_labels([0.7, 1.2, 2.9]),
                                   MalformedFile, "labels must be finite integers, got 0.7"),
     "head_fractional_class_list": (lambda: SoftmaxHead(np.eye(2), [0.5, 1.5]),
@@ -267,6 +287,49 @@ def test_malformed_input_raises_its_own_error(case):
         call()
 
 
+# Every reader of a probability vector over the four rows of ``dataset()``,
+# with the name its messages give the vector and whether it requires a total
+# of one. ``ClassWeights`` takes a vector of any length.
+U4 = np.full(4, 0.25)
+PROBABILITY_READERS = {
+    "class_weights": (ClassWeights, "class weights", True),
+    "joint_masses": (lambda p: DiscreteJointDistribution(np.arange(4.0)[:, None], [0, 0, 1, 1], p),
+                     "joint distribution masses", True),
+    "joint_from_dataset": (lambda p: DiscreteJointDistribution.from_dataset(dataset(), p),
+                           "sample_probs", False),
+    "ot_problem_mu": (lambda p: OtProblem(np.ones((4, 4)), p, U4), "mu", True),
+    "ot_problem_nu": (lambda p: OtProblem(np.ones((4, 4)), U4, p), "nu", True),
+    "induced_error": (lambda p: induced_error(np.full((4, 2), 0.5), np.eye(2)[[0, 0, 1, 1]], p),
+                      "masses", True),
+    "train_head": (lambda p: train_head(dataset().features, dataset().labels, p,
+                                        TrainConfig(epochs=1)),
+                   "sample_probs", True),
+    "resample_fixed_budget": (lambda p: resample_fixed_budget(dataset(), p, 5, 0),
+                              "sample_probs", False),
+}
+PROBABILITY_FAULTS = {
+    "wrong_length": (np.full(3, 1 / 3), DimensionMismatch, r"has shape \(3,\)"),
+    "nan": ([np.nan, 0.25, 0.25, 0.5], NonFiniteValue, "has non-finite entry at index 0"),
+    "inf": ([0.25, np.inf, 0.25, 0.5], NonFiniteValue, "has non-finite entry at index 1"),
+    "negative": ([-0.25, 0.75, 0.25, 0.25], MalformedFile, "has negative entry -2.500e-01"),
+    "all_zero": (np.zeros(4), DegenerateInput, "has no positive entry"),
+    "total_0.7": ([0.1, 0.2, 0.2, 0.2], MalformedFile, "has total 0.7, expected 1"),
+}
+
+
+@pytest.mark.parametrize("reader, fault", [
+    pytest.param(reader, fault, id=f"{reader}-{fault}")
+    for reader, (_, _, needs_one) in PROBABILITY_READERS.items()
+    for fault in PROBABILITY_FAULTS
+    if not (fault == "wrong_length" and reader == "class_weights")
+    and not (fault == "total_0.7" and not needs_one)])
+def test_a_probability_vector_fault_raises_one_error_everywhere(reader, fault):
+    call, name, _ = PROBABILITY_READERS[reader]
+    values, error, message = PROBABILITY_FAULTS[fault]
+    with pytest.raises(error, match=f"^{re.escape(name)} {message}"):
+        call(values)
+
+
 def scenario(kind="dda", k_source=3, k_target=2, overlap=None, **counts):
     overlap = (0 if kind == "dda" else 1) if overlap is None else overlap
     return build_scenario(kind, k_source, k_target, overlap, 9.0, 0, **counts)
@@ -290,8 +353,10 @@ COUNTS = {
     "baseline_weights_mn_top": (
         lambda n: baseline_weights("mn", dataset(), dataset().features, 0, n),
         "mn_top must be an integer >= 1"),
-    "experiment_threads": (lambda n: ExperimentConfig((ScenarioConfig("x"),), threads=n),
-                           "threads must be an integer >= 0"),
+    "experiment_threads": (lambda n: experiment(threads=n), "threads must be an integer >= 0"),
+    "experiment_budget": (lambda n: experiment(budget=n), "budget must be an integer >= 0"),
+    "experiment_seeds": (lambda n: experiment(seeds=(n,)), "seed must be an integer >= 0"),
+    "experiment_epochs": (lambda n: experiment(epochs=n), "epochs must be an integer >= 1"),
     "resample_fixed_budget": (lambda n: resample_fixed_budget(dataset(), np.full(4, 0.25), n, 0),
                               "budget must be an integer >= 1"),
     # refused before the class selection, which would run first otherwise

@@ -28,7 +28,7 @@ from otselect import (
 )
 from otselect import ot
 from otselect.bounds import random_joint_pair_shared_support
-from otselect.errors import InfeasibleMarginals, SolverFailure, SupportMismatch
+from otselect.errors import MalformedFile, NonFiniteValue, SolverFailure, SupportMismatch
 from otselect.pipeline import sort_by_class
 
 from conftest import random_joint, rng
@@ -267,16 +267,16 @@ def test_metric_properties_on_point_clouds():
 
 
 def test_marginal_validation():
-    with pytest.raises(InfeasibleMarginals):
+    with pytest.raises(MalformedFile):
         OtProblem(np.ones((2, 2)), np.array([0.7, 0.2]), np.array([0.5, 0.5]))
-    with pytest.raises(InfeasibleMarginals):
+    with pytest.raises(MalformedFile):
         OtProblem(np.ones((2, 2)), np.array([0.5, 0.5]), np.array([0.9, 0.2]))
     # a NaN passes both the sign and the sum test, since every comparison
     # with it is false
     for bad in (np.nan, np.inf):
-        with pytest.raises(InfeasibleMarginals):
+        with pytest.raises(NonFiniteValue):
             OtProblem(np.ones((2, 2)), np.array([bad, 0.5]), np.array([0.5, 0.5]))
-        with pytest.raises(InfeasibleMarginals):
+        with pytest.raises(NonFiniteValue):
             OtProblem(np.ones((2, 2)), np.array([0.5, 0.5]), np.array([0.5, bad]))
 
 

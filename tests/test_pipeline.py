@@ -25,7 +25,6 @@ from otselect import (
     train_head,
 )
 from otselect.errors import (
-    AllZeroProbabilities,
     DegenerateInput,
     DimensionMismatch,
     MalformedFile,
@@ -379,7 +378,7 @@ def test_resample_determinism_and_zero_guard():
     a = resample_fixed_budget(ds, probs, budget=9, seed=7)
     b = resample_fixed_budget(ds, probs, budget=9, seed=7)
     np.testing.assert_array_equal(a[1], b[1])
-    with pytest.raises(AllZeroProbabilities):
+    with pytest.raises(DegenerateInput):
         resample_fixed_budget(ds, np.zeros(ds.n), budget=3, seed=0)
 
 
