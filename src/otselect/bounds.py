@@ -469,22 +469,6 @@ def glued_decomposition_check(p: DiscreteJointDistribution,
     return float(lhs), float(rhs), bool(lhs <= rhs + 1e-7)
 
 
-def shift_coupling_counterexample(delta: float = 0.5, tau: float = 0.1
-                                  ) -> tuple[DiscreteJointDistribution,
-                                             DiscreteJointDistribution]:
-    """A joint pair whose labels follow the mass shift between two feature atoms.
-
-    Most source mass sits at z0 with label a while most target mass sits at
-    z1 with label b, so transporting features forces label changes that the
-    per-atom conditional terms never see. The decomposition check fails on
-    this pair by about 1 - 2*tau for any atom separation delta > 0.
-    """
-    z = np.array([[0.0], [delta]])
-    p = DiscreteJointDistribution(z, np.array([0, 0]), np.array([1.0 - tau, tau]))
-    q = DiscreteJointDistribution(z, np.array([0, 1]), np.array([tau, 1.0 - tau]))
-    return p, q
-
-
 def _check_softmax_lipschitz(seed: int, trials: int) -> tuple[bool, str]:
     worst = ""
     ok = True

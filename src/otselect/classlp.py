@@ -31,10 +31,13 @@ its simplex (``_solve``), and ranks its points by the objective that each
 solve certifies, the one ``solve_exact_ot`` reports.
 
 HiGHS is driven through its own bindings, the extension
-``scipy.optimize._highspy._core``, with its dual simplex and presolve off
-(``_run_highs``, the one place that touches it). scipy is needed only for
-HiGHS. The extension is loaded from its file on the first LP, neither with
-the package nor through ``scipy/optimize/__init__.py`` (``_highs_core``).
+``scipy.optimize._highspy._core``, with its dual simplex under Devex pricing
+(Harris 1973) and presolve off (``_run_highs``, the one place that touches
+it). Devex, rather than the strategy HiGHS picks for itself, takes about a
+quarter fewer iterations on the LPs of gates 01 and 03 and as many at
+``lp-scale``'s sizes. scipy is needed only for HiGHS. The extension is
+loaded from its file on the first LP, neither with the package nor through
+``scipy/optimize/__init__.py`` (``_highs_core``).
 """
 
 from __future__ import annotations
@@ -276,9 +279,12 @@ def _run_highs(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, counts: np.
     per cell, with a one in its target column's row and in its source row's
     row, then one free variable per class, with -1 on its class's rows, which
     are consecutive. The matrix is filled column-wise in closed form and
-    passed as arrays. Presolve is off: on these LPs it changes neither the
-    iteration count nor the plan, and on gate 03's it adds about a fifth to
-    each solve.
+    passed as arrays. The dual simplex prices by Devex weights (Harris 1973):
+    on the LPs of gates 01 and 03 it takes 15,459 iterations where HiGHS's
+    own choice takes 20,386, at ``lp-scale``'s sizes as many, and on the
+    ``pipeline`` workload's LPs about 5% more, in about the same time.
+    Presolve is off: on these LPs it changes neither the iteration count
+    nor the plan, and on gate 03's it adds about a fifth to each solve.
     """
     highs = _highs_core()
     if not kept.all():  # number the rows of the classes in the model from 0
@@ -291,6 +297,7 @@ def _run_highs(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, counts: np.
     options = highs.HighsOptions()
     options.presolve = "off"
     options.simplex_strategy = 1  # dual simplex
+    options.simplex_dual_edge_weight_strategy = 1  # Devex pricing
     options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = 1e-9
     options.output_flag = options.log_to_console = False
     solver = highs._Highs()

@@ -23,6 +23,19 @@ itself only from about 40 x 40, saves at most a millisecond or so per solve
 below 60 x 60, and the grid oracle's small solves keep their plans bit for
 bit.
 
+From the same 3,600 cells up, ``solve_exact_ot`` solves a problem whose mu
+or nu has a zero entry on its block of positive mass alone: ``_solve`` on
+C[rows, cols], mu[rows] and nu[cols], with rows and cols the lines that
+carry mass, and the block's values written into the full plan. A zero-mass
+row would sit in the basis tree and be priced at every pivot for nothing:
+at the paper's shape (10,000 x 50, 600 rows with mass) the block takes a
+solve from 16.4 s to 0.12 s on a 2-core Xeon, with the objective equal bit
+for bit. The objective is the block's; the gap is certified over all n·m
+cells (``_lifted_gap``), each zero-mass row r lifted to the potential u_r =
+min_j (C_rj - v_j) over the block's columns. On degenerate problems the
+block may end on another optimal plan than the full problem would. Below
+3,600 cells every solve is on the full problem, as the grid oracle's.
+
 Degeneracy is resolved by an exact symbolic perturbation: each basic value
 carries an integer count of an infinitesimal epsilon next to its mass, as if
 row r supplied r + 1 epsilon more and the last column demanded n(n+1)/2
@@ -65,7 +78,8 @@ their objective summed over those cells alone and correctly rounded, and
 the duality gap it has certified against that objective; never a dense
 plan. So a solve that makes no pivot is O(n + m): it creates no n x m array
 and makes no pass over all n·m cells. ``solve_exact_ot`` writes the values
-into a dense plan and reports that objective and gap as they are.
+into a dense plan and reports that objective as it is, and that gap unless
+it solved a block, whose gap it certifies again over the full problem.
 """
 
 from __future__ import annotations
@@ -79,7 +93,7 @@ from .data import (DiscreteJointDistribution, FeatureMatrix, TransportPlan, _che
                    _check_count, _check_simplex, _freeze)
 from .distance import pairwise_distances
 from .errors import SolverFailure
-from .sinkhorn import SinkhornConfig, _c_transform, _sinkhorn_potentials
+from .sinkhorn import SinkhornConfig, _c_transform, _row_blocks, _sinkhorn_potentials
 
 # Masses closer than this count as equal, and their epsilon counts order them.
 _TIE = 1e-14
@@ -421,16 +435,50 @@ def solve_exact_ot(problem: OtProblem, max_iters: int | None = None) -> Transpor
     rounded sum of cost times mass over its cells; optimality is certified
     by the attached LP duality gap (that objective minus a dual-feasible one
     built from the terminal potentials), and a gap above 1e-9 of the largest
-    cost raises ``SolverFailure``. ``max_iters`` caps the number of pivots;
-    a solve that needs more raises ``SolverFailure`` too.
+    cost raises ``SolverFailure``. From _SEED_MIN_CELLS cells up, when mu or
+    nu has a zero entry, the simplex runs on the rows and columns of
+    positive mass alone, and the gap is still certified over every cell
+    (``_lifted_gap``). ``max_iters`` caps the number of pivots; a solve that
+    needs more raises ``SolverFailure`` too.
     """
     if max_iters is not None:
         _check_count("max_iters", max_iters, 0)
-    bi, bj, vals, objective, gap, _ = _solve(problem.cost, problem.mu, problem.nu,
-                                             max_iters=max_iters)
-    plan = np.zeros(problem.cost.shape)
+    C, mu, nu = problem.cost, problem.mu, problem.nu
+    rows, cols = np.flatnonzero(mu > 0.0), np.flatnonzero(nu > 0.0)
+    if C.size < _SEED_MIN_CELLS or (rows.size, cols.size) == C.shape:
+        bi, bj, vals, objective, gap, _ = _solve(C, mu, nu, max_iters=max_iters)
+    else:
+        bi, bj, vals, objective, _, tree = _solve(C[np.ix_(rows, cols)], mu[rows], nu[cols],
+                                                  max_iters=max_iters)
+        bi, bj = rows[bi], cols[bj]
+        gap = _lifted_gap(C, mu, nu, rows, cols, tree, objective)
+    plan = np.zeros(C.shape)
     plan[bi, bj] = vals
-    return TransportPlan(plan, problem.mu, problem.nu, objective, dual_gap=gap)
+    return TransportPlan(plan, mu, nu, objective, dual_gap=gap)
+
+
+def _lifted_gap(C: np.ndarray, mu: np.ndarray, nu: np.ndarray, rows: np.ndarray,
+                cols: np.ndarray, tree: _Tree, objective: float) -> float:
+    """The duality gap over all n·m cells of C of a solve on the block
+    C[rows, cols], whose final tree is ``tree``; above 1e-9 of the largest
+    entry of C it raises ``SolverFailure``.
+
+    The block's rows take their potentials u from the tree, and each
+    zero-mass row r takes u_r = min over the block's columns of C_rj - v_j,
+    with v the tree's column potentials: it adds nothing to u·mu, and its
+    cells C_rj - u_r are at least v_j, so it cannot pull a column's
+    c-transform below v_j. The gap is then that of ``_solve``, objective -
+    (u·mu + g·nu) with g = ``_c_transform(C, u)``.
+    """
+    u = np.empty(C.shape[0])
+    u[rows] = tree.pot[:rows.size]
+    v = np.array(tree.pot[rows.size:])
+    for lo, hi in _row_blocks(C.shape[0], cols.size, mu == 0.0):
+        u[lo:hi] = (C[lo:hi, cols] - v).min(axis=1)
+    gap = max(objective - float(u @ mu + _c_transform(C, u) @ nu), 0.0)
+    if gap > 1e-9 * float(C.max()):
+        raise SolverFailure(f"transportation simplex duality gap {gap:.3e} above 1e-9 * max C")
+    return gap
 
 
 def _solve(C: np.ndarray, mu: np.ndarray, nu: np.ndarray, tree: _Tree | None = None,

@@ -32,11 +32,7 @@ from otselect import (
     wasserstein_distance,
 )
 from otselect import bounds
-from otselect.bounds import (
-    glued_decomposition_check,
-    random_joint_pair_shared_support,
-    shift_coupling_counterexample,
-)
+from otselect.bounds import glued_decomposition_check, random_joint_pair_shared_support
 from otselect.errors import (
     InsufficientSamples,
     InvalidK,
@@ -270,8 +266,23 @@ def test_error_difference_is_zero_for_identical_distributions():
 # ------------------------------------------------------ decomposition check
 
 
+def shift_coupling_counterexample():
+    """A joint pair whose labels follow the mass shift between two feature atoms.
+
+    Most source mass (0.9) sits at z0 = 0 with label a while most target mass
+    sits at z1 = 0.5 with label b, so transporting features forces label
+    changes that the per-atom conditional terms never see. The decomposition
+    check fails on this pair by about 1 - 2 * 0.1, whatever the separation of
+    the atoms.
+    """
+    z = np.array([[0.0], [0.5]])
+    p = DiscreteJointDistribution(z, np.array([0, 0]), np.array([0.9, 0.1]))
+    q = DiscreteJointDistribution(z, np.array([0, 1]), np.array([0.1, 0.9]))
+    return p, q
+
+
 def test_min_form_decomposition_fails_on_the_shift_witness():
-    p, q = shift_coupling_counterexample(delta=0.5, tau=0.1)
+    p, q = shift_coupling_counterexample()
     lhs, rhs, holds = decomposition_check(p, q)
     assert not holds
     assert lhs == pytest.approx(1.3, abs=1e-9)
@@ -313,7 +324,7 @@ def test_glued_right_side_is_the_per_pair_exact_ot_sum():
 
 
 def test_glued_bound_is_exact_on_the_shift_witness():
-    p, q = shift_coupling_counterexample(delta=0.5, tau=0.1)
+    p, q = shift_coupling_counterexample()
     lhs, rhs, holds = glued_decomposition_check(p, q)
     assert holds
     assert rhs >= lhs - 1e-12

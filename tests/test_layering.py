@@ -44,14 +44,15 @@ def test_sinkhorn_imports_only_data_and_errors():
 
 
 def test_ot_takes_only_the_c_transform_from_sinkhorn():
-    # the simplex certifies its gap with the lower layer's c-transform, and
+    # the simplex certifies its gap with the lower layer's c-transform, lifts
+    # the zero-mass rows of a block solve in that transform's row blocks, and
     # seeds its large cold starts with the lower layer's one log-domain loop
     # and that loop's config; that sinkhorn imports nothing back is checked
     # above
     names = {alias.name for node in ast.walk(parse(PACKAGE / "ot.py"))
              if isinstance(node, ast.ImportFrom) and node.level == 1
              and node.module == "sinkhorn" for alias in node.names}
-    assert names == {"_c_transform", "_sinkhorn_potentials", "SinkhornConfig"}
+    assert names == {"_c_transform", "_row_blocks", "_sinkhorn_potentials", "SinkhornConfig"}
 
 
 def test_integer_arrays_are_read_only_in_data():
@@ -101,10 +102,6 @@ OPTIONS_WITHOUT_CALLER = {
                                                       "term's scale",
     "bounds.end_to_end_bound_report.skip_finetune": "the acceptance gate that collapses the "
                                                     "weight-shift term sets it",
-    "bounds.shift_coupling_counterexample.delta": "a metric definition: the counterexample's "
-                                                  "feature shift",
-    "bounds.shift_coupling_counterexample.tau": "a metric definition: the counterexample's "
-                                                "label noise",
     "ot.solve_exact_ot.max_iters": "the pivot cap, the one bound on a simplex solve's work",
     "cli.main.argv": "the console script passes none, so that argparse reads sys.argv",
 }

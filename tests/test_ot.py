@@ -504,6 +504,74 @@ def test_seeded_start_spans_and_solves_as_the_least_cost_start(family):
             assert scaled.objective == math.ldexp(cold.objective, k)
 
 
+BLOCK_FAMILIES = ["zero-rows", "zero-cols", "both", "integer"]
+
+
+def block_problems(family, count):
+    """Random problems of at least ``ot._SEED_MIN_CELLS`` cells whose
+    marginals have zeros, so ``solve_exact_ot`` solves on their block of
+    positive mass: 30-95% zero-mass rows, 1-5 zero-mass columns, both at
+    once, or both on integer costs, whose ties leave several plans optimal."""
+    for s in range(count):
+        r = rng(1500 + 100 * BLOCK_FAMILIES.index(family) + s)
+        n, m = (int(x) for x in r.integers(60, 100, size=2))
+        assert n * m >= ot._SEED_MIN_CELLS
+        cost, mu, nu = r.random((n, m)), r.dirichlet(np.ones(n)), r.dirichlet(np.ones(m))
+        if family != "zero-cols":
+            mu[r.choice(n, size=round(r.uniform(0.3, 0.95) * n), replace=False)] = 0.0
+            mu /= mu.sum()
+        if family != "zero-rows":
+            nu[r.choice(m, size=int(r.integers(1, 6)), replace=False)] = 0.0
+            nu /= nu.sum()
+        if family == "integer":
+            cost = r.integers(0, 10, size=(n, m)).astype(float)
+        yield OtProblem(cost, mu, nu)
+
+
+@pytest.mark.parametrize("family", BLOCK_FAMILIES)
+def test_the_positive_mass_block_solves_as_the_full_problem(family):
+    # from the size constant up, a problem with zero-mass lines is solved on
+    # its block of positive mass alone and certified over every cell
+    for prob in block_problems(family, 5):
+        C, mu, nu = prob.cost, prob.mu, prob.nu
+        rows, cols = np.flatnonzero(mu > 0.0), np.flatnonzero(nu > 0.0)
+        sol = solve_exact_ot(prob)
+        block = solve_exact_ot(OtProblem(C[np.ix_(rows, cols)], mu[rows], nu[cols]))
+        assert sol.objective == block.objective
+        np.testing.assert_array_equal(sol.plan[np.ix_(rows, cols)], block.plan)
+        off = sol.plan.copy()
+        off[np.ix_(rows, cols)] = 0.0
+        assert not off.any()
+        full = ot._solve(C, mu, nu)[3]
+        assert abs(sol.objective - full) <= 1e-12 * full
+        assert sol.dual_gap <= 1e-9 * C.max()
+        for k in (-40, 40):
+            scaled = solve_exact_ot(OtProblem(np.ldexp(C, k), mu, nu))
+            assert scaled.objective == math.ldexp(sol.objective, k)
+            assert scaled.dual_gap == math.ldexp(sol.dual_gap, k)
+
+
+@pytest.mark.parametrize("scale", [0.0, 2.0 ** 40])
+def test_the_block_certificate_lifts_zero_mass_rows_far_from_the_block(scale):
+    # the zero-mass rows cost nothing (scale 0: a lift u_r = 0 would let their
+    # cells pull the c-transform below the block's column potentials) or up to
+    # 2^40 times the block's costs (rounding in C_rj - u_r at that scale is
+    # within 1e-9 of the largest entry of C, but not of the block's)
+    r = rng(77)
+    n, m = 90, 50
+    C = 1.0 + r.random((n, m))
+    mu = r.dirichlet(np.ones(n))
+    zero = r.choice(n, size=60, replace=False)
+    mu[zero] = 0.0
+    mu /= mu.sum()
+    C[zero] = scale * r.random((zero.size, m))
+    nu = np.full(m, 1.0 / m)
+    sol = solve_exact_ot(OtProblem(C, mu, nu))
+    assert sol.dual_gap <= 1e-9 * C.max()
+    rows = np.flatnonzero(mu > 0.0)
+    assert sol.objective == solve_exact_ot(OtProblem(C[rows], mu[rows], nu)).objective
+
+
 def default_matrix_cell(method, seed):
     """The exact OT problem of a baseline cell of the default experiment
     matrix's first scenario, as ``select_weights`` poses it."""
