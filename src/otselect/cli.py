@@ -30,7 +30,7 @@ from .data import (
     save_labels,
 )
 from .distance import pairwise_distances
-from .errors import OtselectError
+from .errors import OtselectError, UnknownLabel
 from .experiment import (
     default_dda_matrix,
     parse_experiment_config,
@@ -41,9 +41,8 @@ from .ot import OtProblem, solve_exact_ot
 from .pipeline import (
     PIPELINE_METHODS,
     TrainConfig,
-    _select_and_train,
-    evaluate,
     load_head,
+    run_pipeline,
     select_weights,
     sort_by_class,
 )
@@ -227,34 +226,36 @@ def _cmd_select(args, timings, warnings):
 def _cmd_pipeline(args, timings, warnings):
     with _timed(timings, "load"):
         source, src_ids, _ = _load_dataset(args.source, args.source_labels, args.format)
-        ttrain, tgt_ids, _ = _load_dataset(args.target_train, args.target_train_labels,
-                                           args.format)
+        ttrain, tgt_ids, tgt_dense = _load_dataset(args.target_train, args.target_train_labels,
+                                                   args.format)
         ttest, test_ids, _ = _load_dataset(args.target_test, args.target_test_labels,
                                            args.format)
+        try:  # run_pipeline reads the test split in the train split's dense labels
+            dense = np.array([tgt_dense[c] for c in test_ids.tolist()], dtype=np.int64)
+        except KeyError as e:
+            raise UnknownLabel(f"test label {e.args[0]} is not among the train classes") from e
+        ttest = LabeledDataset(ttest.features, dense[ttest.labels])
 
     with _timed(timings, "pipeline"):
         cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
-        t = _select_and_train(source, ttrain, args.method, cfg, budget=args.budget,
-                              source_class_ids=src_ids, target_class_ids=tgt_ids)
-        report = evaluate(t.finetuned, ttest.features, test_ids[ttest.labels])
-    sol = t.solution
-    if sol.warning:
-        warnings.append(sol.warning)
+        res = run_pipeline(source, ttrain, ttest, method=args.method, cfg=cfg,
+                           budget=args.budget, source_class_ids=src_ids, target_class_ids=tgt_ids)
+    warnings.extend(res.warnings)
 
     held = set(test_ids.tolist())  # an absent class would read as a 0.0 miss
     payload = {
         "method": args.method,
-        "accuracy": report.accuracy,
-        "zero_one_error": report.zero_one_error,
-        "cross_entropy": report.cross_entropy,
+        "accuracy": res.report.accuracy,
+        "zero_one_error": res.report.zero_one_error,
+        "cross_entropy": res.report.cross_entropy,
         "per_class_accuracy": {
             str(c): float(a) for c, a in
-            zip(t.finetuned.class_list.tolist(), report.per_class_accuracy) if c in held
+            zip(res.finetuned.class_list.tolist(), res.report.per_class_accuracy) if c in held
         },
-        "n_eval": report.n_eval,
-        "w1_objective": sol.objective,
-        "support_size": sol.support_size,
-        "weights": {str(int(c)): float(w) for c, w in zip(src_ids, sol.weights.weights)},
+        "n_eval": res.report.n_eval,
+        "w1_objective": res.w1_objective,
+        "support_size": res.support_size,
+        "weights": {str(int(c)): float(w) for c, w in zip(src_ids, res.weights.weights)},
     }
     outputs = []
     _write_report(args.report, payload, outputs)

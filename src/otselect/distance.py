@@ -15,8 +15,10 @@ def pairwise_distances(source: FeatureMatrix, target: FeatureMatrix) -> np.ndarr
     distance unchanged. The Gram expansion ||a||^2 + ||b||^2 - 2 a.b then
     cancels at the scale of the spread, not of the offset from the origin
     (Higham 2002, §1.7): uncentred, its error grows with the offset. Negative
-    radicands are clamped to zero, and entries within roundoff of zero are
-    recomputed from exact differences, because coincident points still cancel.
+    radicands are clamped to zero, and entries below 1e-10 of the larger squared
+    norm are recomputed from exact differences, because coincident points still
+    cancel. The test is relative, with no absolute floor, so scaling both sets
+    by a power of two scales every distance by exactly that power.
     """
     if source.cols != target.cols:
         raise DimensionMismatch(
@@ -27,7 +29,7 @@ def pairwise_distances(source: FeatureMatrix, target: FeatureMatrix) -> np.ndarr
     a, b = x - centre, y - centre
     na, nb = np.sum(a * a, axis=1)[:, None], np.sum(b * b, axis=1)[None, :]
     sq = na + nb - 2.0 * (a @ b.T)
-    suspect = sq < 1e-10 * (1.0 + np.maximum(na, nb))
+    suspect = sq < 1e-10 * np.maximum(na, nb)
     if suspect.any():
         rows, cols = np.nonzero(suspect)
         diff = x[rows] - y[cols]

@@ -13,14 +13,15 @@ down, halving epsilon by default, once the column marginal is roughly met.
 
 The loop converges only linearly, the slower the smaller epsilon. After 10
 unconverged iterations at the target, a damped Newton method on the dual
-(Brauer et al. 2017) finishes in a few dense O((n+m)^3) steps, up to
-n + m = 2000, each free of the cost scale. The plan is rounded onto the
-polytope in one pass (Altschuler et al. 2017); the c-transform of the final
-potentials certifies the gap (``_c_transform``). This module is the lower
-layer, importing only ``data`` and ``errors``: the exact LP (``classlp``) takes
-the certificate, input check and class helpers from it, ``ot`` the c-transform
-and the loop, which it runs with fixed row and column marginals to order the
-cold start of its large transportation simplex solves.
+(Brauer et al. 2017) finishes in a few steps at every size. Each eliminates
+the longer side and solves one dense system over the shorter one, formed in
+O(n m min(n, m)) and free of the cost scale (``_newton_step``). The plan is
+rounded onto the polytope in one pass (Altschuler et al. 2017); the c-transform
+of the final potentials certifies the gap (``_c_transform``). This module is the
+lower layer, importing only ``data`` and ``errors``: the exact LP (``classlp``)
+takes the certificate, input check and class helpers from it, ``ot`` the
+c-transform and the loop, which it runs with fixed row and column marginals to
+order the cold start of its large transportation simplex solves.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .errors import DimensionMismatch, MalformedFile, SolverFailure
 _SCHEDULE_PERIOD = 100  # most iterations spent at one epsilon above the target
 _LEVEL_TOL = 1e-2  # column violation that ends an epsilon level early
 _NEWTON_AFTER = 10  # loop iterations at the target epsilon before the Newton finish
-_NEWTON_MAX_SIZE = 2000  # largest n + m for the dense Newton system
 _NEWTON_STEPS = 50  # most Newton steps in one finish
 _BLOCK_CELLS = 1 << 20  # cells per row block when scanning the cost matrix
 
@@ -171,20 +171,45 @@ def _round_to_polytope(P: np.ndarray, counts: np.ndarray, row_class: np.ndarray
     return P + np.outer(err_r, err_c / err_c.sum()) if err_c.any() else P
 
 
+def _newton_step(P: np.ndarray, r: np.ndarray, c: np.ndarray, counts: np.ndarray,
+                 row_class: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton direction (x_f, x_g) of the class-tied dual at plan P, in units of eps.
+
+    It solves [[R, P, A^T], [P^T, C, 0], [A, 0, 0]] (x_f, x_g, lam) = (-r, 1/m - c, 0),
+    (R, C) = diag(r, c) + 1e-12 max(r, c) and A the class indicators (rows grouped by
+    class), by eliminating the longer side. For n >= m, x_f and then lam (A R^-1 A^T
+    is diagonal) leave one m x m system; for n < m, x_g leaves one of n + k."""
+    n, m = P.shape
+    delta = 1e-12 * max(r.max(), c.max())  # keeps a class of almost no mass regular
+    R, C = r + delta, c + delta
+    if n < m:
+        V, k = P / C, counts.size
+        S = np.zeros((n + k,) * 2)
+        S[:n, :n] = np.diag(R) - V @ P.T
+        S[n + row_class, np.arange(n)] = S[np.arange(n), n + row_class] = 1.0
+        x_f = np.linalg.solve(S, np.concatenate([-r - V @ (1.0 / m - c), np.zeros(k)]))[:n]
+        return x_f, (1.0 / m - c - P.T @ x_f) / C
+    W = P / R[:, None]
+    starts = np.cumsum(counts) - counts
+    Q, s, q = (np.add.reduceat(a, starts) for a in (W, 1.0 / R, r / R))  # class sums
+    Qs = Q / s[:, None]
+    M = Qs.T @ Q - P.T @ W
+    M[np.diag_indices(m)] += C
+    x_g = np.linalg.solve(M, 1.0 / m - c + W.T @ r - Qs.T @ q)
+    lam = -(q + Q @ x_g) / s
+    return -(r + P @ x_g + lam[row_class]) / R, x_g
+
+
 def _newton_finish(D: np.ndarray, f: np.ndarray, g: np.ndarray, eps: float,
                    counts: np.ndarray, row_class: np.ndarray, tol: float,
                    steps: int) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Damped Newton ascent on max sum(g)/m - eps * sum_rj exp((f_r + g_j - D_rj)/eps)
-    s.t. sum_{r in c} f_r = 0 (the loop keeps f's class means equal). Each step
-    solves [[eps H + delta I, A^T], [A, 0]], A the class indicators, and scales the
-    solution by eps, so no entry depends on the cost scale; delta keeps it regular
-    when a class carries almost no mass. The Armijo search takes the dual's change by
-    expm1 and rejects non-finite trials. Returns f, g, the residual (column L1
-    violation plus row spread around the class means) and the steps taken."""
+    s.t. sum_{r in c} f_r = 0 (the loop keeps f's class means equal), stepping by
+    eps times ``_newton_step``, free of the cost scale. The Armijo search takes the
+    dual's change by expm1 and rejects non-finite trials. Returns f, g, the residual
+    (column L1 violation plus row spread around the class means) and the steps."""
     n, m = D.shape
     f, g = f - f.mean(), g + f.mean()
-    K = np.zeros((n + m + counts.size,) * 2)
-    K[n + m + row_class, np.arange(n)] = K[np.arange(n), n + m + row_class] = 1.0
     for step in range(steps + 1):
         P = np.exp((f[:, None] + g[None, :] - D) / eps)
         r, c = P.sum(axis=1), P.sum(axis=0)
@@ -192,11 +217,8 @@ def _newton_finish(D: np.ndarray, f: np.ndarray, g: np.ndarray, eps: float,
                     + np.abs(r - _class_means(r, row_class, counts)[row_class]).sum())
         if res <= tol or step == steps:
             break
-        H = np.block([[np.diag(r), P], [P.T, np.diag(c)]])  # eps times the Hessian
-        H[np.diag_indices(n + m)] += 1e-12 * H.diagonal().max()
-        K[:n + m, :n + m] = H
         grad = np.concatenate([r, c - 1.0 / m])  # of the negated dual
-        d = eps * np.linalg.solve(K, np.concatenate([-grad, np.zeros(counts.size)]))[:n + m]
+        d = eps * np.concatenate(_newton_step(P, r, c, counts, row_class))
         df, dg, slope = d[:n], d[n:], float(grad @ d)
         t = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -235,7 +257,6 @@ def _sinkhorn_potentials(D: np.ndarray, counts: np.ndarray | None, row_class: np
     if eps_target <= 0:
         eps_target = 1e-3  # all-zero cost matrix: any epsilon gives the same plan
     eps = max(eps_target, 0.1 * float(D.max()))
-    newton = newton and n + m <= _NEWTON_MAX_SIZE
 
     if marginals is None:
         log_counts = np.log(counts.astype(D.dtype))

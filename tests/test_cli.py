@@ -14,15 +14,20 @@ import pytest
 import otselect
 from otselect import (
     FeatureMatrix,
+    LabeledDataset,
     SoftmaxHead,
+    TrainConfig,
     load_class_weights,
     load_feature_matrix,
+    load_labels,
     pairwise_distances,
+    run_pipeline,
     save_feature_matrix,
     save_head,
     save_labels,
 )
 from otselect.cli import main
+from otselect.pipeline import PIPELINE_METHODS
 
 from conftest import rng
 
@@ -197,6 +202,40 @@ def test_pipeline_subcommand(tmp_path, capsys):
     assert payload["method"] == "wass"
     assert payload["support_size"] >= 1
     assert json.load(open(report))["accuracy"] == payload["accuracy"]
+
+
+@pytest.mark.parametrize("method", PIPELINE_METHODS)
+def test_pipeline_subcommand_reports_what_run_pipeline_returns(tmp_path, capsys, method):
+    paths = write_scenario_files(tmp_path)
+    code, payload, err = run_cli(capsys, "pipeline",
+                                 "--source", paths["source"],
+                                 "--source-labels", paths["source_labels"],
+                                 "--target-train", paths["target_train"],
+                                 "--target-train-labels", paths["target_train_labels"],
+                                 "--target-test", paths["target_test"],
+                                 "--target-test-labels", paths["target_test_labels"],
+                                 "--format", "csv", "--method", method, "--epochs", "15")
+    assert code == 0, err
+
+    def load(split):
+        labels, mapping = load_labels(paths[f"{split}_labels"])
+        feats = load_feature_matrix(paths[split], format="csv")
+        return LabeledDataset(feats, labels), np.array(list(mapping))
+
+    (source, src_ids), (train, tgt_ids), (test, test_ids) = map(
+        load, ("source", "target_train", "target_test"))
+    assert test_ids.tolist() == tgt_ids.tolist()  # so the test labels need no remapping
+    res = run_pipeline(source, train, test, method=method,
+                       cfg=TrainConfig(learning_rate=0.5, epochs=15, seed=0),
+                       source_class_ids=src_ids, target_class_ids=tgt_ids)
+    assert payload["accuracy"] == res.report.accuracy
+    assert payload["w1_objective"] == res.w1_objective
+    assert payload["support_size"] == res.support_size
+    assert payload["weights"] == {str(c): w for c, w in zip(src_ids.tolist(),
+                                                            res.weights.weights.tolist())}
+    assert payload["per_class_accuracy"] == {
+        str(c): a for c, a in zip(res.finetuned.class_list.tolist(),
+                                  res.report.per_class_accuracy.tolist())}
 
 
 def test_pipeline_rejects_test_labels_unseen_in_training(tmp_path, capsys):

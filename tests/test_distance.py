@@ -98,3 +98,17 @@ def test_scale_equivariance(seed, scale):
     d0 = pairwise_distances(FeatureMatrix(x), FeatureMatrix(y))
     d1 = pairwise_distances(FeatureMatrix(x * scale), FeatureMatrix(y * scale))
     np.testing.assert_allclose(d1, d0 * scale, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [-60, -40, -20, 20, 40, 60])
+def test_scaling_by_a_power_of_two_scales_the_distances_exactly(k):
+    # an absolute floor in the recompute test once sent every entry below unit
+    # scale to the exact-difference path, which rounds otherwise than the Gram
+    # expansion; the coincident pair takes that path at every scale
+    r = rng(7)
+    x, y = r.normal(size=(60, 16)), r.normal(size=(40, 16))
+    y[0] = x[3]
+    d0 = pairwise_distances(FeatureMatrix(x), FeatureMatrix(y))
+    d1 = pairwise_distances(FeatureMatrix(np.ldexp(x, k)), FeatureMatrix(np.ldexp(y, k)))
+    assert d0[3, 0] == 0.0
+    np.testing.assert_array_equal(d1, np.ldexp(d0, k))

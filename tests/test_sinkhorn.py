@@ -8,10 +8,11 @@ from scipy.special import logsumexp
 
 import otselect.bounds
 import otselect.sinkhorn
-from otselect import (FeatureMatrix, SinkhornConfig, pairwise_distances,
+from otselect import (FeatureMatrix, SinkhornConfig, build_scenario, pairwise_distances,
                       run_verification_suite, sinkhorn_class_weights, solve_class_weights)
 from otselect.errors import DimensionMismatch
-from otselect.sinkhorn import _logsumexp, _round_to_polytope
+from otselect.pipeline import sort_by_class
+from otselect.sinkhorn import _logsumexp, _newton_step, _round_to_polytope
 
 from conftest import gate03_instance
 from test_classlp import make_instance
@@ -224,6 +225,69 @@ def test_nonconvergence_warning_counts_the_iterations_spent(monkeypatch):
     sol = sinkhorn_class_weights(D, counts, SinkhornConfig(epsilon=0.001 * float(D.mean())))
     assert not sol.converged and calls[0] % 3 == 1  # the loop broke for the handoff
     assert sol.warning.endswith(f"after {calls[0] // 3 + 1} iterations")
+
+
+def dense_kkt_step(P, counts):
+    """The Newton direction (x_f, x_g) from the whole (n + m + k)^2 KKT system
+    [[H + delta I, A^T], [A, 0]], H = [[diag(r), P], [P^T, diag(c)]]: the reference
+    for the step that eliminates the longer side."""
+    n, m = P.shape
+    row_class = np.repeat(np.arange(counts.size), counts)
+    r, c = P.sum(axis=1), P.sum(axis=0)
+    K = np.zeros((n + m + counts.size,) * 2)
+    K[n + m + row_class, np.arange(n)] = K[np.arange(n), n + m + row_class] = 1.0
+    H = np.block([[np.diag(r), P], [P.T, np.diag(c)]])
+    H[np.diag_indices(n + m)] += 1e-12 * H.diagonal().max()
+    K[:n + m, :n + m] = H
+    x = np.linalg.solve(K, np.concatenate([-r, 1.0 / m - c, np.zeros(counts.size)]))
+    return x[:n], x[n:n + m]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_newton_step_matches_the_dense_kkt_solve(seed):
+    # even seeds have n >= m (rows eliminated), odd seeds n < m (columns
+    # eliminated); every third holds a class with 1e-14 of the mass. Costs span
+    # 3 eps, so the system is well enough conditioned for 1e-9: at the loop's
+    # handoff its condition number reaches 1e14, and two stable solves may differ
+    # by 10% while both leave residuals below 1e-12 of its scale
+    r = np.random.default_rng(seed)
+    counts = r.integers(1, 30, size=int(r.integers(1, 6)))
+    n = int(counts.sum())
+    m = int(r.integers(1, n + 1)) if seed % 2 == 0 else n + int(r.integers(1, 40))
+    w = r.dirichlet(np.ones(counts.size))
+    if seed % 3 == 0:
+        w[0] = 1e-14
+    D = r.random((n, m)) * 10.0 ** r.uniform(-6, 6)
+    eps = D.max() / 3.0
+    f = eps * (np.log(np.repeat(w / counts, counts)) + 0.3 * r.normal(size=n))
+    g = eps * (0.3 * r.normal(size=m) - np.log(m))
+    P = np.exp((f[:, None] + g[None, :] - D) / eps)
+    P /= P.sum()
+    row_class = np.repeat(np.arange(counts.size), counts)
+    got = np.concatenate(_newton_step(P, P.sum(axis=1), P.sum(axis=0), counts, row_class))
+    want = np.concatenate(dense_kkt_step(P, counts))
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_newton_finish_runs_above_two_thousand_rows_and_columns(monkeypatch):
+    # a dense (n + m + k)^2 step once kept every solve above n + m = 2000 on the loop
+    sc = build_scenario("dda", 40, 5, 0, 10.0, seed=0, dim=16, per_class=50,
+                        per_class_train=10, near=3)
+    source = sort_by_class(sc.source)
+    D = pairwise_distances(source.features, sc.target_train.features)
+    assert sum(D.shape) == 2050
+    finishes = []
+    finish = otselect.sinkhorn._newton_finish
+
+    def spy(*args):
+        finishes.append(args[0].shape)
+        return finish(*args)
+
+    monkeypatch.setattr(otselect.sinkhorn, "_newton_finish", spy)
+    sol = sinkhorn_class_weights(D, source.class_counts,
+                                 SinkhornConfig(epsilon=1e-3 * float(D.mean())))
+    assert sol.converged and sol.warning is None
+    assert finishes == [D.shape]
 
 
 def test_deterministic_given_config():
