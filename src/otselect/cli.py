@@ -30,7 +30,7 @@ from .data import (
     save_labels,
 )
 from .distance import pairwise_distances
-from .errors import OtselectError, UnknownLabel
+from .errors import OtselectError
 from .experiment import (
     default_dda_matrix,
     parse_experiment_config,
@@ -226,20 +226,16 @@ def _cmd_select(args, timings, warnings):
 def _cmd_pipeline(args, timings, warnings):
     with _timed(timings, "load"):
         source, src_ids, _ = _load_dataset(args.source, args.source_labels, args.format)
-        ttrain, tgt_ids, tgt_dense = _load_dataset(args.target_train, args.target_train_labels,
-                                                   args.format)
+        ttrain, tgt_ids, _ = _load_dataset(args.target_train, args.target_train_labels,
+                                           args.format)
         ttest, test_ids, _ = _load_dataset(args.target_test, args.target_test_labels,
                                            args.format)
-        try:  # run_pipeline reads the test split in the train split's dense labels
-            dense = np.array([tgt_dense[c] for c in test_ids.tolist()], dtype=np.int64)
-        except KeyError as e:
-            raise UnknownLabel(f"test label {e.args[0]} is not among the train classes") from e
-        ttest = LabeledDataset(ttest.features, dense[ttest.labels])
 
     with _timed(timings, "pipeline"):
         cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
         res = run_pipeline(source, ttrain, ttest, method=args.method, cfg=cfg,
-                           budget=args.budget, source_class_ids=src_ids, target_class_ids=tgt_ids)
+                           budget=args.budget, source_class_ids=src_ids, target_class_ids=tgt_ids,
+                           test_class_ids=test_ids)
     warnings.extend(res.warnings)
 
     held = set(test_ids.tolist())  # an absent class would read as a 0.0 miss

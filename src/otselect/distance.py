@@ -15,10 +15,9 @@ def pairwise_distances(source: FeatureMatrix, target: FeatureMatrix) -> np.ndarr
     distance unchanged. The Gram expansion ||a||^2 + ||b||^2 - 2 a.b then
     cancels at the scale of the spread, not of the offset from the origin
     (Higham 2002, §1.7): uncentred, its error grows with the offset. Negative
-    radicands are clamped to zero, and entries below 1e-10 of the larger squared
-    norm are recomputed from exact differences, because coincident points still
-    cancel. The test is relative, with no absolute floor, so scaling both sets
-    by a power of two scales every distance by exactly that power.
+    radicands are clamped to zero. Entries below 1e-10 of the larger squared norm
+    (no absolute floor, so 2^k X, 2^k Y give exactly 2^k D) are recomputed from
+    exact differences, because coincident points still cancel.
     """
     if source.cols != target.cols:
         raise DimensionMismatch(

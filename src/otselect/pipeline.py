@@ -369,11 +369,13 @@ def run_pipeline(source: LabeledDataset, target_train: LabeledDataset,
                  target_test: LabeledDataset, *, method: str = "wass",
                  cfg: TrainConfig | None = None, budget: int = 0,
                  source_class_ids: np.ndarray | None = None,
-                 target_class_ids: np.ndarray | None = None) -> PipelineResult:
+                 target_class_ids: np.ndarray | None = None,
+                 test_class_ids: np.ndarray | None = None) -> PipelineResult:
     """Select source classes, pre-train on them, fine-tune on target, evaluate.
 
     Class id arrays map each dataset's dense labels to external ids; the
-    default treats target classes as disjoint from source classes. With a
+    default treats target classes as disjoint from source classes, and the
+    test split's ids default to the train split's. With a
     positive ``budget`` the source set is resampled to that many rows before
     pre-training; otherwise importance weights enter the loss directly.
     Each phase derives its own seed from the config seed. ``wass-sinkhorn``
@@ -383,9 +385,12 @@ def run_pipeline(source: LabeledDataset, target_train: LabeledDataset,
     """
     if method not in PIPELINE_METHODS:
         raise ValueError(f"method must be one of {PIPELINE_METHODS}, got {method!r}")
+    if test_class_ids is not None:
+        test_class_ids = _check_class_ids(test_class_ids, target_test.k, "test_class_ids")
     t = _select_and_train(source, target_train, method, cfg, budget=budget,
                           source_class_ids=source_class_ids, target_class_ids=target_class_ids)
-    report = evaluate(t.finetuned, target_test.features, t.target_ids[target_test.labels])
+    test_ids = t.target_ids if test_class_ids is None else test_class_ids
+    report = evaluate(t.finetuned, target_test.features, test_ids[target_test.labels])
     sol = t.solution
     return PipelineResult(method, sol.weights, sol.support_size, sol.objective, report,
                           t.pretrained, t.finetuned, (sol.warning,) if sol.warning else ())

@@ -14,8 +14,8 @@ down, halving epsilon by default, once the column marginal is roughly met.
 The loop converges only linearly, the slower the smaller epsilon. After 10
 unconverged iterations at the target, a damped Newton method on the dual
 (Brauer et al. 2017) finishes in a few steps at every size. Each eliminates
-the longer side and solves one dense system over the shorter one, formed in
-O(n m min(n, m)) and free of the cost scale (``_newton_step``). The plan is
+the rows and the class multipliers and solves one dense m x m system, formed
+in O(n m^2) and free of the cost scale (``_newton_step``). The plan is
 rounded onto the polytope in one pass (Altschuler et al. 2017); the c-transform
 of the final potentials certifies the gap (``_c_transform``). This module is the
 lower layer, importing only ``data`` and ``errors``: the exact LP (``classlp``)
@@ -173,22 +173,13 @@ def _round_to_polytope(P: np.ndarray, counts: np.ndarray, row_class: np.ndarray
 
 def _newton_step(P: np.ndarray, r: np.ndarray, c: np.ndarray, counts: np.ndarray,
                  row_class: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton direction (x_f, x_g) of the class-tied dual at plan P, in units of eps.
-
-    It solves [[R, P, A^T], [P^T, C, 0], [A, 0, 0]] (x_f, x_g, lam) = (-r, 1/m - c, 0),
-    (R, C) = diag(r, c) + 1e-12 max(r, c) and A the class indicators (rows grouped by
-    class), by eliminating the longer side. For n >= m, x_f and then lam (A R^-1 A^T
-    is diagonal) leave one m x m system; for n < m, x_g leaves one of n + k."""
-    n, m = P.shape
+    """Newton direction (x_f, x_g) at plan P in units of eps: the solution of [[R, P, A^T],
+    [P^T, C, 0], [A, 0, 0]] (x_f, x_g, lam) = (-r, 1/m - c, 0), (R, C) = diag(r, c) + delta,
+    A the class indicators. Eliminating x_f, then lam (A R^-1 A^T is diagonal), leaves
+    one m x m system, formed from class sums in O(n m^2)."""
+    m = P.shape[1]
     delta = 1e-12 * max(r.max(), c.max())  # keeps a class of almost no mass regular
     R, C = r + delta, c + delta
-    if n < m:
-        V, k = P / C, counts.size
-        S = np.zeros((n + k,) * 2)
-        S[:n, :n] = np.diag(R) - V @ P.T
-        S[n + row_class, np.arange(n)] = S[np.arange(n), n + row_class] = 1.0
-        x_f = np.linalg.solve(S, np.concatenate([-r - V @ (1.0 / m - c), np.zeros(k)]))[:n]
-        return x_f, (1.0 / m - c - P.T @ x_f) / C
     W = P / R[:, None]
     starts = np.cumsum(counts) - counts
     Q, s, q = (np.add.reduceat(a, starts) for a in (W, 1.0 / R, r / R))  # class sums

@@ -135,7 +135,8 @@ SIGNATURES = {
         "target_test: 'LabeledDataset', *, method: 'str' = 'wass', "
         "cfg: 'TrainConfig | None' = None, budget: 'int' = 0, "
         "source_class_ids: 'np.ndarray | None' = None, "
-        "target_class_ids: 'np.ndarray | None' = None) -> 'PipelineResult'"),
+        "target_class_ids: 'np.ndarray | None' = None, "
+        "test_class_ids: 'np.ndarray | None' = None) -> 'PipelineResult'"),
     "run_verification_suite": "(seed: 'int', trials: 'int') -> 'dict'",
     "save_class_weights": "(w: 'ClassWeights', mapping: 'dict[int, int]', path) -> 'None'",
     "save_feature_matrix": "(matrix: 'FeatureMatrix', path, format: 'str' = 'binary') -> 'None'",

@@ -224,10 +224,10 @@ def test_pipeline_subcommand_reports_what_run_pipeline_returns(tmp_path, capsys,
 
     (source, src_ids), (train, tgt_ids), (test, test_ids) = map(
         load, ("source", "target_train", "target_test"))
-    assert test_ids.tolist() == tgt_ids.tolist()  # so the test labels need no remapping
     res = run_pipeline(source, train, test, method=method,
                        cfg=TrainConfig(learning_rate=0.5, epochs=15, seed=0),
-                       source_class_ids=src_ids, target_class_ids=tgt_ids)
+                       source_class_ids=src_ids, target_class_ids=tgt_ids,
+                       test_class_ids=test_ids)
     assert payload["accuracy"] == res.report.accuracy
     assert payload["w1_objective"] == res.w1_objective
     assert payload["support_size"] == res.support_size
@@ -272,6 +272,27 @@ def test_pipeline_accepts_a_test_split_that_lacks_a_train_class(tmp_path, capsys
     assert payload["n_eval"] == 7
     assert list(payload["per_class_accuracy"]) == ["2"]
     assert payload["per_class_accuracy"]["2"] == pytest.approx(payload["accuracy"])
+
+
+def test_pipeline_accepts_a_test_split_that_lacks_the_first_train_class(tmp_path, capsys):
+    paths = write_scenario_files(tmp_path)
+    # keep only the test rows of class 4: the test file's dense label 0 is the
+    # train file's dense label 1, so the test split is scored by its own ids
+    held = load_feature_matrix(paths["target_test"], format="csv").values[7:]
+    save_feature_matrix(FeatureMatrix(held), paths["target_test"], format="csv")
+    save_labels(np.full(7, 4), paths["target_test_labels"])
+    code, payload, err = run_cli(capsys, "pipeline",
+                                 "--source", paths["source"],
+                                 "--source-labels", paths["source_labels"],
+                                 "--target-train", paths["target_train"],
+                                 "--target-train-labels", paths["target_train_labels"],
+                                 "--target-test", paths["target_test"],
+                                 "--target-test-labels", paths["target_test_labels"],
+                                 "--format", "csv", "--epochs", "15")
+    assert code == 0, err
+    assert payload["n_eval"] == 7
+    assert list(payload["per_class_accuracy"]) == ["4"]
+    assert payload["per_class_accuracy"]["4"] == pytest.approx(payload["accuracy"])
 
 
 def test_select_reports_an_unreached_sinkhorn_target_as_a_warning(tmp_path, capsys):

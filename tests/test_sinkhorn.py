@@ -230,7 +230,7 @@ def test_nonconvergence_warning_counts_the_iterations_spent(monkeypatch):
 def dense_kkt_step(P, counts):
     """The Newton direction (x_f, x_g) from the whole (n + m + k)^2 KKT system
     [[H + delta I, A^T], [A, 0]], H = [[diag(r), P], [P^T, diag(c)]]: the reference
-    for the step that eliminates the longer side."""
+    for the step that eliminates the rows and the class multipliers."""
     n, m = P.shape
     row_class = np.repeat(np.arange(counts.size), counts)
     r, c = P.sum(axis=1), P.sum(axis=0)
@@ -245,11 +245,11 @@ def dense_kkt_step(P, counts):
 
 @pytest.mark.parametrize("seed", range(24))
 def test_newton_step_matches_the_dense_kkt_solve(seed):
-    # even seeds have n >= m (rows eliminated), odd seeds n < m (columns
-    # eliminated); every third holds a class with 1e-14 of the mass. Costs span
-    # 3 eps, so the system is well enough conditioned for 1e-9: at the loop's
-    # handoff its condition number reaches 1e14, and two stable solves may differ
-    # by 10% while both leave residuals below 1e-12 of its scale
+    # even seeds have n >= m, odd seeds n < m; every third holds a class with
+    # 1e-14 of the mass. Costs span 3 eps, so the system is well enough
+    # conditioned for 1e-9: at the loop's handoff its condition number reaches
+    # 1e14, and two stable solves may differ by 10% while both leave residuals
+    # below 1e-12 of its scale
     r = np.random.default_rng(seed)
     counts = r.integers(1, 30, size=int(r.integers(1, 6)))
     n = int(counts.sum())
