@@ -28,7 +28,11 @@ holds it (``_certified_solution``), the input check and the class helpers.
 
 The grid oracle (``brute_force_class_weights``) takes one thing from ``ot``,
 its simplex (``_solve``), and ranks its points by the objective that each
-solve certifies, the one ``solve_exact_ot`` reports.
+solve certifies, the one ``solve_exact_ot`` reports. Each solve's dual
+certificate is a linear lower bound on the transport cost over the whole
+grid, so a point that the largest of these bounds puts above the best
+objective so far is skipped without a solve; on gate 01's 34 k = 3
+instances that leaves 3,247 of their 45,084 points to solve.
 
 HiGHS is driven through its own bindings, the extension
 ``scipy.optimize._highspy._core``, with its dual simplex under Devex pricing
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import operator
 import os
 import sys
 
@@ -342,7 +347,8 @@ def brute_force_class_weights(
     class_counts: np.ndarray,
     grid_step: float,
 ) -> tuple[ClassWeights, float]:
-    """Grid search over the weight simplex with an exact OT solve per point.
+    """Grid search over the weight simplex with an exact OT solve per point
+    that a lower bound does not rule out.
 
     Enumerates weight vectors with spacing ``grid_step`` (its reciprocal is
     rounded to an integer number of steps) and returns the grid minimizer and
@@ -356,11 +362,23 @@ def brute_force_class_weights(
     points share the cost, so the tree stays dual-feasible, and a few dual
     simplex pivots repair it when it is not feasible at once. The tree also
     carries its reduced costs and c-transform: a point that needs no pivot
-    reuses them instead of pricing every cell again. Each point is still
+    reuses them instead of pricing every cell again. Each solved point is
     certified by its duality gap and the marginals of its plan, and ranked by
     its objective, the correctly rounded sum that ``solve_exact_ot`` reports
     too: all three are taken over its n + m - 1 basic cells alone, so a point
     that makes no pivot is O(n + m).
+
+    Each solve's certificate, the row potentials u with their c-transform g,
+    is dual feasible at every point of the grid, so u·mu + g·nu bounds the
+    transport cost from below at every mu (weak duality; Peyre & Cuturi 2019,
+    section 3.1). The grid's mu is linear in its integer composition, so each
+    solve leaves one linear cut on it, and the largest of them is a
+    cutting-plane lower envelope (Kelley 1960). A point whose envelope lies
+    more than 1e-9 of the largest cost, the certificate's own bound, above
+    the best objective so far is skipped unsolved: its objective is strictly
+    above the best, so it can be neither the minimizer nor a tie. The bound
+    is relative, so D·2^k scales every skip decision exactly. The newest cut
+    is tried first, since the walk moves one step at a time.
     """
     D, counts = _check_inputs(D, class_counts)
     k = counts.size
@@ -372,14 +390,25 @@ def brute_force_class_weights(
 
     n, m = D.shape
     nu = np.full(m, 1.0 / m)
+    starts, tol = np.cumsum(counts) - counts, 1e-9 * float(D.max())
+    cuts, made = np.empty((16, k + 1)), 0  # per solve: the slope of each class, then the intercept
+    slopes, intercept = [], 0.0  # the newest cut
     best, tree = (np.inf, ()), None
     for comp in _grid_walk(k, steps):
+        if made and (sum(map(operator.mul, slopes, comp)) + intercept > best[0] + tol
+                     or (cuts[:made, :k] @ comp + cuts[:made, k]).max() > best[0] + tol):
+            continue
         mu = np.repeat(np.asarray(comp, dtype=np.float64) / steps / counts, counts)
         bi, bj, vals, objective, _, tree = _solve(D, mu, nu, tree)
         if max(np.abs(np.bincount(bi, vals, n) - mu).max(),
                np.abs(np.bincount(bj, vals, m) - nu).max()) > 1e-7:
             raise SolverFailure(f"grid point {comp}: plan marginals off by more than 1e-7")
         best = min(best, (objective, comp))  # ties go to the first point in lexicographic order
+        slopes = (np.add.reduceat(tree.pot[:n], starts) / (counts * steps)).tolist()
+        intercept = float(tree.g @ nu)
+        if made == len(cuts):
+            cuts = np.concatenate((cuts, np.empty_like(cuts)))
+        cuts[made], made = slopes + [intercept], made + 1
     w = np.asarray(best[1], dtype=np.float64) / steps
     return ClassWeights(w / w.sum()), float(best[0])
 

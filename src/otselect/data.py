@@ -104,7 +104,8 @@ def _check_cost(cost) -> np.ndarray:
     c = np.ascontiguousarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.size == 0:
         raise DimensionMismatch(f"cost matrix must be 2-D and non-empty, got shape {c.shape}")
-    if not np.isfinite(c).all() or c.min() < 0:
+    lo, hi = c.min(), c.max()  # a NaN carries into both, with no n x m bool temporary
+    if not (lo >= 0 and np.isfinite(hi)):
         raise MalformedFile("cost matrix must be finite and nonnegative")
     return c
 

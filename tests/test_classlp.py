@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -116,7 +117,9 @@ def test_grid_ties_go_to_the_first_point_in_lexicographic_order(monkeypatch):
 
     def solve(C, mu, nu, tree):  # every cell basic, at the product plan
         bi, bj = np.indices(C.shape).reshape(2, -1)
-        return bi, bj, np.outer(mu, nu).ravel(), planted(mu), 0.0, tree
+        # zero potentials and c-transform: a cut of 0 rules out no planted objective
+        stub = types.SimpleNamespace(pot=[0.0] * sum(C.shape), g=np.zeros(C.shape[1]))
+        return bi, bj, np.outer(mu, nu).ravel(), planted(mu), 0.0, stub
 
     monkeypatch.setattr(classlp, "_solve", solve)
     w, obj = brute_force_class_weights(np.ones((3, 2)), np.ones(3, dtype=np.int64), 0.25)
@@ -137,25 +140,91 @@ def test_warm_four_class_grid_walk_matches_a_cold_walk():
     np.testing.assert_array_equal(bf_w.weights, best_w)
 
 
-def test_grid_walk_ranks_every_point_by_its_certified_objective():
+def every_point_walk(D, counts, steps):
+    """The grid oracle with every point solved: the serpentine walk's carried
+    tree through ``ot._solve`` at each point, ranked as the oracle ranks."""
+    nu = np.full(D.shape[1], 1.0 / D.shape[1])
+    best, tree = (np.inf, ()), None
+    for comp in classlp._grid_walk(counts.size, steps):
+        mu = np.repeat(np.asarray(comp, dtype=np.float64) / steps / counts, counts)
+        _, _, _, objective, _, tree = ot._solve(D, mu, nu, tree)
+        best = min(best, (objective, comp))
+    w = np.asarray(best[1], dtype=np.float64) / steps
+    return w / w.sum(), best[0]
+
+
+def spied_grid_solves(monkeypatch):
+    """Patch ``classlp._solve`` to record the objective and the mu of every
+    solve the oracle makes; returns that list."""
+    solve, made = classlp._solve, []
+
+    def spied(C, mu, nu, tree):
+        out = solve(C, mu, nu, tree)
+        made.append((out[3], mu))
+        return out
+
+    monkeypatch.setattr(classlp, "_solve", spied)
+    return made
+
+
+def test_grid_walk_ranks_every_point_by_its_certified_objective(monkeypatch):
     # with integer costs over 3 many grid points tie up to rounding: the
-    # oracle must rank by the objective each solve certifies, the first of
-    # equal ones in lexicographic order winning
+    # oracle must return the least (objective, point) over the solves it made,
+    # the first of equal objectives in lexicographic order winning, and every
+    # point it skipped must cost strictly more
+    made = spied_grid_solves(monkeypatch)
     for seed in range(88, 96):
         r = rng(seed)
         counts = r.integers(2, 12, size=3)
         m = int(r.integers(3, 20))
         D = r.integers(0, 4, size=(int(counts.sum()), m)) / 3
         nu = np.full(m, 1.0 / m)
-        best, tree = (np.inf, ()), None
-        for comp in classlp._grid_walk(3, 20):
-            mu = np.repeat(np.asarray(comp, dtype=np.float64) / 20 / counts, counts)
-            _, _, _, objective, _, tree = ot._solve(D, mu, nu, tree)
-            best = min(best, (objective, comp))
+        starts = np.cumsum(counts) - counts
+        made.clear()
         w, obj = brute_force_class_weights(D, counts, 0.05)
+        solved = {tuple(np.rint(mu[starts] * counts * 20).astype(int).tolist()): objective
+                  for objective, mu in made}
+        assert len(solved) == len(made), seed  # no point is solved twice
+        best = min((objective, comp) for comp, objective in solved.items())
         assert obj == best[0], seed
         want = np.asarray(best[1], dtype=np.float64) / 20
-        np.testing.assert_array_equal(w.weights, want / want.sum())
+        assert w.weights.tobytes() == (want / want.sum()).tobytes(), seed
+        skipped = [comp for comp in classlp._grid_walk(3, 20) if comp not in solved]
+        assert skipped, seed
+        for comp in skipped:
+            mu = np.repeat(np.asarray(comp, dtype=np.float64) / 20 / counts, counts)
+            assert solve_exact_ot(OtProblem(D, mu, nu)).objective > obj, (seed, comp)
+
+
+def test_the_screened_walk_matches_the_every_point_walk_bit_for_bit():
+    # costs with no ties: skipping the points that the lower envelope rules
+    # out must leave the weights and the objective of solving every point
+    r = rng(41)
+    counts4 = np.array([4, 3, 5, 4])
+    D4 = pairwise_distances(FeatureMatrix(r.normal(size=(16, 2))),
+                            FeatureMatrix(r.normal(size=(10, 2)) + 0.3))
+    D1, counts1 = make_instance(42, k=1, per_class=6, m=8)
+    Dm, countsm = make_instance(43, k=3, per_class=5, m=1)  # one target point
+    D3, counts3 = gate01_instance(0)
+    cases = [(*gate01_instance(i), 50) for i in range(30)]
+    cases += [(D4, counts4, 8), (D1, counts1, 50), (Dm, countsm, 50)]
+    cases += [(np.ldexp(D, e), counts, steps) for e in (-40, 40)
+              for D, counts, steps in ((D3, counts3, 50), (D4, counts4, 8))]
+    for i, (D, counts, steps) in enumerate(cases):
+        want_w, want_obj = every_point_walk(D, counts, steps)
+        w, obj = brute_force_class_weights(D, counts, 1 / steps)
+        assert obj == want_obj, i
+        assert w.weights.tobytes() == want_w.tobytes(), i
+
+
+def test_the_lower_envelope_rules_out_most_grid_points(monkeypatch):
+    # the first k = 3 instance of gate 01 has 1,326 grid points at step 0.02;
+    # a walk that stopped skipping would solve them all
+    made = spied_grid_solves(monkeypatch)
+    D, counts = next(inst for inst in map(gate01_instance, itertools.count())
+                     if inst[1].size == 3)
+    brute_force_class_weights(D, counts, 0.02)
+    assert 1 <= len(made) <= 1326 // 4
 
 
 def test_a_repair_past_n_plus_m_pivots_restarts_cold_and_keeps_the_cold_argmin(monkeypatch):
@@ -195,7 +264,7 @@ def test_carried_potentials_stay_exact_on_the_basis_over_a_whole_walk(monkeypatc
 
     monkeypatch.setattr(classlp, "_solve", checked)
     brute_force_class_weights(D, counts, 0.02)
-    assert len(drift) == 1326
+    assert 1 <= len(drift) < 1326  # one entry per solve; the skipped points make none
     assert max(drift) <= 1e-12 * D.max()
 
 
@@ -228,19 +297,19 @@ def test_each_set_of_potentials_is_priced_and_certified_once(monkeypatch):
     monkeypatch.setattr(ot._Tree, "pivot", counted("pivots", ot._Tree.pivot))
     monkeypatch.setattr(classlp, "_solve", counted("points", classlp._solve))
     brute_force_class_weights(D, counts, 0.02)
-    assert calls["points"] == 1326 and calls["pivots"] < calls["points"]
+    assert calls["points"] < 1326  # the solves made; the lower envelope skips the rest
     assert 1 <= calls["priced"] <= calls["pivots"] + 1, calls
     assert 1 <= calls["c_transform"] <= calls["pivots"] + 1, calls
 
 
 def test_a_grid_point_without_a_pivot_allocates_no_n_by_m_array(monkeypatch):
-    # a 100 x 100 cost on a fine grid, where most points need no pivot: those
-    # must allocate less than one n x m array between the start of one point
-    # and the start of the next
+    # a 100 x 100 cost on a fine grid, where many points need no pivot: a
+    # point solved without one must allocate less than one n x m array between
+    # the start of one point and the start of the next
     r = rng(0)
     D = pairwise_distances(FeatureMatrix(r.normal(size=(100, 2))),
                            FeatureMatrix(r.normal(size=(100, 2)) + 0.3))
-    done = {"pivots": 0}
+    done = {"pivots": 0, "points": 0}
     points = list(classlp._grid_walk(2, 500))
     peaks = []
 
@@ -256,10 +325,11 @@ def test_a_grid_point_without_a_pivot_allocates_no_n_by_m_array(monkeypatch):
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             yield comp
-            if done == before:
+            if done == {**before, "points": before["points"] + 1}:  # solved, no pivot
                 peaks.append(tracemalloc.get_traced_memory()[1] - start)
 
     monkeypatch.setattr(ot._Tree, "pivot", counted("pivots", ot._Tree.pivot))
+    monkeypatch.setattr(classlp, "_solve", counted("points", classlp._solve))
     monkeypatch.setattr(classlp, "_grid_walk", traced)
     tracemalloc.start()
     try:

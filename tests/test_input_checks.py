@@ -27,6 +27,7 @@ from otselect import (
     TrainConfig,
     TransportPlan,
     baseline_weights,
+    brute_force_class_weights,
     build_scenario,
     compute_bound_report,
     conditional_wasserstein_term,
@@ -328,6 +329,24 @@ def test_a_probability_vector_fault_raises_one_error_everywhere(reader, fault):
     values, error, message = PROBABILITY_FAULTS[fault]
     with pytest.raises(error, match=f"^{re.escape(name)} {message}"):
         call(values)
+
+
+# Every reader of a transport cost, given a 4 x 3 cost with one bad entry.
+COST_READERS = {
+    "ot_problem": lambda D: OtProblem(D, U4, np.full(3, 1 / 3)),
+    "class_lp": lambda D: solve_class_weights(D, [2, 2]),
+    "grid_oracle": lambda D: brute_force_class_weights(D, [2, 2], 0.5),
+}
+COST_FAULTS = {"nan": np.nan, "inf": np.inf, "minus_inf": -np.inf, "negative": -1.0}
+
+
+@pytest.mark.parametrize("fault", COST_FAULTS)
+@pytest.mark.parametrize("reader", COST_READERS)
+def test_a_cost_fault_raises_one_error_everywhere(reader, fault):
+    D = np.ones((4, 3))
+    D[1, 2] = COST_FAULTS[fault]
+    with pytest.raises(MalformedFile, match="^cost matrix must be finite and nonnegative$"):
+        COST_READERS[reader](D)
 
 
 def scenario(kind="dda", k_source=3, k_target=2, overlap=None, **counts):
